@@ -237,7 +237,10 @@ def test_admission_shields_quiet_tenant_from_zone_burn(
         )
         gpu = parse_profile(PROFILE).gpu.name
         inventory = ClusterInventory(capacity={gpu: 6})
-        return ClusterSimulator([quiet, noisy], inventory).run(DURATION_S)
+        # The noisy tenant's recovery time is read from its samples.
+        return ClusterSimulator([quiet, noisy], inventory).run(
+            DURATION_S, keep_samples=True
+        )
 
     res = benchmark.pedantic(run, rounds=1, iterations=1)
 

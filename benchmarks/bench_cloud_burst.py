@@ -13,8 +13,9 @@ stays honest while doing so. Three headline claims, each hard-asserted
    seeded preemption schedule firing, every admitted request is still
    accounted for and every preemption hit a rented pod.
 3. **Fast/oracle parity with the cloud active.** The heap-driven
-   cluster loop and the retained oracle loop produce field-exact
-   results — billing line items and the ledger included.
+   cluster loop and the reference scan loop
+   (``repro.simulation.reference``) produce field-exact results —
+   billing line items and the ledger included.
 
 The run writes ``BENCH_cloud_burst.json`` (uploaded as a CI artifact)
 with the measured bills, tails and preemption ledgers.
@@ -41,6 +42,7 @@ from repro.simulation import (
     TenantGroup,
     ThresholdPolicy,
 )
+from repro.simulation.reference import ReferenceClusterSimulator
 from repro.utils.rng import derive_rng, spawn_seed
 
 LLM = get_llm("Llama-2-7b")
@@ -105,7 +107,8 @@ def _burst_cluster(generator, *, cloud=None, burst=None, fast=True, seed=0):
         TenantGroup("diurnal", fleet, PROFILE.name, slo_p95_ttft_s=SLO_P95_TTFT_S)
     ]
     inventory = ClusterInventory(capacity={GPU: 2})
-    sim = ClusterSimulator(tenants, inventory, fast=fast, cloud=cloud, burst=burst)
+    cluster_type = ClusterSimulator if fast else ReferenceClusterSimulator
+    sim = cluster_type(tenants, inventory, cloud=cloud, burst=burst)
     return sim, sim.run(duration_s=DURATION_S)
 
 

@@ -6,18 +6,19 @@ sweep regenerated its seeded arrival stream per candidate. This gate
 enforces both halves of the cluster-scale fast path's contract, exactly
 as ``bench_core_speed.py`` does for the fleet core:
 
-1. the heap-driven cluster loop (``ClusterSimulator(fast=True)``, the
-   default) is *bit-identical* to the retained O(tenants)-scan oracle
-   loop — per-tenant results, latency distributions, and the inventory
-   event stream — on a many-tenant contended cluster, with and without
-   a chaos/fault schedule (same-instant fault collisions included);
+1. the heap-driven cluster loop (:class:`ClusterSimulator`) is
+   *bit-identical* to the O(tenants)-scan loop of
+   :class:`ReferenceClusterSimulator` — per-tenant results, latency
+   distributions, and the inventory event stream — on a many-tenant
+   contended cluster, with and without a chaos/fault schedule
+   (same-instant fault collisions included);
 2. the fast loop clears a hard wall-clock speedup over the oracle plus
    an events/sec floor (both fleets run the PR 6 fast core, so the
    ratio isolates the cluster loop itself);
-3. the cached-arrival recommender sweep is byte-identical to the
-   ``traffic_factory``-fresh sweep, clears a candidates/sec floor, and
-   every cost-lower-bound prune is logged and reported — no silently
-   dropped candidates.
+3. the recorded-arrival recommender sweep is byte-identical to a
+   sweep that calls ``traffic_factory`` afresh per candidate, clears a
+   candidates/sec floor, and every cost-lower-bound prune is logged
+   and reported — no silently dropped candidates.
 
 Timings use min-of-N interleaved repeats so a background hiccup on the
 CI machine hits both paths equally. The speedup widens with tenant
@@ -58,6 +59,7 @@ from repro.simulation import (
     TenantGroup,
     ThresholdPolicy,
 )
+from repro.simulation.reference import ReferenceClusterSimulator
 from repro.utils.rng import derive_rng, spawn_seed
 
 LLM = get_llm("Llama-2-13b")
@@ -107,7 +109,7 @@ def _build_cluster(generator, fast_cluster, tenants, with_faults=False):
         def factory(serial, i=i):
             return ContinuousBatchingEngine(
                 LLM, PROFILE, max_batch_weight=WEIGHT,
-                seed=spawn_seed(BENCH_SEED, "pod", i, serial), fast=True,
+                seed=spawn_seed(BENCH_SEED, "pod", i, serial),
             )
 
         faults = None
@@ -164,7 +166,8 @@ def _build_cluster(generator, fast_cluster, tenants, with_faults=False):
     inventory = ClusterInventory(
         capacity={PROFILE.gpu.name: tenants + tenants // 2}
     )
-    return ClusterSimulator(groups, inventory, fast=fast_cluster)
+    cluster_type = ClusterSimulator if fast_cluster else ReferenceClusterSimulator
+    return cluster_type(groups, inventory)
 
 
 def _assert_cluster_parity(fast, oracle, context):
@@ -193,12 +196,21 @@ def _assert_cluster_parity(fast, oracle, context):
     ], f"{context}: inventory event streams diverged"
 
 
-def _recommender(generator, cache_arrivals):
+class _FreshArrivals(ElasticRecommender):
+    """Regenerates the arrival stream per candidate (the byte-identity
+    baseline for the recorded stream)."""
+
+    def _traffic(self):
+        return self.traffic_factory()
+
+
+def _recommender(generator, fresh=False):
     deployment = Deployment(
         llm=LLM, profile=PROFILE, n_pods=1, max_batch_weight=WEIGHT,
         generator=generator, seed=BENCH_SEED,
     )
-    return ElasticRecommender(
+    recommender_type = _FreshArrivals if fresh else ElasticRecommender
+    return recommender_type(
         deployment,
         lambda: PoissonTraffic(
             SWEEP_RATE, rng=derive_rng(BENCH_SEED, "bench-sweep")
@@ -212,7 +224,6 @@ def _recommender(generator, cache_arrivals):
         decision_interval_s=10.0,
         cold_start_s=5.0,
         metrics_window_s=20.0,
-        cache_arrivals=cache_arrivals,
     )
 
 
@@ -271,11 +282,11 @@ def test_cluster_speed_gate(generator, results_dir, caplog):
 
     # --- cached-arrival sweep: byte identity + throughput floor -------------
     candidates = _sweep_candidates()
-    cached_recommender = _recommender(generator, cache_arrivals=True)
+    cached_recommender = _recommender(generator)
     t0 = time.perf_counter()
     cached_points = cached_recommender.evaluate_many(candidates)
     wall_sweep = time.perf_counter() - t0
-    fresh_points = _recommender(generator, cache_arrivals=False).evaluate_many(
+    fresh_points = _recommender(generator, fresh=True).evaluate_many(
         candidates
     )
     cached_json = json.dumps(
@@ -303,7 +314,7 @@ def test_cluster_speed_gate(generator, results_dir, caplog):
     )
     prune_candidates = [c for c in candidates if c.min_pods == 1] + [dominated]
     with caplog.at_level("INFO", logger="repro.recommendation.elastic"):
-        rec = _recommender(generator, cache_arrivals=True).recommend(
+        rec = _recommender(generator).recommend(
             candidates=prune_candidates, static_pods=1, prune=True
         )
     assert rec.static.meets_slo, "prune gate needs an SLO-meeting incumbent"

@@ -1,9 +1,10 @@
-"""Fast-core speed gate: heap frontier + vectorized stepping vs oracle.
+"""Fast-core speed gate: heap frontier + vectorized stepping vs reference.
 
-The fast simulation core (``fast=True``: heap-indexed event frontier in
+The fast simulation core (the heap-indexed event frontier in
 :class:`FleetSimulator` plus the vectorized decode kernel in
 :class:`ContinuousBatchingEngine`) is only allowed to exist because it
-is *bit-identical* to the straight-line oracle path (``fast=False``) —
+is *bit-identical* to the straight-line reference simulator
+(:class:`ReferenceFleetSimulator` over :class:`ReferenceEngine` pods) —
 same floating-point expressions, same RNG draw sequence, same event
 order. This benchmark enforces both halves of that contract at fleet
 scale:
@@ -37,6 +38,7 @@ from repro.simulation import (
     LeastLoadedRouter,
     RequestSource,
 )
+from repro.simulation.reference import ReferenceEngine, ReferenceFleetSimulator
 from repro.utils.rng import derive_rng, spawn_seed
 
 LLM = get_llm("Llama-2-13b")
@@ -65,19 +67,19 @@ EXACT_FIELDS = (
 
 
 def _build_fleet(generator, fast):
+    engine_type = ContinuousBatchingEngine if fast else ReferenceEngine
+    fleet_type = FleetSimulator if fast else ReferenceFleetSimulator
     pods = [
-        ContinuousBatchingEngine(
+        engine_type(
             LLM, PROFILE, max_batch_weight=WEIGHT,
-            seed=spawn_seed(BENCH_SEED, "pod", i), fast=fast,
+            seed=spawn_seed(BENCH_SEED, "pod", i),
         )
         for i in range(PODS)
     ]
     source = RequestSource(
         generator, derive_rng(BENCH_SEED, "core-speed", USERS), WEIGHT
     )
-    return FleetSimulator(
-        pods, ClosedLoopTraffic(USERS), LeastLoadedRouter(), source, fast=fast
-    )
+    return fleet_type(pods, ClosedLoopTraffic(USERS), LeastLoadedRouter(), source)
 
 
 def _timed_run(generator, fast):

@@ -5,8 +5,9 @@ run, conservation-checked and scored against the ``expectations:``
 block it declares — all hard-asserted, smoke and full scale alike (the
 curated scenarios are already sized to run in seconds, so smoke mode
 changes nothing about them). Scenarios that declare
-``fast_oracle_parity`` are additionally replayed through the oracle
-stepper and must match the fast path bit for bit.
+``fast_oracle_parity`` are additionally replayed through the reference
+simulator (``repro.simulation.reference``) and must match the
+production run bit for bit.
 
 The run writes ``BENCH_scenario_matrix.json`` (uploaded as a CI
 artifact) with per-scenario pass/fail, every expectation check and the
@@ -21,6 +22,7 @@ import os
 from benchmarks.conftest import write_report
 from repro.report import render_report
 from repro.simulation import evaluate_expectations, list_scenarios, load_by_name
+from repro.simulation.reference import run_scenario
 
 #: The scenario whose rendered report ships as the sample CI artifact —
 #: a chaos run, so the artifact shows fault annotations, not just the
@@ -59,7 +61,7 @@ def _run_one(name):
     }
     parity = bool((spec.expectations or {}).get("fast_oracle_parity"))
     if parity:
-        oracle = spec.run(keep_samples=True, fast=False)
+        oracle = run_scenario(spec, keep_samples=True)
         mismatches = [
             field
             for field in PARITY_FIELDS

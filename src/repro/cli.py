@@ -13,11 +13,10 @@ Subcommands mirror the two roles the paper defines (§I):
   - ``simulate``      fleet-level what-if simulation: N pods on a shared
     virtual clock under closed-loop / Poisson / diurnal / bursty traffic
     — or a recorded arrival log replayed via ``--traffic replay`` — with
-    a pluggable front-end router; ``--scenario FILE`` instead runs a
-    declarative scenario spec (see ``docs/scenarios.md``) end to end;
-  - ``autoscale``     the same fleet under an autoscaling policy
+    a pluggable front-end router, an optional autoscaling policy
     (threshold / target-utilization / predictive) and optional SLO-aware
-    admission control, reporting the scale-event log and pod-hour bill;
+    admission control; ``--scenario FILE`` instead runs a declarative
+    scenario spec (see ``docs/scenarios.md``) end to end;
   - ``cluster-sim``   multi-tenant co-simulation: N tenants, each with
     its own traffic, router/admission and autoscaler, contending for one
     finite GPU inventory on one shared virtual clock — reports per-tenant
@@ -32,6 +31,12 @@ Subcommands mirror the two roles the paper defines (§I):
     (policy, min_pods, max_pods) candidates under a traffic model, score
     each by pod-second bill + SLO penalty, and report the trade curve,
     the chosen config and its savings vs the peak-sized static fleet.
+
+The quick flags of ``simulate`` and ``cluster-sim`` compile to the
+scenario mapping a spec file would hold and run through the same
+:class:`~repro.simulation.scenario.ScenarioSpec` builders as
+``--scenario``, so a flag run and its equivalent spec file are one
+simulation.
 """
 
 from __future__ import annotations
@@ -72,37 +77,21 @@ from repro.report import render_report
 from repro.simulation import (
     AUTOSCALE_POLICIES,
     ROUTERS,
-    AdmissionController,
-    ArrivalLog,
-    Autoscaler,
-    AutoscaleConfig,
     BurstPolicy,
-    BurstyTraffic,
-    ClosedLoopTraffic,
-    CloudLedger,
-    ClusterInventory,
-    ClusterSimulator,
-    DiurnalTraffic,
-    FaultInjector,
-    FaultSpec,
-    NoOpPolicy,
-    PoissonTraffic,
-    PredictivePolicy,
-    ReplayTraffic,
     ScenarioSpec,
-    TargetUtilizationPolicy,
-    TenantGroup,
-    ThresholdPolicy,
     scenario_path,
     to_json,
 )
+from repro.simulation.scenario import fault_event_spec
 from repro.traces import TraceConfig, TraceDataset, TraceSynthesizer
 from repro.utils.parallel import fork_map
-from repro.utils.rng import derive_rng, spawn_seed
 from repro.utils.tables import format_table
 from repro.workload import WorkloadGenerator
 
 __all__ = ["main", "build_parser"]
+
+#: Traffic kinds of the ``--traffic`` flag and the ``--tenant`` grammar.
+_TRAFFIC_KINDS = ("closed", "poisson", "diurnal", "bursty", "replay")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,16 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
         "library by name (see docs/scenarios.md)",
     )
     _add_fleet_args(p_sim)
+    _add_policy_args(p_sim, default="none")
     _add_fault_args(p_sim)
     _add_json_arg(p_sim)
-
-    p_auto = sub.add_parser(
-        "autoscale", help="elastic fleet simulation under a scaling policy"
-    )
-    _add_fleet_args(p_auto)
-    _add_policy_args(p_auto)
-    _add_fault_args(p_auto)
-    _add_json_arg(p_auto)
 
     p_cluster = sub.add_parser(
         "cluster-sim",
@@ -215,18 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="GPU=N",
         help="GPU inventory (repeatable), e.g. 'A100-40GB=8'",
     )
-    _add_policy_args(p_cluster, allow_none=True)
+    _add_policy_args(p_cluster, default="threshold")
     p_cluster.add_argument("--router", choices=sorted(ROUTERS), default="least-loaded")
     p_cluster.add_argument("--max-batch-weight", type=int, default=12_000)
     _add_shape_args(p_cluster)
     p_cluster.add_argument("--duration", type=float, default=120.0)
     p_cluster.add_argument("--warmup", type=float, default=0.0)
-    p_cluster.add_argument(
-        "--no-fast-cluster",
-        action="store_true",
-        help="run the O(tenants)-scan oracle cluster loop instead of the "
-        "heap-frontier fast path (bit-identical; for verification)",
-    )
     _add_workload_args(p_cluster)
     _add_fault_args(p_cluster)
     p_cluster.add_argument(
@@ -261,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
         "input",
         nargs="?",
         metavar="RESULT.json",
-        help="a JSON result file written by simulate/autoscale/cluster-sim "
+        help="a JSON result file written by simulate/cluster-sim "
         "--json (omit to run a scenario live instead)",
     )
     p_report.add_argument(
@@ -339,13 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         "recommendation is byte-identical to --jobs 1",
     )
     p_elastic.add_argument(
-        "--no-arrival-cache",
-        action="store_true",
-        help="regenerate the seeded arrival stream per candidate instead "
-        "of recording it once and replaying it (bit-identical; for "
-        "verification)",
-    )
-    p_elastic.add_argument(
         "--prune",
         action="store_true",
         help="skip candidates whose compute-bill floor already exceeds an "
@@ -380,11 +349,7 @@ def _add_fleet_args(p: argparse.ArgumentParser, pods: bool = True) -> None:
         p.add_argument("--pods", type=int, default=2)
     p.add_argument("--max-batch-weight", type=int, default=12_000)
     p.add_argument("--router", choices=sorted(ROUTERS), default="least-loaded")
-    p.add_argument(
-        "--traffic",
-        choices=["closed", "poisson", "diurnal", "bursty", "replay"],
-        default="poisson",
-    )
+    p.add_argument("--traffic", choices=_TRAFFIC_KINDS, default="poisson")
     p.add_argument("--users", type=int, default=16, help="closed-loop population")
     p.add_argument(
         "--rate",
@@ -445,21 +410,14 @@ def _add_autoscaler_mechanics(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_policy_args(p: argparse.ArgumentParser, allow_none: bool = False) -> None:
-    """Autoscaling policy + admission flags (autoscale, cluster-sim)."""
+def _add_policy_args(p: argparse.ArgumentParser, default: str) -> None:
+    """Autoscaling policy + admission flags (simulate, cluster-sim)."""
     p.add_argument(
         "--policy",
-        choices=(
-            ["none", *sorted(AUTOSCALE_POLICIES)]
-            if allow_none
-            else sorted(AUTOSCALE_POLICIES)
-        ),
-        default="threshold",
-        help=(
-            "per-tenant autoscaling policy ('none': static fleets)"
-            if allow_none
-            else "autoscaling policy"
-        ),
+        choices=["none", *sorted(AUTOSCALE_POLICIES)],
+        default=default,
+        help="autoscaling policy of the fleet (of every tenant in "
+        "cluster-sim); 'none': static fleets",
     )
     p.add_argument("--min-pods", type=int, default=1)
     p.add_argument("--max-pods", type=int, default=16)
@@ -468,7 +426,9 @@ def _add_policy_args(p: argparse.ArgumentParser, allow_none: bool = False) -> No
         "--slo-ttft-ms",
         type=float,
         default=2000.0,
-        help="p95 TTFT target for the threshold policy and admission control",
+        help="p95 TTFT target: the SLO the run reports against (recovery "
+        "time, SLO attainment) and the one the threshold policy and "
+        "admission control protect",
     )
     p.add_argument(
         "--target-util",
@@ -540,18 +500,6 @@ def _add_cloud_args(p: argparse.ArgumentParser) -> None:
         metavar="N",
         help="cap on the cloud pods one tenant may hold at once",
     )
-
-
-def _parse_cloud_quota(items) -> dict[str, int] | None:
-    if not items:
-        return None
-    quota: dict[str, int] = {}
-    for item in items:
-        gpu, _, count = item.partition("=")
-        if not count or not count.lstrip("-").isdigit():
-            raise ValueError(f"cloud quota spec must be GPU=N, got {item!r}")
-        quota[gpu] = int(count)
-    return quota
 
 
 def _add_json_arg(p: argparse.ArgumentParser) -> None:
@@ -684,93 +632,86 @@ def _cmd_info(args) -> int:
     return 0
 
 
-def _build_traffic(kind: str, param, rng, args):
-    """One traffic model; ``param`` is the user count (closed), the
-    arrival-log path (replay) or the rate/s (everything else)."""
+def _number(cast, text, flag: str, field: str):
+    """``cast(text)``, or a ValueError that names the flag and its field."""
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "an integer" if cast is int else "a number"
+        raise ValueError(f"{flag}: {field} must be {kind}, got {text!r}") from None
+
+
+def _traffic_section(kind: str, param, args, flag: str) -> dict:
+    """One scenario ``traffic`` mapping from the traffic flags.
+
+    ``param`` is the user count (closed), the arrival-log path (replay)
+    or the rate/s (everything else); ``flag`` names where it came from.
+    """
     if kind == "closed":
-        return ClosedLoopTraffic(int(param))
-    if kind == "poisson":
-        return PoissonTraffic(float(param), rng=rng)
-    if kind == "diurnal":
-        return DiurnalTraffic(
-            float(param), rng=rng, amplitude=args.amplitude, period_s=args.period
-        )
-    if kind == "bursty":
-        return BurstyTraffic(
-            float(param), rng=rng, mean_on_s=args.mean_on, mean_off_s=args.mean_off
-        )
+        return {"kind": kind, "users": _number(int, param, flag, "PARAM")}
     if kind == "replay":
-        if param is None or param == "":
-            raise ValueError("--traffic replay needs --arrivals FILE")
-        log = param if isinstance(param, ArrivalLog) else ArrivalLog.load(str(param))
-        return ReplayTraffic(
-            log,
-            speedup=getattr(args, "speedup", 1.0),
-            horizon_s=getattr(args, "horizon", None),
-        )
-    raise ValueError(f"unknown traffic kind {kind!r}")
+        return {
+            "kind": kind,
+            "path": param,
+            "speedup": getattr(args, "speedup", 1.0),
+            "horizon_s": getattr(args, "horizon", None),
+        }
+    section = {"kind": kind, "rate_per_s": _number(float, param, flag, "PARAM")}
+    if kind == "diurnal":
+        section.update(amplitude=args.amplitude, period_s=args.period)
+    elif kind == "bursty":
+        section.update(mean_on_s=args.mean_on, mean_off_s=args.mean_off)
+    return section
 
 
-def _traffic_param(args):
-    """The positional knob of the selected traffic kind."""
-    if args.traffic == "closed":
-        return args.users
-    if args.traffic == "replay":
-        return args.arrivals
-    return args.rate
+def _flag_traffic(args) -> dict:
+    """The ``traffic`` mapping of the shared fleet flags."""
+    if args.traffic == "replay" and not args.arrivals:
+        raise ValueError("--traffic replay needs --arrivals FILE")
+    param = {"closed": args.users, "replay": args.arrivals}.get(
+        args.traffic, args.rate
+    )
+    return _traffic_section(args.traffic, param, args, "--traffic")
 
 
-def _make_traffic(args):
-    rng = derive_rng(args.seed, "sim-traffic", args.traffic)
-    return _build_traffic(args.traffic, _traffic_param(args), rng, args)
+def _workload_section(args) -> dict:
+    return {"traces": args.traces} if args.traces else {"requests": args.requests}
 
 
-_FAULT_OPTIONS = {"pod", "zone", "mode", "restart", "duration", "factor"}
+#: ``--fault`` option name -> (scenario event key, value type).
+_FAULT_OPTIONS = {
+    "pod": ("pod", int),
+    "zone": ("zone", str),
+    "mode": ("mode", str),
+    "restart": ("restart_delay_s", float),
+    "duration": ("duration_s", float),
+    "factor": ("factor", float),
+}
 
 
-def _parse_fault(text: str) -> FaultSpec:
-    """``--fault KIND@TIME[:key=value,...]`` -> a validated FaultSpec."""
+def _fault_event(text: str) -> dict:
+    """``--fault KIND@TIME[:key=value,...]`` -> one scenario fault event."""
+    flag = f"--fault {text!r}"
     head, _, opts = text.partition(":")
     kind, at, time_s = head.partition("@")
     if not at or not kind or not time_s:
         raise ValueError(
             f"fault spec must be KIND@TIME[:key=value,...], got {text!r}"
         )
-    kwargs = {}
+    event = {"kind": kind, "time_s": _number(float, time_s, flag, "TIME")}
     for item in opts.split(",") if opts else []:
         key, eq, value = item.partition("=")
         if not eq or not key:
-            raise ValueError(f"fault option must be key=value, got {item!r}")
-        kwargs[key] = value
-    unknown = set(kwargs) - _FAULT_OPTIONS
-    if unknown:
-        raise ValueError(
-            f"unknown fault option(s) in {text!r}: {sorted(unknown)}; "
-            f"allowed: {sorted(_FAULT_OPTIONS)}"
-        )
-    return FaultSpec(
-        kind=kind,
-        time_s=float(time_s),
-        pod=int(kwargs["pod"]) if "pod" in kwargs else None,
-        zone=kwargs.get("zone"),
-        mode=kwargs.get("mode", "requeue"),
-        restart_delay_s=float(kwargs["restart"]) if "restart" in kwargs else None,
-        duration_s=float(kwargs["duration"]) if "duration" in kwargs else None,
-        factor=float(kwargs["factor"]) if "factor" in kwargs else None,
-    )
-
-
-def _make_faults(args, label: object) -> FaultInjector | None:
-    """One injector from the ``--fault`` flags (None without any).
-
-    Seeded per fleet/tenant label so cluster tenants sharing one flag
-    set draw independent, reproducible victims — mirroring how scenario
-    files seed their injectors.
-    """
-    if not args.faults:
-        return None
-    specs = [_parse_fault(text) for text in args.faults]
-    return FaultInjector(specs, seed=spawn_seed(args.seed, "cli-faults", label))
+            raise ValueError(f"{flag}: fault option must be key=value, got {item!r}")
+        if key not in _FAULT_OPTIONS:
+            raise ValueError(
+                f"{flag}: unknown fault option {key!r}; "
+                f"allowed: {sorted(_FAULT_OPTIONS)}"
+            )
+        name, cast = _FAULT_OPTIONS[key]
+        event[name] = _number(cast, value, flag, key)
+    fault_event_spec(event, flag)
+    return event
 
 
 def _reject_faults_with_scenario(args) -> None:
@@ -779,6 +720,104 @@ def _reject_faults_with_scenario(args) -> None:
             "--fault/--zones configure the flag-built fleet; a --scenario "
             "file declares faults in its own 'faults' section"
         )
+
+
+def _flag_spec(args, name: str) -> dict:
+    """The scenario fields that simulate and cluster-sim flags share."""
+    spec = {
+        "name": name,
+        "seed": args.seed,
+        "duration_s": args.duration,
+        "warmup_s": args.warmup,
+        "max_batch_weight": args.max_batch_weight,
+        "workload": _workload_section(args),
+        "router": args.router,
+        "slo_ttft_ms": args.slo_ttft_ms,
+    }
+    if args.admission != "off":
+        spec["admission"] = {"mode": args.admission, "window_s": args.metrics_window}
+    if args.policy != "none":
+        spec["autoscaler"] = {
+            "policy": args.policy,
+            "min_pods": args.min_pods,
+            "max_pods": args.max_pods,
+            "interval_s": args.interval,
+            "cold_start_s": args.cold_start,
+            "metrics_window_s": args.metrics_window,
+            "target": args.target_util,
+            "requests_per_pod_per_s": args.pod_rate,
+        }
+    if args.faults or args.zones != 1:
+        spec["faults"] = {
+            "zones": args.zones,
+            "events": [_fault_event(text) for text in args.faults or []],
+        }
+    return spec
+
+
+def _fleet_spec(args) -> ScenarioSpec:
+    """simulate's quick flags, compiled to the equivalent scenario spec."""
+    spec = _flag_spec(args, "simulate")
+    spec.update(
+        llm=args.llm,
+        profile=args.profile,
+        pods=args.pods,
+        traffic=_flag_traffic(args),
+    )
+    return ScenarioSpec.from_dict(spec)
+
+
+def _gpu_counts(items, flag: str) -> dict[str, int]:
+    """Repeated ``GPU=N`` flag values -> ``{gpu: n}``."""
+    counts: dict[str, int] = {}
+    for item in items or []:
+        gpu, _, count = item.partition("=")
+        if not gpu or not count.lstrip("-").isdigit():
+            raise ValueError(f"{flag} spec must be GPU=N, got {item!r}")
+        counts[gpu] = int(count)
+    return counts
+
+
+def _tenant_entry(text: str, args) -> dict:
+    """``--tenant NAME:LLM:PROFILE:PODS:TRAFFIC:PARAM`` -> one spec tenant."""
+    parts = text.split(":")
+    if len(parts) != 6:
+        raise ValueError(
+            f"tenant spec must be NAME:LLM:PROFILE:PODS:TRAFFIC:PARAM, got {text!r}"
+        )
+    name, llm, profile, pods, kind, param = parts
+    flag = f"--tenant {text!r}"
+    if kind not in _TRAFFIC_KINDS:
+        raise ValueError(
+            f"{flag}: TRAFFIC must be one of {'/'.join(_TRAFFIC_KINDS)}, "
+            f"got {kind!r}"
+        )
+    return {
+        "name": name,
+        "llm": llm,
+        "profile": profile,
+        "pods": _number(int, pods, flag, "PODS"),
+        "traffic": _traffic_section(kind, param, args, flag),
+    }
+
+
+def _cluster_spec(args) -> ScenarioSpec:
+    """cluster-sim's quick flags, compiled to the equivalent cluster spec."""
+    if not args.tenants or not args.capacity:
+        raise ValueError("cluster-sim needs --tenant and --capacity (or --scenario)")
+    spec = _flag_spec(args, "cluster-sim")
+    spec["tenants"] = [_tenant_entry(text, args) for text in args.tenants]
+    spec["capacity"] = _gpu_counts(args.capacity, "--capacity")
+    if args.cloud:
+        spec["cloud"] = {
+            "mode": args.cloud_mode,
+            "quota": _gpu_counts(args.cloud_quota, "--cloud-quota"),
+            "spot_interruptions_per_hour": args.cloud_spot_rate,
+            "seed": args.cloud_seed,
+        }
+        if args.max_cloud_pods is not None:
+            spec["cloud"]["max_cloud_pods"] = args.max_cloud_pods
+    return ScenarioSpec.from_dict(spec)
 
 
 def _cmd_simulate(args) -> int:
@@ -790,10 +829,6 @@ def _cmd_simulate(args) -> int:
                 )
             args.scenario = str(scenario_path(args.scenario_name))
         if args.scenario:
-            # Building (spec parsing, unknown LLM/profile, missing log
-            # files) is user input and belongs inside the error handler;
-            # running and the conservation check happen after it, so a
-            # simulator bug surfaces as a traceback, not "error:".
             _reject_faults_with_scenario(args)
             spec = ScenarioSpec.load(args.scenario)
             if spec.is_cluster:
@@ -801,46 +836,28 @@ def _cmd_simulate(args) -> int:
                     f"scenario {spec.name!r} declares tenants; run it with "
                     "cluster-sim --scenario"
                 )
-            fleet = spec.build_fleet()
-            label, pods = spec.llm, spec.pods
-            profile_name = spec.profile
         else:
-            traces = _load_or_make_traces(args)
-            generator = WorkloadGenerator.fit(traces)
-            llm = get_llm(args.llm)
-            profile = parse_profile(args.profile)
-            deployment = Deployment(
-                llm=llm,
-                profile=profile,
-                n_pods=args.pods,
-                max_batch_weight=args.max_batch_weight,
-                generator=generator,
-                seed=args.seed,
-                n_zones=args.zones,
-            )
-            res = deployment.simulate(
-                _make_traffic(args),
-                duration_s=args.duration,
-                router=ROUTERS[args.router](),
-                warmup_s=args.warmup,
-                stream_label=args.traffic,
-                faults=_make_faults(args, args.traffic),
-            )
-            label, pods = llm.name, args.pods
-            profile_name = profile.name
+            spec = _fleet_spec(args)
+        # Building (spec parsing, unknown LLM/profile, missing log files)
+        # and running (a fault that kills the whole fleet) are user input.
+        res = spec.build_fleet().run(
+            duration_s=spec.duration_s, warmup_s=spec.warmup_s, keep_samples=True
+        )
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.scenario:
-        res = fleet.run(
-            duration_s=spec.duration_s, warmup_s=spec.warmup_s, keep_samples=True
-        )
-        # A conservation violation is a simulator bug and should surface
-        # as a traceback, not "error:".
-        res.verify_conservation()
+    # A conservation violation is a simulator bug and should surface as a
+    # traceback, not "error:".
+    res.verify_conservation()
+    slo_s = None if spec.slo_ttft_ms is None else spec.slo_ttft_ms / 1e3
     if args.json:
-        print(to_json(res))
+        print(to_json(res, slo_p95_ttft_s=slo_s))
         return 0
+    _print_fleet_report(res, spec, slo_s)
+    return 0
+
+
+def _print_fleet_report(res, spec: ScenarioSpec, slo_s: float | None) -> None:
     rows = [
         [
             p.pod,
@@ -869,7 +886,7 @@ def _cmd_simulate(args) -> int:
             rows,
             floatfmt=".3f",
             title=(
-                f"{label} on {pods}x {profile_name} — "
+                f"{spec.llm} on {spec.pods}x {spec.profile} — "
                 f"{res.traffic} traffic, {res.router} routing, "
                 f"{res.duration_s:.0f}s window:"
             ),
@@ -882,8 +899,43 @@ def _cmd_simulate(args) -> int:
         f"{res.ttft.p99_s:.3f}s | ITL p50/p95/p99 {res.itl.median_s:.4f}/"
         f"{res.itl.p95_s:.4f}/{res.itl.p99_s:.4f}s"
     )
+    if spec.admission is not None:
+        print(
+            f"Admission: {res.admitted} admitted, {res.shed} shed"
+            + (f", {res.deferrals} deferrals" if res.deferrals else "")
+        )
+    if spec.autoscaler is not None:
+        policy = spec.autoscaler.get("policy", "threshold")
+        if res.scale_events:
+            rows = [
+                [f"{e.time_s:.0f}", e.direction, e.from_pods, e.to_pods, e.reason]
+                for e in res.scale_events
+            ]
+            print(
+                format_table(
+                    ["t(s)", "dir", "from", "to", "reason"],
+                    rows,
+                    title=f"Scale events ({policy} policy):",
+                )
+            )
+        else:
+            print(f"No scale events ({policy} policy).")
+        states = [p.state for p in res.per_pod]
+        print(
+            f"Pods: {spec.pods} initial -> {res.n_pods} serving at end "
+            f"({len(states)} provisioned overall, "
+            f"{states.count('retired')} retired, "
+            f"{states.count('draining')} draining); "
+            f"{res.pod_seconds:.0f} pod-seconds billed"
+        )
     _print_fault_summary(res)
-    return 0
+    recovery = None if slo_s is None else res.recovery_time_s(slo_s)
+    if recovery is not None:
+        print(
+            "Recovery after worst disruption: "
+            + (f"{recovery:.0f}s" if np.isfinite(recovery) else "never (p95 "
+               "did not re-enter the SLO)")
+        )
 
 
 def _print_fault_summary(res) -> None:
@@ -895,159 +947,6 @@ def _print_fault_summary(res) -> None:
     print(
         f"Faults: {len(res.fault_events)} event(s) [{shown}] | "
         f"{res.requeued} requests requeued, {res.lost} lost"
-    )
-
-
-def _make_policy(args):
-    if args.policy == "threshold":
-        return ThresholdPolicy(slo_p95_ttft_s=args.slo_ttft_ms / 1e3)
-    if args.policy == "target-utilization":
-        return TargetUtilizationPolicy(target=args.target_util)
-    if args.policy == "predictive":
-        return PredictivePolicy(
-            requests_per_pod_per_s=args.pod_rate, horizon_s=args.cold_start
-        )
-    return NoOpPolicy()
-
-
-def _cmd_autoscale(args) -> int:
-    traces = _load_or_make_traces(args)
-    generator = WorkloadGenerator.fit(traces)
-    try:
-        llm = get_llm(args.llm)
-        profile = parse_profile(args.profile)
-        deployment = Deployment(
-            llm=llm,
-            profile=profile,
-            n_pods=args.pods,
-            max_batch_weight=args.max_batch_weight,
-            generator=generator,
-            seed=args.seed,
-            n_zones=args.zones,
-        )
-        autoscaler = Autoscaler(
-            _make_policy(args),
-            AutoscaleConfig(
-                decision_interval_s=args.interval,
-                min_pods=args.min_pods,
-                max_pods=args.max_pods,
-                cold_start_s=args.cold_start,
-                metrics_window_s=args.metrics_window,
-            ),
-        )
-        router = ROUTERS[args.router]()
-        if args.admission != "off":
-            router = AdmissionController(
-                router,
-                slo_p95_ttft_s=args.slo_ttft_ms / 1e3,
-                window_s=args.metrics_window,
-                mode=args.admission,
-            )
-        res = deployment.simulate(
-            _make_traffic(args),
-            duration_s=args.duration,
-            router=router,
-            warmup_s=args.warmup,
-            stream_label=args.traffic,
-            autoscaler=autoscaler,
-            faults=_make_faults(args, args.traffic),
-        )
-    except (KeyError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    # Outside the user-input error handler: a conservation violation is
-    # a simulator bug and should surface as a traceback, not "error:".
-    res.verify_conservation()
-    if args.json:
-        print(to_json(res, slo_p95_ttft_s=args.slo_ttft_ms / 1e3))
-        return 0
-    if res.scale_events:
-        rows = [
-            [f"{e.time_s:.0f}", e.direction, e.from_pods, e.to_pods, e.reason]
-            for e in res.scale_events
-        ]
-        print(
-            format_table(
-                ["t(s)", "dir", "from", "to", "reason"],
-                rows,
-                title=f"Scale events ({autoscaler.policy.name} policy):",
-            )
-        )
-    else:
-        print(f"No scale events ({autoscaler.policy.name} policy).")
-    states = [p.state for p in res.per_pod]
-    print(
-        f"\n{llm.name} on {profile.name} — {res.traffic} traffic, "
-        f"{res.router} routing, {res.duration_s:.0f}s window:\n"
-        f"  pods: {args.pods} initial -> {res.n_pods} serving at end "
-        f"({len(states)} provisioned overall, "
-        f"{states.count('retired')} retired, "
-        f"{states.count('draining')} draining); "
-        f"{res.pod_seconds:.0f} pod-seconds billed\n"
-        f"  arrivals {res.arrivals}: {res.admitted} admitted, {res.shed} shed"
-        + (f", {res.deferrals} deferrals" if res.deferrals else "")
-        + f"\n  completed {res.requests_completed}, "
-        f"{res.throughput_tokens_per_s:.1f} tok/s | "
-        f"TTFT p50/p95/p99 {res.ttft.median_s:.3f}/{res.ttft.p95_s:.3f}/"
-        f"{res.ttft.p99_s:.3f}s | ITL p95 {res.itl.p95_s:.4f}s"
-    )
-    _print_fault_summary(res)
-    recovery = res.recovery_time_s(args.slo_ttft_ms / 1e3)
-    if recovery is not None:
-        print(
-            "  recovery after worst disruption: "
-            + (f"{recovery:.0f}s" if np.isfinite(recovery) else "never (p95 "
-               "did not re-enter the SLO)")
-        )
-    return 0
-
-
-def _parse_tenant_group(spec: str, args, generator) -> TenantGroup:
-    parts = spec.split(":")
-    if len(parts) != 6:
-        raise ValueError(
-            f"tenant spec must be NAME:LLM:PROFILE:PODS:TRAFFIC:PARAM, got {spec!r}"
-        )
-    name, llm_name, profile_name, pods, kind, param = parts
-    deployment = Deployment(
-        llm=get_llm(llm_name),
-        profile=parse_profile(profile_name),
-        n_pods=int(pods),
-        max_batch_weight=args.max_batch_weight,
-        generator=generator,
-        seed=args.seed,
-        n_zones=args.zones,
-    )
-    router = ROUTERS[args.router]()
-    if args.admission != "off":
-        router = AdmissionController(
-            router,
-            slo_p95_ttft_s=args.slo_ttft_ms / 1e3,
-            window_s=args.metrics_window,
-            mode=args.admission,
-        )
-    autoscaler = None
-    if args.policy != "none":
-        autoscaler = Autoscaler(
-            _make_policy(args),
-            AutoscaleConfig(
-                decision_interval_s=args.interval,
-                min_pods=args.min_pods,
-                max_pods=args.max_pods,
-                cold_start_s=args.cold_start,
-                metrics_window_s=args.metrics_window,
-            ),
-        )
-    traffic = _build_traffic(
-        kind, param, derive_rng(args.seed, "cluster-traffic", name), args
-    )
-    return deployment.tenant_group(
-        name,
-        traffic,
-        router=router,
-        autoscaler=autoscaler,
-        slo_p95_ttft_s=args.slo_ttft_ms / 1e3,
-        faults=_make_faults(args, name),
     )
 
 
@@ -1075,50 +974,18 @@ def _cmd_cluster_sim(args) -> int:
                         "simulate --scenario"
                     )
                 specs.append(spec)
-
-            # Build + run inside the handler (an initial allocation that
-            # does not fit the inventory is a user error); conservation
-            # is verified outside it, like the flag path below. Worker
-            # errors propagate out of fork_map into the same handler.
-            def run_spec(spec):
-                sim = spec.build_cluster()
-                return sim.run(duration_s=spec.duration_s, warmup_s=spec.warmup_s)
-
-            names = [spec.name for spec in specs]
-            results = fork_map(run_spec, specs, args.jobs)
         else:
-            if not args.tenants or not args.capacity:
-                raise ValueError(
-                    "cluster-sim needs --tenant and --capacity (or --scenario)"
-                )
-            traces = _load_or_make_traces(args)
-            generator = WorkloadGenerator.fit(traces)
-            capacity = {}
-            for item in args.capacity:
-                gpu, _, count = item.partition("=")
-                if not count:
-                    raise ValueError(f"capacity spec must be GPU=N, got {item!r}")
-                capacity[gpu] = int(count)
-            groups = [_parse_tenant_group(s, args, generator) for s in args.tenants]
-            cloud = burst = None
-            if args.cloud:
-                catalog = aws_like_cloud_catalog(
-                    quota_gpus=_parse_cloud_quota(args.cloud_quota),
-                    spot_interruptions_per_hour=args.cloud_spot_rate,
-                )
-                cloud = CloudLedger(catalog, seed=args.cloud_seed)
-                burst = BurstPolicy(
-                    mode=args.cloud_mode, max_cloud_pods=args.max_cloud_pods
-                )
-            sim = ClusterSimulator(
-                groups,
-                ClusterInventory(capacity=capacity),
-                fast=not args.no_fast_cluster,
-                cloud=cloud,
-                burst=burst,
-            )
-            names = [None]
-            results = [sim.run(duration_s=args.duration, warmup_s=args.warmup)]
+            specs = [_cluster_spec(args)]
+
+        # Build + run inside the handler (an initial allocation that does
+        # not fit the inventory is a user error); conservation is verified
+        # outside it. Worker errors propagate out of fork_map into the
+        # same handler.
+        def run_spec(spec):
+            sim = spec.build_cluster()
+            return sim.run(duration_s=spec.duration_s, warmup_s=spec.warmup_s)
+
+        results = fork_map(run_spec, specs, args.jobs)
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -1126,6 +993,7 @@ def _cmd_cluster_sim(args) -> int:
     # a simulator bug and should surface as a traceback, not "error:".
     for res in results:
         res.verify_conservation()
+    names = [spec.name for spec in specs]
     pricing = aws_like_pricing()
     if args.json:
         # One serialization path for every simulation result: the
@@ -1252,7 +1120,10 @@ def _cmd_report(args) -> int:
         spec = None
         if args.input:
             with open(args.input) as fh:
-                payload = json.load(fh)
+                try:
+                    payload = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{args.input}: invalid JSON: {exc}") from exc
             if isinstance(payload, list):
                 raise ValueError(
                     f"{args.input} holds a multi-scenario batch array; "
@@ -1299,10 +1170,19 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_recommend_elastic(args) -> int:
-    traces = _load_or_make_traces(args)
-    generator = WorkloadGenerator.fit(traces)
     slo_s = args.slo_ttft_ms / 1e3
     try:
+        # The sweep's traffic and workload, built the way the equivalent
+        # scenario file builds them.
+        spec = ScenarioSpec.from_dict(
+            {
+                "name": "recommend-elastic",
+                "seed": args.seed,
+                "duration_s": args.duration,
+                "workload": _workload_section(args),
+                "traffic": _flag_traffic(args),
+            }
+        )
         llm = get_llm(args.llm)
         profile = parse_profile(args.profile)
         deployment = Deployment(
@@ -1310,7 +1190,7 @@ def _cmd_recommend_elastic(args) -> int:
             profile=profile,
             n_pods=1,
             max_batch_weight=args.max_batch_weight,
-            generator=generator,
+            generator=spec.build_generator(),
             seed=args.seed,
         )
         penalty_cls = LinearSLOPenalty if args.penalty == "linear" else StepSLOPenalty
@@ -1327,29 +1207,17 @@ def _cmd_recommend_elastic(args) -> int:
                 penalty_per_shed=args.penalty_per_shed,
             ),
             cloud=aws_like_cloud_catalog(
-                quota_gpus=_parse_cloud_quota(args.cloud_quota)
+                quota_gpus=_gpu_counts(args.cloud_quota, "--cloud-quota")
             )
             if hybrid
             else None,
             cloud_mode=args.cloud_mode,
         )
-        traffic_param = _traffic_param(args)
-        if args.traffic == "replay":
-            # Parse the recorded log once; every candidate replays the
-            # same in-memory ArrivalLog (ReplayTraffic never mutates it).
-            if not traffic_param:
-                raise ValueError("--traffic replay needs --arrivals FILE")
-            traffic_param = ArrivalLog.load(traffic_param)
         recommender = ElasticRecommender(
             deployment,
-            # A fresh, identically seeded traffic model per candidate:
-            # the sweep is a controlled experiment over one arrival log.
-            lambda: _build_traffic(
-                args.traffic,
-                traffic_param,
-                derive_rng(args.seed, "elastic-traffic", args.traffic),
-                args,
-            ),
+            # A fresh, identically seeded traffic model per call: the
+            # sweep is a controlled experiment over one arrival stream.
+            lambda: spec.build_traffic(label=spec.name),
             objective,
             slo_p95_ttft_s=slo_s,
             duration_s=args.duration,
@@ -1359,7 +1227,6 @@ def _cmd_recommend_elastic(args) -> int:
             metrics_window_s=args.metrics_window,
             router_factory=lambda: ROUTERS[args.router](),
             stream_label=args.traffic,
-            cache_arrivals=not args.no_arrival_cache,
             on_prem_pods=args.on_prem_pods or None,
             burst=BurstPolicy(
                 mode=args.cloud_mode, max_cloud_pods=args.max_cloud_pods
@@ -1433,7 +1300,6 @@ _COMMANDS = {
     "recommend": _cmd_recommend,
     "info": _cmd_info,
     "simulate": _cmd_simulate,
-    "autoscale": _cmd_autoscale,
     "cluster-sim": _cmd_cluster_sim,
     "report": _cmd_report,
     "recommend-elastic": _cmd_recommend_elastic,

@@ -79,6 +79,11 @@ class DeploymentLoadTestResult:
 class Deployment:
     """``n`` replicas of one inference service behind a load balancer."""
 
+    #: The engine and fleet types this deployment builds (the reference
+    #: module's subclass swaps in its scalar counterparts).
+    engine_type = ContinuousBatchingEngine
+    fleet_type = FleetSimulator
+
     def __init__(
         self,
         llm: LLMSpec,
@@ -87,7 +92,6 @@ class Deployment:
         max_batch_weight: int,
         generator: WorkloadGenerator,
         seed: int = 0,
-        fast: bool = True,
         n_zones: int = 1,
     ) -> None:
         if n_pods < 1:
@@ -100,10 +104,6 @@ class Deployment:
         self.max_batch_weight = max_batch_weight
         self.generator = generator
         self.seed = seed
-        # Threaded into every engine and fleet this deployment builds.
-        # fast=False selects the straight-line golden-oracle simulation
-        # path (bit-identical, O(pods) frontier scan + scalar decode).
-        self.fast = bool(fast)
         # Availability zones for correlated fault injection: pod serials
         # round-robin across zones (see zone_of), so any n_pods spread
         # evenly and autoscaled pods keep landing in rotation.
@@ -111,14 +111,13 @@ class Deployment:
 
     def scale(self, n_pods: int) -> "Deployment":
         """A copy with a different replica count."""
-        return Deployment(
+        return type(self)(
             llm=self.llm,
             profile=self.profile,
             n_pods=n_pods,
             max_batch_weight=self.max_batch_weight,
             generator=self.generator,
             seed=self.seed,
-            fast=self.fast,
             n_zones=self.n_zones,
         )
 
@@ -138,14 +137,13 @@ class Deployment:
             from repro.characterization import BatchWeightTuner
 
             weight = BatchWeightTuner(self.llm, new_profile).tune().max_batch_weight
-        return Deployment(
+        return type(self)(
             llm=self.llm,
             profile=new_profile,
             n_pods=self.n_pods if n_pods is None else n_pods,
             max_batch_weight=weight,
             generator=self.generator,
             seed=self.seed,
-            fast=self.fast,
             n_zones=self.n_zones,
         )
 
@@ -188,14 +186,13 @@ class Deployment:
         mints when it scales up; the seed derivation is the same, so an
         autoscaled run is exactly reproducible.
         """
-        return ContinuousBatchingEngine(
+        return self.engine_type(
             llm=self.llm,
             profile=self.profile,
             max_batch_weight=self.max_batch_weight,
             seed=spawn_seed(
                 self.seed, "pod", self.llm.name, self.profile.name, pod_serial
             ),
-            fast=self.fast,
         )
 
     def _pods(self) -> list[ContinuousBatchingEngine]:
@@ -207,7 +204,7 @@ class Deployment:
 
         Exactly the :class:`RequestSource` :meth:`_make_fleet` builds —
         same generator, same derived RNG, same weight cap — exposed so
-        sweep layers (the elastic recommender's shared arrival cache)
+        sweep layers (the elastic recommender's recorded arrival stream)
         can materialize the stream once and replay it bit-identically.
         Note the derivation ignores ``n_pods``: scaled copies of this
         deployment share the stream, which is what makes a candidate
@@ -229,14 +226,13 @@ class Deployment:
     ) -> FleetSimulator:
         """A fresh fleet over fresh pods and a seeded workload stream."""
         source = self.workload_source(stream_label)
-        return FleetSimulator(
+        return self.fleet_type(
             self._pods(),
             traffic,
             router or LeastLoadedRouter(),
             source,
             autoscaler=autoscaler,
             pod_factory=self.pod_factory,
-            fast=self.fast,
             faults=faults,
             zone_of=self.zone_of,
         )

@@ -16,14 +16,14 @@ measurement noise). Per-token client timestamps are tracked exactly:
 every decode step records, for each active request, the gap since that
 request's previous token.
 
-Two implementations of the decode step coexist. The scalar loop (the
-golden oracle, ``fast=False``) walks the active list one request at a
-time; the fast core (``fast=True``, the default) keeps the per-request
-decode state — last-token timestamp, generated count, output target,
-batch size — in parallel numpy arrays and advances the whole batch in
-a handful of array operations. Both paths draw the same single noise
-sample per step and perform the same IEEE-754 double arithmetic
-element-wise, so their outputs are bit-identical on pinned seeds (see
+The decode step is vectorized: the engine keeps the per-request decode
+state — last-token timestamp, generated count, output target, batch
+size — in parallel numpy arrays and advances the whole batch in a
+handful of array operations. Its scalar counterpart,
+:class:`repro.simulation.reference.ReferenceEngine`, walks the active
+list one request at a time; both draw the same single noise sample per
+step and perform the same IEEE-754 double arithmetic element-wise, so
+their outputs are bit-identical on pinned seeds (see
 ``tests/test_inference.py`` and the golden pins in
 ``tests/test_simulation.py``); ``benchmarks/bench_core_speed.py``
 enforces the equality and the speedup.
@@ -87,7 +87,6 @@ class ContinuousBatchingEngine:
         noise_sigma: float = 0.03,
         admission_lookahead: int = 32,
         starvation_timeout_s: float = 60.0,
-        fast: bool = True,
     ) -> None:
         if max_batch_weight < 2:
             raise ValueError(f"max_batch_weight must be >= 2, got {max_batch_weight}")
@@ -120,11 +119,8 @@ class ContinuousBatchingEngine:
         # break warmup resets and cross-pod merging.
         self.metrics = MetricsCollector()
         self.stats = EngineStats()
-        # Fast decode core: structure-of-arrays mirror of self._active.
-        # Row i of each array belongs to self._active[i]; the scalar
-        # oracle path (fast=False) never touches them and remains the
-        # reference implementation the fast path is tested against.
-        self.fast = bool(fast)
+        # Decode core: structure-of-arrays mirror of self._active. Row i
+        # of each array belongs to self._active[i].
         self._soa_cap = 64
         self._soa_last = np.zeros(self._soa_cap)  # last_token_at
         self._soa_gen = np.zeros(self._soa_cap, dtype=np.int64)  # generated
@@ -139,8 +135,7 @@ class ContinuousBatchingEngine:
         self._soa_min_left = 0
         # Failed-admission memo: a scan that admitted nothing stays
         # futile until a completion frees budget/slots, or a new arrival
-        # lands on a queue the scan had exhausted. Consulted by the fast
-        # path only; the oracle always rescans.
+        # lands on a queue the scan had exhausted.
         self._admit_blocked = False
         self._admit_scanned_all = False
 
@@ -209,7 +204,12 @@ class ContinuousBatchingEngine:
         if not (self._queue or self._active):
             return []
         self.stats.steps += 1
-        if self._queue and not (self.fast and self._admit_blocked):
+        # Skip the scan while the failed-admission memo holds: the queue
+        # is unchanged (admission is the only consumer), the budget is
+        # unchanged (only completions free weight), and the passage of
+        # time can only *suspend* reordering, which never turns a failed
+        # scan into a successful one.
+        if self._queue and not self._admit_blocked:
             admitted = self._admit()
             if admitted:
                 return self._prefill(admitted)
@@ -254,7 +254,7 @@ class ContinuousBatchingEngine:
 
         Returns ``(queued, active)`` requests in FIFO/admission order so
         the fleet layer can requeue or count them lost. Scheduling state
-        (batch weight, KV residency, the fast core's mirrors) resets to
+        (batch weight, KV residency, the decode mirrors) resets to
         empty; virtual time and already-recorded metrics are untouched —
         tokens streamed before the crash were really delivered.
         """
@@ -291,13 +291,6 @@ class ContinuousBatchingEngine:
         """
         admitted: list[_Active] = []
         if not self._queue:
-            return admitted
-        if self.fast and self._admit_blocked:
-            # Nothing has changed since a scan admitted nothing: the
-            # queue is unchanged (admission is the only consumer), the
-            # budget is unchanged (only completions free weight), and
-            # the passage of time can only *suspend* reordering, which
-            # never turns a failed scan into a successful one.
             return admitted
         head_wait = self._time - self._queue[0][1]
         allow_reorder = head_wait < self.starvation_timeout_s
@@ -350,8 +343,7 @@ class ContinuousBatchingEngine:
                 completed.append(self._finish(a))
             else:
                 self._active.append(a)
-                if self.fast:
-                    self._soa_append(len(self._active) - 1, a)
+                self._soa_append(len(self._active) - 1, a)
         self.metrics.record_tokens(first_tokens, self._time)
         return completed
 
@@ -374,17 +366,20 @@ class ContinuousBatchingEngine:
         if row == 0 or left < self._soa_min_left:
             self._soa_min_left = left
 
-    def _decode_fast(self) -> list[RequestResult]:
-        """Vectorized decode step over the structure-of-arrays mirror.
+    def _decode(self) -> list[RequestResult]:
+        """One decode step: every active sequence gains one token.
 
-        Bit-identical to :meth:`_decode` by construction: one noise draw
-        per step, ``n_seqs`` is the same exact integer, and the gap
-        subtraction is the same IEEE-754 double op applied element-wise.
-        Completions are emitted in active-list order, exactly as the
-        scalar loop does. When extending this kernel, keep every float
-        operation an element-wise mirror of the scalar statement and
-        never reorder reductions — see docs/architecture.md ("Fast core
-        vs golden oracle").
+        Vectorized over the structure-of-arrays mirror, and bit-identical
+        to the scalar loop of
+        :meth:`repro.simulation.reference.ReferenceEngine._decode` by
+        construction: one noise draw per step, ``n_seqs`` is the same
+        exact integer, and the gap subtraction is the same IEEE-754
+        double op applied element-wise. Completions are emitted in
+        active-list order, exactly as the scalar loop does. When
+        extending this kernel, keep every float operation an
+        element-wise mirror of the scalar statement and never reorder
+        reductions — see docs/architecture.md ("Production core vs
+        reference").
         """
         stats = self.stats
         stats.decode_steps += 1
@@ -401,7 +396,7 @@ class ContinuousBatchingEngine:
 
         last = self._soa_last
         # The gap samples are subtracted straight into the collector's
-        # buffer — same operands and order as the oracle's per-request
+        # buffer — same operands and order as the reference's per-request
         # ``now - a.last_token_at``, minus one array copy per step.
         np.subtract(now, last[:n], out=self.metrics.gap_sink(n))
         last[:n] = now
@@ -433,39 +428,6 @@ class ContinuousBatchingEngine:
                 int((self._soa_out[:m] - self._soa_gen[:m]).min()) if m else 0
             )
         self.metrics.record_tokens(n_seqs, now)
-        return completed
-
-    def _decode(self) -> list[RequestResult]:
-        """One decode step: every active sequence gains one token."""
-        if self.fast:
-            return self._decode_fast()
-        self.stats.decode_steps += 1
-        n_seqs = sum(a.request.batch_size for a in self._active)
-        dt = (
-            self.cost.decode_step_time(n_seqs, self._kv_tokens)
-            * self._noise()
-            * self.slow_factor
-        )
-        self._time += dt
-        self.stats.busy_time_s += dt
-        now = self._time
-
-        gaps = np.empty(len(self._active))
-        still_active: list[_Active] = []
-        completed: list[RequestResult] = []
-        for i, a in enumerate(self._active):
-            gaps[i] = now - a.last_token_at
-            a.last_token_at = now
-            a.generated += 1
-            self._kv_tokens += a.request.batch_size
-            self.stats.tokens_generated += a.request.batch_size
-            if a.done:
-                completed.append(self._finish(a))
-            else:
-                still_active.append(a)
-        self.metrics.record_gaps(gaps, now)
-        self.metrics.record_tokens(n_seqs, now)
-        self._active = still_active
         return completed
 
     def _finish(self, a: _Active) -> RequestResult:

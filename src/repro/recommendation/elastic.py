@@ -462,11 +462,11 @@ class ElasticRecommender:
     process, and the deployment's workload stream label is held fixed,
     so two candidates differ only in how the fleet resizes itself.
 
-    With ``cache_arrivals`` (the default) that shared arrival process is
-    generated exactly once per sweep — the factory is called once, its
-    stream materialized as a :class:`RecordedTraffic`, and every
-    candidate replays the shared arrays bit-identically — instead of
-    regenerating identical timestamps and token draws per candidate.
+    That shared arrival process is generated exactly once per sweep —
+    the factory is called once, its stream materialized as a
+    :class:`RecordedTraffic`, and every candidate replays the shared
+    arrays bit-identically — instead of regenerating identical
+    timestamps and token draws per candidate.
 
     With ``on_prem_pods`` set the sweep is *hybrid*: each candidate's
     fleet is bound to a :class:`~repro.simulation.cloud.HybridCapacity`
@@ -489,7 +489,6 @@ class ElasticRecommender:
         metrics_window_s: float = 30.0,
         router_factory: Callable[[], Router] | None = None,
         stream_label: object = "elastic",
-        cache_arrivals: bool = True,
         on_prem_pods: int | None = None,
         burst: BurstPolicy | None = None,
     ) -> None:
@@ -536,7 +535,6 @@ class ElasticRecommender:
         self.metrics_window_s = float(metrics_window_s)
         self.router_factory = router_factory
         self.stream_label = stream_label
-        self.cache_arrivals = bool(cache_arrivals)
         self.on_prem_pods = None if on_prem_pods is None else int(on_prem_pods)
         if on_prem_pods is not None and burst is None:
             burst = BurstPolicy(mode=objective.cloud_mode)
@@ -548,16 +546,12 @@ class ElasticRecommender:
     def _traffic(self) -> "TrafficModel":
         """The traffic model one candidate evaluation runs under.
 
-        With ``cache_arrivals`` (the default) the factory's seeded
-        open-loop stream is materialized exactly once — timestamps and
-        workload-stream token draws — and every candidate replays the
-        shared arrays through a fresh :class:`RecordedTraffic` cursor,
-        which is provably bit-identical to a factory-fresh model (see
-        :meth:`RecordedTraffic.record`). ``cache_arrivals=False`` falls
-        back to regenerating per candidate.
+        The factory's seeded open-loop stream is materialized exactly
+        once — timestamps and workload-stream token draws — and every
+        candidate replays the shared arrays through a fresh
+        :class:`RecordedTraffic` cursor, which is provably bit-identical
+        to a factory-fresh model (see :meth:`RecordedTraffic.record`).
         """
-        if not self.cache_arrivals:
-            return self.traffic_factory()
         if self._recorded is None:
             self._recorded = RecordedTraffic.record(
                 self.traffic_factory(),
@@ -658,12 +652,12 @@ class ElasticRecommender:
         Identical candidates (same policy closure and pod bounds — e.g.
         a static rung appearing both in the ladder and in a caller's
         list) are simulated once; duplicate positions share the single
-        :class:`TradePoint` object. With the arrival cache on, the
-        stream is materialized *before* the fork so workers inherit the
-        recorded arrays instead of regenerating them per process.
+        :class:`TradePoint` object. The arrival stream is materialized
+        *before* the fork so workers inherit the recorded arrays instead
+        of regenerating them per process.
         """
         candidates = list(candidates)
-        if self.cache_arrivals and self._recorded is None and candidates:
+        if self._recorded is None and candidates:
             self._traffic()
 
         def key(candidate: ElasticCandidate):

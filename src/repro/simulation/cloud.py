@@ -22,8 +22,8 @@ queueing on-prem. This module carries the pieces the cluster loop needs:
   recommender scores candidates against mixed bills without spinning up
   a whole cluster simulation.
 
-Both cluster loops (fast and oracle) reach capacity only through the
-acquire/release closures the simulator installs, so burst decisions are
+The production and reference cluster loops reach capacity only through
+the acquire/release closures the simulator installs, so burst decisions are
 bit-identical across them by construction.
 """
 

@@ -614,7 +614,6 @@ class ClusterSimulator:
         self,
         tenants: list[TenantGroup],
         inventory: ClusterInventory,
-        fast: bool = True,
         cloud: CloudLedger | None = None,
         burst: BurstPolicy | dict[str, BurstPolicy] | None = None,
     ) -> None:
@@ -640,19 +639,13 @@ class ClusterSimulator:
         if unknown:
             raise ValueError(f"burst policies for unknown tenants: {sorted(unknown)}")
         self._spot_wired = False
-        # Fast cluster loop: a ClusterFrontier replaces the per-event
-        # O(tenants) scans. Bit-identical by construction (see
-        # simulation.frontier); the oracle scan loop stays selectable
-        # for parity suites and equivalence benchmarks, exactly like
-        # the fleet's own fast flag.
-        self.fast = bool(fast)
 
     def _bind(self, group: TenantGroup) -> None:
         """Subject one tenant's elasticity to the shared ledger(s).
 
-        Both cluster loops (fast and oracle) reach capacity only through
-        these closures, so the burst decision is bit-identical across
-        them by construction: on-prem fills first, and only the
+        The production and reference cluster loops reach capacity only
+        through these closures, so the burst decision is bit-identical
+        across them by construction: on-prem fills first, and only the
         shortfall of a denied/clipped scale-up is offered to the cloud
         tier under the tenant's burst policy. A scale-up fully covered
         by bursting records no ``denied``/``clipped`` constraint — the
@@ -739,8 +732,8 @@ class ClusterSimulator:
         mode, derived from the cloud ledger's seed and the tenant name,
         at the catalog's per-type interruption rate. The schedule flows
         through the ordinary fault-injection path (victims resolve to
-        cloud pods at fire time), so fast and oracle runs — which share
-        the seed — see the identical schedule. Idempotent across
+        cloud pods at fire time), so production and reference runs —
+        which share the seed — see the identical schedule. Idempotent across
         repeated ``run`` calls on one simulator.
         """
         if self._spot_wired or self.cloud is None:
@@ -822,10 +815,7 @@ class ClusterSimulator:
             self._bind(group)
             group.fleet.begin(duration_s, warmup_s)
 
-        if self.fast:
-            self._run_fast(t_end)
-        else:
-            self._run_oracle(t_end)
+        self._run_loop(t_end)
         for group in self.tenants:
             group.fleet.drain_pending()
 
@@ -856,62 +846,12 @@ class ClusterSimulator:
             },
         )
 
-    def _run_oracle(self, t_end: float) -> None:
-        """The straight-line cluster loop: O(tenants) scans per event.
-
-        Retained verbatim as the golden oracle the fast loop is gated
-        against (``fast=False``), exactly as the fleet keeps its scan
-        path next to the heap frontier.
-        """
-        while True:
-            for group in self.tenants:
-                group.fleet.inject_due(t_end)
-            stepping: TenantGroup | None = None
-            pod = None
-            t_next = float("inf")
-            for group in self.tenants:
-                candidate = group.fleet.frontier_pod()
-                if candidate is not None and candidate.time < t_next:
-                    stepping, pod, t_next = group, candidate, candidate.time
-            if stepping is None or t_next >= t_end:
-                break
-            # Control events (faults + autoscale decisions) due anywhere
-            # in the cluster run before the frontier pod steps, in
-            # global virtual-time order — tenant A's release at t can
-            # fund tenant B's grant at t' > t, and a zone outage frees
-            # capacity the same way. Within a tenant, a fault at the
-            # same instant as a decision fires first, so the decision
-            # observes the degraded fleet (exactly as the standalone
-            # fleet loop orders them).
-            faulted = False
-            while True:
-                decider: TenantGroup | None = None
-                t_ctl = float("inf")
-                is_fault = False
-                for group in self.tenants:
-                    if group.fleet.next_fault < t_ctl:
-                        decider, t_ctl, is_fault = group, group.fleet.next_fault, True
-                    if group.fleet.next_decision < t_ctl:
-                        decider, t_ctl = group, group.fleet.next_decision
-                        is_fault = False
-                if decider is None or t_ctl > t_next or t_ctl >= t_end:
-                    break
-                if is_fault:
-                    decider.fleet.fault_tick()
-                    faulted = True
-                else:
-                    decider.fleet.autoscale_tick()
-            if faulted and not pod.has_work():
-                # A fault crashed the frontier pod itself (or evacuated
-                # its work): re-resolve the global frontier.
-                continue
-            stepping.fleet.step_pod(pod)
-
-    def _run_fast(self, t_end: float) -> None:
+    def _run_loop(self, t_end: float) -> None:
         """The heap-driven cluster loop: O(log tenants) per event.
 
-        Bit-identical to :meth:`_run_oracle` by construction. Two
-        deviations from the oracle's shape make it fast, neither of
+        Bit-identical by construction to the straight-line scan loop of
+        :class:`repro.simulation.reference.ReferenceClusterSimulator`.
+        Two deviations from the scan's shape make it fast, neither of
         which can change a single observable:
 
         * ``inject_due`` runs only for tenants mutated since their last
@@ -920,9 +860,9 @@ class ClusterSimulator:
           becomes due until the tenant itself steps, scales, faults or
           injects), so the skipped calls were all no-ops. Dirty tenants
           are injected at the top of the next iteration, *not* right
-          after the mutating tick: the oracle's control drain observes
-          the fleet un-injected, and a decision must see exactly the
-          queue state its oracle counterpart saw.
+          after the mutating tick: the reference's control drain
+          observes the fleet un-injected, and a decision must see
+          exactly the queue state its reference counterpart saw.
         * the three per-event scans become :class:`ClusterFrontier`
           peeks, whose heap keys replicate the scans' first-minimum and
           fault-before-decision tie-breaks bit-for-bit.
@@ -958,7 +898,7 @@ class ClusterSimulator:
             if faulted and not pod.has_work():
                 # A fault crashed the frontier pod itself (or evacuated
                 # its work): re-resolve the global frontier (the dirty
-                # tenants are injected first, as the oracle would).
+                # tenants are injected first, as the reference would).
                 continue
             fleets[index].step_pod(pod)
             frontier.push(index)

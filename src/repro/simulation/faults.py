@@ -14,17 +14,17 @@ fault layer:
 * a :class:`FaultInjector` expands a list of specs into a time-sorted
   event timeline consumed by the fleet's run loop through the same
   shared-clock interface autoscale decisions use (``next_fault`` /
-  ``fault_tick``), so the fast core and the golden oracle see an
-  identical fault schedule;
+  ``fault_tick``), so the production simulator and the reference
+  (:mod:`repro.simulation.reference`) see an identical fault schedule;
 * every applied fault is recorded as a :class:`FaultEvent` on the run's
   result, which is what recovery-time and degraded-window SLO metrics
   are computed from.
 
 Victim selection for untargeted faults (no ``pod``, no ``zone``) draws
 from a seeded stream (:func:`repro.utils.rng.derive_rng`), and the
-fleet state it selects over is identical under ``fast=True`` and
-``fast=False`` — fault schedules are exactly reproducible from the
-injector seed alone. A fleet with no injector never consults this
+fleet state it selects over is identical in the production and
+reference simulators — fault schedules are exactly reproducible from
+the injector seed alone. A fleet with no injector never consults this
 module: the fault-free path stays bit-identical to the pre-fault
 simulator.
 """
@@ -216,7 +216,7 @@ class FaultInjector:
         """Seeded uniform choice among candidate pod serials.
 
         The candidates are sorted first, so the draw depends only on
-        the fleet's membership (identical under fast and oracle paths),
+        the fleet's membership (identical in production and reference runs),
         never on iteration order.
         """
         ordered = sorted(serials)

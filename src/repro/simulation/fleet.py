@@ -577,7 +577,6 @@ class FleetSimulator:
         source: RequestSource,
         autoscaler: "Autoscaler | None" = None,
         pod_factory: Callable[[int], "ContinuousBatchingEngine"] | None = None,
-        fast: bool = True,
         faults: FaultInjector | None = None,
         zone_of: Callable[[int], str] | None = None,
     ) -> None:
@@ -645,11 +644,9 @@ class FleetSimulator:
         self._crashed: set[int] = set()
         self._slow_targets: dict[int, list[int]] = {}
         self._next_fault = float("inf")
-        # Fast core: O(log pods) frontier lookups through a lazily
-        # invalidated heap instead of the oracle's O(pods) min() scans.
-        # Bit-identical by construction (see simulation.frontier); the
-        # oracle path stays selectable for equivalence benchmarks.
-        self.fast = bool(fast)
+        # O(log pods) frontier lookups through a lazily invalidated heap
+        # (see simulation.frontier); simulation.reference swaps in the
+        # O(pods) scan it is bit-identical to.
         self._frontier = EventFrontier()
         self._events = 0
         self._wall_start = _time.perf_counter()
@@ -744,12 +741,11 @@ class FleetSimulator:
         t_end = warmup_s + duration_s
         self.begin(duration_s, warmup_s)
         # The loop body runs once per simulated event; bind the three
-        # per-event calls as locals (and peek the heap directly under
-        # the fast core) to keep the dispatch overhead off the oracle
-        # vs fast comparison as much as possible.
+        # per-event calls as locals (peeking the frontier directly) to
+        # keep the dispatch overhead down.
         inject_due = self._inject_due
         step_pod = self.step_pod
-        peek = self._frontier.peek if self.fast else self.frontier_pod
+        peek = self._frontier.peek
         while True:
             inject_due(t_end)
             stepping = peek()
@@ -804,8 +800,7 @@ class FleetSimulator:
         self.router.reset()
         self._events = 0
         self._wall_start = _time.perf_counter()
-        if self.fast:
-            self._frontier.rebuild(self._in_service())
+        self._frontier.rebuild(self._in_service())
         if self.autoscaler is not None:
             self.autoscaler.reset()
         self._next_decision = (
@@ -845,17 +840,12 @@ class FleetSimulator:
         stay in service), so the frontier found before processing due
         decisions is still the pod to hand to :meth:`step_pod` after.
 
-        The fast core answers from the :class:`EventFrontier` heap in
-        O(log pods) amortized; the oracle path scans. The heap's
-        tie-break replicates the scan's first-minimum-in-service-order
-        semantics, so both paths return the *same* pod on equal clocks.
+        Answered from the :class:`EventFrontier` heap in O(log pods)
+        amortized. The heap's tie-break replicates a scan's
+        first-minimum-in-service-order semantics, so the reference
+        fleet's O(pods) scan returns the *same* pod on equal clocks.
         """
-        if self.fast:
-            return self._frontier.peek()
-        busy = [pod for pod in self._in_service() if pod.has_work()]
-        if not busy:
-            return None
-        return min(busy, key=lambda pod: pod.time)
+        return self._frontier.peek()
 
     @property
     def next_decision(self) -> float:
@@ -919,10 +909,9 @@ class FleetSimulator:
                 )
         if self._draining:
             self._retire_drained(stepping.time)
-        if self.fast:
-            # The step moved the pod's clock: its old heap entry is now
-            # stale, so record the new frontier position (if still busy).
-            self._frontier.push(stepping)
+        # The step moved the pod's clock: its old heap entry is now
+        # stale, so record the new frontier position (if still busy).
+        self._frontier.push(stepping)
 
     def drain_pending(self) -> None:
         """Flush boundary-crossing resubmissions after the loop exits.
@@ -969,16 +958,9 @@ class FleetSimulator:
                 return
             use_pending = t_pend is not None and (t_sched is None or t_pend <= t_sched)
             t = t_pend if use_pending else t_sched
-            if self.fast:
-                frontier = self._frontier.peek()
-                if frontier is not None and t > frontier._time:
-                    return
-            else:
-                busy_times = [
-                    pod.time for pod in self._in_service() if pod.has_work()
-                ]
-                if busy_times and t > min(busy_times):
-                    return
+            frontier = self._frontier.peek()
+            if frontier is not None and t > frontier._time:
+                return
             if use_pending:
                 t, _, hint, request, counted = heapq.heappop(self._pending)
             else:
@@ -1051,7 +1033,7 @@ class FleetSimulator:
         if pod.time < arrival_time:
             pod.advance_to(arrival_time)
         pod.submit(request, arrival_time=arrival_time)
-        if self.fast and not was_busy:
+        if not was_busy:
             # The submit turned an idle pod busy (possibly moving its
             # clock first): it joins the event frontier now. Pods that
             # were already busy keep their valid heap entry — a busy
@@ -1176,8 +1158,7 @@ class FleetSimulator:
         if crashed:
             if restart is not None:
                 self._starting.sort(key=lambda e: (e[0], e[1]))
-            if self.fast:
-                self._frontier.rebuild(self._in_service())
+            self._frontier.rebuild(self._in_service())
         else:
             # Nothing in service matched (empty zone, pod already gone):
             # record the scheduled event so fault schedules stay visible.
@@ -1250,7 +1231,7 @@ class FleetSimulator:
             self.pods.append(pod)
             self._routable.add(serial)
             activated = True
-        if activated and self.fast:
+        if activated:
             # Appending to self.pods shifts every draining pod's
             # position in the in-service order — the heap's tie-break —
             # so the index must be rebuilt.
@@ -1274,7 +1255,7 @@ class FleetSimulator:
                     self._cloud_pod_seconds -= max(0.0, now - pod.time)
                 retired.append(serial)
         self._draining = still
-        if retired and self.fast:
+        if retired:
             self._frontier.rebuild(self._in_service())
         if retired and self._release is not None:
             self._release(len(retired), now, retired)
@@ -1344,7 +1325,7 @@ class FleetSimulator:
                 self._draining.append(victim)
                 drained = True
                 delta -= 1
-            if drained and self.fast:
+            if drained:
                 self._frontier.rebuild(self._in_service())
         self.scale_events.append(
             ScaleEvent(

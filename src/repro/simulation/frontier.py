@@ -1,8 +1,9 @@
-"""Event-frontier index: the fast core's O(log pods) busy-pod lookup.
+"""Event-frontier index: the fleet's O(log pods) busy-pod lookup.
 
 The fleet event loop steps the busy pod with the smallest virtual time
-("the frontier") once per event. The oracle path finds it with an
-O(pods) ``min()`` scan over every in-service pod — fine for a handful of
+("the frontier") once per event. The reference fleet
+(:mod:`repro.simulation.reference`) finds it with an O(pods) ``min()``
+scan over every in-service pod — fine for a handful of
 replicas, but the scan runs once per event and once more per arrival
 check, so it compounds badly on autoscaled fleets that grow to dozens of
 pods. :class:`EventFrontier` replaces both scans with a lazy-invalidation
@@ -17,7 +18,7 @@ binary heap keyed on ``(pod.time, service_order)``:
 * the tie-break is the pod's position in the fleet's in-service order
   (``pods + draining``), which is exactly the pod Python's ``min``
   returns on equal clocks. That makes the heap answer *bit-identical*
-  to the oracle scan, not just equivalent — membership changes
+  to the reference scan, not just equivalent — membership changes
   (activation, draining, retirement) renumber positions, so the fleet
   calls :meth:`rebuild` on every such (rare) event.
 
@@ -74,11 +75,11 @@ def least_loaded_pod(candidates: Iterable[int], pods: Sequence) -> int:
 class EventFrontier:
     """Lazy-invalidation heap over busy pods, keyed on virtual time.
 
-    Owned by a :class:`~repro.simulation.fleet.FleetSimulator` running
-    with ``fast=True``. The fleet keeps the index current with three
-    hooks: :meth:`rebuild` on any service-membership change,
-    :meth:`push` after any event that moves a pod's clock or makes an
-    idle pod busy, and :meth:`peek` wherever the oracle path would scan.
+    Owned by a :class:`~repro.simulation.fleet.FleetSimulator`. The
+    fleet keeps the index current with three hooks: :meth:`rebuild` on
+    any service-membership change, :meth:`push` after any event that
+    moves a pod's clock or makes an idle pod busy, and :meth:`peek`
+    wherever the reference fleet scans.
     """
 
     __slots__ = ("_heap", "_order", "_pods")
@@ -135,7 +136,7 @@ class EventFrontier:
 
 
 #: Control-entry kinds of the cluster frontier. A fault beats an
-#: autoscale decision at the same (time, tenant) — the oracle scan
+#: autoscale decision at the same (time, tenant) — the reference scan
 #: checks ``next_fault`` before ``next_decision`` with a strict ``<``,
 #: so the decision observes the already-degraded fleet.
 _KIND_FAULT = 0
@@ -165,7 +166,7 @@ class ClusterFrontier:
       for pending fault and autoscale-decision times, stale as soon as
       the fleet's ``next_fault``/``next_decision`` moved past them.
 
-    Tie-breaks replicate the oracle scans bit-for-bit: equal times
+    Tie-breaks replicate the reference scans bit-for-bit: equal times
     resolve to the lowest tenant index (the scan's first minimum), and
     within one tenant a fault (kind 0) sorts before a decision (kind 1)
     at the same instant. Validation goes through the fleet's own
@@ -222,7 +223,7 @@ class ClusterFrontier:
 
         ``(inf, -1, False)`` when nothing is pending. Consecutive
         same-time faults stay valid across ticks (the injector may hold
-        several events at one instant), exactly as the oracle re-scan
+        several events at one instant), exactly as the reference re-scan
         would find them.
         """
         heap = self._ctl_heap

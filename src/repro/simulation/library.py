@@ -94,8 +94,10 @@ class Expectations:
 
     Every bound is optional; an absent bound is simply not checked.
     ``fast_oracle_parity`` is not a bound at all but a marker the test
-    matrix honors by re-running the scenario with ``fast=False`` and
-    asserting bit-identical headline metrics.
+    matrix honors by replaying the scenario through
+    :func:`repro.simulation.reference.run_scenario` (the reference
+    engine, fleet and cluster loop) and asserting bit-identical headline
+    metrics.
     """
 
     p95_ttft_ms_max: float | None = None

@@ -167,7 +167,8 @@ class MetricsCollector:
 
         Equivalent to building an ``n``-sized array and passing it to
         :meth:`record_gaps`, minus the intermediate copy; used by the
-        fast decode kernel, which subtracts straight into the buffer.
+        engine's vectorized decode step, which subtracts straight into
+        the buffer.
         """
         return self._itl.write_slots(n)
 

@@ -1,0 +1,190 @@
+"""The reference simulator: the plain scans and scalar loops.
+
+Every speed-up in the production simulator is bit-identical to a
+plainer implementation of the same semantics. Those implementations
+live here, each a subclass that overrides exactly the optimized piece:
+
+* :class:`ReferenceEngine` decodes one request at a time and rescans
+  the queue on every step; it never reads the structure-of-arrays
+  mirrors or the admission memo;
+* :class:`ReferenceFleetSimulator` finds the next pod to step with an
+  O(pods) scan of the fleet's live in-service list instead of the
+  :class:`~repro.simulation.frontier.EventFrontier` heap;
+* :class:`ReferenceClusterSimulator` runs the cluster loop with three
+  O(tenants) scans per event instead of the
+  :class:`~repro.simulation.frontier.ClusterFrontier`;
+* :func:`run_scenario` runs a scenario spec on all three.
+
+The parity suites, the speed benchmarks and the scenario library's
+``fast_oracle_parity`` marker compare production runs against these
+classes; no production code path selects them. (Not "oracle":
+:mod:`repro.evaluation.oracle` is the paper's Oracle baseline.)
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+import numpy as np
+
+from repro.cluster.deployment import Deployment
+from repro.inference.engine import ContinuousBatchingEngine
+from repro.inference.request import RequestResult
+from repro.simulation.cluster import ClusterSimulator, TenantGroup
+from repro.simulation.fleet import FleetSimulator
+from repro.simulation.scenario import ScenarioSpec
+
+__all__ = [
+    "ReferenceClusterSimulator",
+    "ReferenceEngine",
+    "ReferenceFleetSimulator",
+    "run_scenario",
+]
+
+
+class ReferenceEngine(ContinuousBatchingEngine):
+    """The engine with a scalar decode loop and no admission memo."""
+
+    def step(self) -> list[RequestResult]:
+        if not (self._queue or self._active):
+            return []
+        self.stats.steps += 1
+        if self._queue:
+            admitted = self._admit()
+            if admitted:
+                return self._prefill(admitted)
+        return self._decode()
+
+    def _soa_append(self, row, a) -> None:
+        """Keep no structure-of-arrays mirror."""
+
+    def _decode(self) -> list[RequestResult]:
+        """One decode step: every active sequence gains one token."""
+        self.stats.decode_steps += 1
+        n_seqs = sum(a.request.batch_size for a in self._active)
+        dt = (
+            self.cost.decode_step_time(n_seqs, self._kv_tokens)
+            * self._noise()
+            * self.slow_factor
+        )
+        self._time += dt
+        self.stats.busy_time_s += dt
+        now = self._time
+
+        gaps = np.empty(len(self._active))
+        still_active = []
+        completed: list[RequestResult] = []
+        for i, a in enumerate(self._active):
+            gaps[i] = now - a.last_token_at
+            a.last_token_at = now
+            a.generated += 1
+            self._kv_tokens += a.request.batch_size
+            self.stats.tokens_generated += a.request.batch_size
+            if a.done:
+                completed.append(self._finish(a))
+            else:
+                still_active.append(a)
+        self.metrics.record_gaps(gaps, now)
+        self.metrics.record_tokens(n_seqs, now)
+        self._active = still_active
+        return completed
+
+
+class _ScanFrontier:
+    """The :class:`EventFrontier` interface, answered by a scan.
+
+    Keeps no index, so ``push`` and ``rebuild`` are no-ops: every peek
+    scans the fleet's in-service pods as they are right now.
+    """
+
+    def __init__(self, fleet: FleetSimulator) -> None:
+        self._fleet = fleet
+
+    def push(self, pod) -> None:
+        pass
+
+    def rebuild(self, in_service) -> None:
+        pass
+
+    def peek(self):
+        busy = [pod for pod in self._fleet._in_service() if pod.has_work()]
+        if not busy:
+            return None
+        return min(busy, key=lambda pod: pod.time)
+
+
+class ReferenceFleetSimulator(FleetSimulator):
+    """The fleet with an O(pods) frontier scan instead of the heap."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._frontier = _ScanFrontier(self)
+
+
+class ReferenceClusterSimulator(ClusterSimulator):
+    """The cluster with O(tenants) scans instead of the cluster frontier."""
+
+    def _run_loop(self, t_end: float) -> None:
+        while True:
+            for group in self.tenants:
+                group.fleet.inject_due(t_end)
+            stepping: TenantGroup | None = None
+            pod = None
+            t_next = float("inf")
+            for group in self.tenants:
+                candidate = group.fleet.frontier_pod()
+                if candidate is not None and candidate.time < t_next:
+                    stepping, pod, t_next = group, candidate, candidate.time
+            if stepping is None or t_next >= t_end:
+                break
+            # Control events (faults + autoscale decisions) due anywhere
+            # in the cluster run before the frontier pod steps, in
+            # global virtual-time order — tenant A's release at t can
+            # fund tenant B's grant at t' > t, and a zone outage frees
+            # capacity the same way. Within a tenant, a fault at the
+            # same instant as a decision fires first, so the decision
+            # observes the degraded fleet (exactly as the standalone
+            # fleet loop orders them).
+            faulted = False
+            while True:
+                decider: TenantGroup | None = None
+                t_ctl = float("inf")
+                is_fault = False
+                for group in self.tenants:
+                    if group.fleet.next_fault < t_ctl:
+                        decider, t_ctl, is_fault = group, group.fleet.next_fault, True
+                    if group.fleet.next_decision < t_ctl:
+                        decider, t_ctl = group, group.fleet.next_decision
+                        is_fault = False
+                if decider is None or t_ctl > t_next or t_ctl >= t_end:
+                    break
+                if is_fault:
+                    decider.fleet.fault_tick()
+                    faulted = True
+                else:
+                    decider.fleet.autoscale_tick()
+            if faulted and not pod.has_work():
+                # A fault crashed the frontier pod itself (or evacuated
+                # its work): re-resolve the global frontier.
+                continue
+            stepping.fleet.step_pod(pod)
+
+
+class _ReferenceDeployment(Deployment):
+    engine_type = ReferenceEngine
+    fleet_type = ReferenceFleetSimulator
+
+
+class _ReferenceScenario(ScenarioSpec):
+    def _types(self) -> tuple[type, type]:
+        return _ReferenceDeployment, ReferenceClusterSimulator
+
+
+def run_scenario(spec: ScenarioSpec, keep_samples: bool = False):
+    """Build and run ``spec`` on the reference engine, fleet and cluster.
+
+    The reference counterpart of :meth:`ScenarioSpec.run`: the same
+    conservation-checked result type, from the reference classes.
+    """
+    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    return _ReferenceScenario(**fields).run(keep_samples=keep_samples)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -333,7 +334,12 @@ class ArrivalLog:
         """
         if _is_jsonl(path):
             with open(path) as fh:
-                records = [json.loads(line) for line in fh if line.strip()]
+                try:
+                    records = [json.loads(line) for line in fh if line.strip()]
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"arrival log {path!r}: invalid JSON: {exc}"
+                    ) from exc
         elif path.endswith(".csv"):
             with open(path, newline="") as fh:
                 records = list(csv.DictReader(fh))
@@ -341,6 +347,19 @@ class ArrivalLog:
             raise ValueError(f"unsupported arrival-log extension: {path!r}")
         if not records:
             raise ValueError(f"empty arrival log: {path!r}")
+
+        def number(name: str, row: int, raw) -> float:
+            try:
+                value = float(raw)
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"arrival log {path!r}: column {name!r}, row {row}: "
+                    f"expected a finite number, got {raw!r}"
+                )
+            return value
+
         columns: dict[str, list] = {}
         for name in _REQUIRED_COLUMNS:
             missing = next(
@@ -351,7 +370,7 @@ class ArrivalLog:
                 raise ValueError(
                     f"arrival log {path!r} missing column {name!r} (row {missing})"
                 )
-            columns[name] = [float(r[name]) for r in records]
+            columns[name] = [number(name, i, r[name]) for i, r in enumerate(records)]
         for name in _OPTIONAL_COLUMNS:
             if any(r.get(name) not in (None, "") for r in records):
                 default = 1 if name == "batch_size" else ""
@@ -360,7 +379,10 @@ class ArrivalLog:
                     for r in records
                 ]
         if "batch_size" in columns:
-            columns["batch_size"] = [int(float(b)) for b in columns["batch_size"]]
+            columns["batch_size"] = [
+                int(number("batch_size", i, b))
+                for i, b in enumerate(columns["batch_size"])
+            ]
         return cls.from_columns({k: np.asarray(v) for k, v in columns.items()})
 
 

@@ -53,6 +53,7 @@ from repro.simulation.autoscale import (
     TargetUtilizationPolicy,
     ThresholdPolicy,
 )
+from repro.simulation.cluster import ClusterInventory
 from repro.simulation.faults import FaultInjector, FaultSpec
 from repro.simulation.fleet import ROUTERS, FleetResult, FleetSimulator, Router
 from repro.simulation.replay import ArrivalLog, ReplayTraffic
@@ -69,7 +70,7 @@ if TYPE_CHECKING:
     from repro.simulation.cluster import ClusterResult, ClusterSimulator
     from repro.workload.generator import WorkloadGenerator
 
-__all__ = ["ScenarioSpec", "load_scenario"]
+__all__ = ["ScenarioSpec", "fault_event_spec", "load_scenario"]
 
 _TOP_KEYS = set(
     "name seed duration_s warmup_s llm profile pods max_batch_weight "
@@ -125,24 +126,49 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
         )
 
 
-def _fault_spec(event: dict) -> FaultSpec:
-    """One validated :class:`FaultSpec` from a scenario ``events`` entry."""
-    return FaultSpec(
-        kind=str(event["kind"]),
-        time_s=float(event["time_s"]),
-        pod=(None if event.get("pod") is None else int(event["pod"])),
-        zone=(None if event.get("zone") is None else str(event["zone"])),
-        mode=str(event.get("mode", "requeue")),
-        restart_delay_s=(
-            None
-            if event.get("restart_delay_s") is None
-            else float(event["restart_delay_s"])
-        ),
-        duration_s=(
-            None if event.get("duration_s") is None else float(event["duration_s"])
-        ),
-        factor=(None if event.get("factor") is None else float(event["factor"])),
+def fault_event_spec(event: dict, where: str) -> FaultSpec:
+    """One validated :class:`FaultSpec` from a fault-event mapping.
+
+    The mapping is a scenario ``faults.events`` entry (or a compiled
+    ``--fault`` flag): a ``kind``, a ``time_s`` and the keys that kind
+    accepts. Every error names ``where``.
+    """
+    if not isinstance(event, dict) or "kind" not in event:
+        raise ValueError(f"{where} needs a mapping with a 'kind'")
+    kind = event["kind"]
+    if kind not in _FAULT_EVENT_KEYS:
+        raise ValueError(
+            f"unknown fault kind {kind!r} in {where}; "
+            f"known: {sorted(_FAULT_EVENT_KEYS)}"
+        )
+    if "time_s" not in event:
+        raise ValueError(f"{where} needs a time_s")
+
+    def optional(key, cast):
+        return None if event.get(key) is None else cast(event[key])
+
+    try:
+        # Field semantics (pod-vs-zone targeting, slowdown knobs,
+        # positive delays) are FaultSpec's own contract; its messages
+        # say why a key does not apply, so they come first.
+        spec = FaultSpec(
+            kind=str(kind),
+            time_s=float(event["time_s"]),
+            pod=optional("pod", int),
+            zone=optional("zone", str),
+            mode=str(event.get("mode", "requeue")),
+            restart_delay_s=optional("restart_delay_s", float),
+            duration_s=optional("duration_s", float),
+            factor=optional("factor", float),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    _check_keys(
+        {k: v for k, v in event.items() if k != "kind"},
+        _FAULT_EVENT_KEYS[kind],
+        where,
     )
+    return spec
 
 
 @dataclass
@@ -377,28 +403,7 @@ class ScenarioSpec:
         if not isinstance(events, list):
             raise ValueError(f"{where} events must be a list, got {type(events)}")
         for i, event in enumerate(events):
-            label = f"{where} event[{i}]"
-            if not isinstance(event, dict) or "kind" not in event:
-                raise ValueError(f"{label} needs a mapping with a 'kind'")
-            kind = event["kind"]
-            if kind not in _FAULT_EVENT_KEYS:
-                raise ValueError(
-                    f"unknown fault kind {kind!r} in {label}; "
-                    f"known: {sorted(_FAULT_EVENT_KEYS)}"
-                )
-            _check_keys(
-                {k: v for k, v in event.items() if k != "kind"},
-                _FAULT_EVENT_KEYS[kind],
-                label,
-            )
-            if "time_s" not in event:
-                raise ValueError(f"{label} needs a time_s")
-            try:
-                # Field semantics (pod-vs-zone targeting, slowdown knobs,
-                # positive delays) are FaultSpec's own contract.
-                _fault_spec(event)
-            except ValueError as exc:
-                raise ValueError(f"{label}: {exc}") from exc
+            fault_event_spec(event, f"{where} event[{i}]")
 
     def _validate_expectations(self) -> None:
         """The ``expectations`` section, when present, is a mapping of
@@ -728,7 +733,10 @@ class ScenarioSpec:
         """
         if section is None or not section.get("events"):
             return None
-        specs = [_fault_spec(event) for event in section["events"]]
+        specs = [
+            fault_event_spec(event, f"{label} faults")
+            for event in section["events"]
+        ]
         return FaultInjector(
             specs,
             seed=spawn_seed(
@@ -740,6 +748,17 @@ class ScenarioSpec:
     def _zones(section: dict | None) -> int:
         return int(section.get("zones", 1)) if section else 1
 
+    def _types(self) -> tuple[type, type]:
+        """The ``(Deployment, ClusterSimulator)`` classes the builders use.
+
+        The one hook :func:`repro.simulation.reference.run_scenario`
+        overrides to run a spec on the reference simulator.
+        """
+        from repro.cluster.deployment import Deployment
+        from repro.simulation.cluster import ClusterSimulator
+
+        return Deployment, ClusterSimulator
+
     def _deployment(
         self,
         generator,
@@ -748,29 +767,23 @@ class ScenarioSpec:
         pods: int,
         max_batch_weight: int,
         n_zones: int = 1,
-        fast: bool = True,
     ):
-        from repro.cluster.deployment import Deployment
         from repro.hardware.profile import parse_profile
         from repro.models import get_llm
 
-        return Deployment(
+        deployment_type, _ = self._types()
+        return deployment_type(
             llm=get_llm(llm),
             profile=parse_profile(profile),
             n_pods=pods,
             max_batch_weight=max_batch_weight,
             generator=generator,
             seed=self.seed,
-            fast=fast,
             n_zones=n_zones,
         )
 
-    def build_fleet(self, generator=None, fast: bool = True) -> FleetSimulator:
-        """The single-tenant form: one ready-to-run fleet simulator.
-
-        ``fast=False`` selects the straight-line golden-oracle event
-        loop (bit-identical results; for verification).
-        """
+    def build_fleet(self, generator=None) -> FleetSimulator:
+        """The single-tenant form: one ready-to-run fleet simulator."""
         if self.is_cluster:
             raise ValueError(
                 f"scenario {self.name!r} declares tenants; build_cluster() "
@@ -784,7 +797,6 @@ class ScenarioSpec:
             self.pods,
             self.max_batch_weight,
             n_zones=self._zones(self.faults),
-            fast=fast,
         )
         router = self._wrap_admission(self._build_router(None), self.admission)
         return deployment.fleet(
@@ -795,17 +807,13 @@ class ScenarioSpec:
             faults=self._build_faults(self.faults, self.name),
         )
 
-    def build_cluster(self, generator=None, fast: bool = True) -> "ClusterSimulator":
+    def build_cluster(self, generator=None) -> "ClusterSimulator":
         """The multi-tenant form: tenants contending for one inventory.
 
         Tenant entries inherit every top-level field they do not
         override (llm, profile, pods, traffic, router, admission,
         autoscaler, slo_ttft_ms, max_batch_weight, faults).
-        ``fast=False`` selects the oracle engine/cluster loops
-        (bit-identical results; for verification).
         """
-        from repro.simulation.cluster import ClusterInventory, ClusterSimulator
-
         if not self.is_cluster:
             raise ValueError(
                 f"scenario {self.name!r} has no tenants; build_fleet() "
@@ -822,7 +830,6 @@ class ScenarioSpec:
                 int(tenant.get("pods", self.pods)),
                 int(tenant.get("max_batch_weight", self.max_batch_weight)),
                 n_zones=self._zones(fault_section),
-                fast=fast,
             )
             router = self._wrap_admission(
                 self._build_router(tenant.get("router", self.router)),
@@ -844,36 +851,33 @@ class ScenarioSpec:
                 )
             )
         cloud = self.build_cloud()
-        return ClusterSimulator(
+        _, cluster_type = self._types()
+        return cluster_type(
             groups,
             ClusterInventory(capacity=dict(self.capacity)),
-            fast=fast,
             cloud=None if cloud is None else cloud[0],
             burst=None if cloud is None else cloud[1],
         )
 
     def run(
-        self,
-        keep_samples: bool = False,
-        generator=None,
-        fast: bool = True,
+        self, keep_samples: bool = False, generator=None
     ) -> "FleetResult | ClusterResult":
         """Build and run the scenario; conservation-checked result.
 
         Returns a :class:`~repro.simulation.fleet.FleetResult` for fleet
         scenarios and a :class:`~repro.simulation.cluster.ClusterResult`
         for cluster scenarios. A pre-fitted workload ``generator`` (for
-        callers running many scenarios off one trace collection) and the
-        fast/oracle toggle pass straight through to the builders.
+        callers running many scenarios off one trace collection) passes
+        straight through to the builders.
         """
         if self.is_cluster:
-            result = self.build_cluster(generator=generator, fast=fast).run(
+            result = self.build_cluster(generator=generator).run(
                 duration_s=self.duration_s,
                 warmup_s=self.warmup_s,
                 keep_samples=keep_samples,
             )
         else:
-            result = self.build_fleet(generator=generator, fast=fast).run(
+            result = self.build_fleet(generator=generator).run(
                 duration_s=self.duration_s,
                 warmup_s=self.warmup_s,
                 keep_samples=keep_samples,

@@ -258,6 +258,13 @@ class TestCommands:
         assert rc == 2
         assert "KIND@TIME" in capsys.readouterr().err
 
+    def test_simulate_bad_fault_time_names_flag_and_field(self, capsys):
+        rc = main(["simulate", "--requests", "3000", "--fault", "crash@abc"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "--fault 'crash@abc'" in err and "TIME" in err
+
     def test_simulate_fault_with_scenario_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "s.json"
         spec.write_text(
@@ -339,7 +346,7 @@ class TestClusterSimCommand:
     def test_autoscale_json_has_recovery_block(self, capsys):
         rc = main(
             [
-                "autoscale",
+                "simulate",
                 "--requests", "3000",
                 "--duration", "40",
                 "--rate", "4",

@@ -46,6 +46,7 @@ from repro.simulation import (
     ThresholdPolicy,
     spot_preemption_specs,
 )
+from repro.simulation.reference import ReferenceClusterSimulator
 from repro.utils.rng import derive_rng, spawn_seed
 
 LLM = get_llm("Llama-2-13b")
@@ -101,7 +102,8 @@ def _burst_cluster(generator, *, capacity=2, cloud=None, burst=None, fast=True,
         ),
     ]
     inventory = ClusterInventory(capacity={GPU: capacity})
-    sim = ClusterSimulator(tenants, inventory, fast=fast, cloud=cloud, burst=burst)
+    cluster_type = ClusterSimulator if fast else ReferenceClusterSimulator
+    sim = cluster_type(tenants, inventory, cloud=cloud, burst=burst)
     return sim, sim.run(duration_s=duration)
 
 

@@ -19,6 +19,11 @@ from repro.simulation import (
     TenantGroup,
     ThresholdPolicy,
 )
+from repro.simulation.reference import (
+    ReferenceClusterSimulator,
+    ReferenceEngine,
+    ReferenceFleetSimulator,
+)
 from repro.utils.rng import derive_rng, spawn_seed
 
 LLM = get_llm("Llama-2-13b")
@@ -377,28 +382,32 @@ class TestScheduleBridge:
 
 
 class TestFastOracleParity:
-    """A contended, autoscaled multi-tenant cluster run on the fast
-    core must be bit-identical to the golden-oracle path."""
+    """A contended, autoscaled multi-tenant cluster run on the
+    production core must be bit-identical to the reference simulator
+    (reference engines, fleets and cluster loop)."""
 
     def _run(self, generator, fast):
+        engine_type = ContinuousBatchingEngine if fast else ReferenceEngine
+        fleet_type = FleetSimulator if fast else ReferenceFleetSimulator
+        cluster_type = ClusterSimulator if fast else ReferenceClusterSimulator
+
         def tenant_fleet(name, rate, seed, max_pods):
             def factory(serial):
-                return ContinuousBatchingEngine(
+                return engine_type(
                     LLM, PROFILE, max_batch_weight=WEIGHT,
-                    seed=spawn_seed(seed, "pod", serial), fast=fast,
+                    seed=spawn_seed(seed, "pod", serial),
                 )
 
             source = RequestSource(
                 generator, derive_rng(seed, "cluster-test", name), WEIGHT
             )
-            return FleetSimulator(
+            return fleet_type(
                 [factory(0)],
                 PoissonTraffic(rate, rng=derive_rng(seed, "cluster-traffic", name)),
                 LeastLoadedRouter(),
                 source,
                 autoscaler=_scaler(max_pods=max_pods),
                 pod_factory=factory,
-                fast=fast,
             )
 
         tenants = [
@@ -409,7 +418,7 @@ class TestFastOracleParity:
             TenantGroup("noisy", tenant_fleet("noisy", 8.0, 2, 6), PROFILE.name),
         ]
         inventory = ClusterInventory(capacity={PROFILE.gpu.name: 3})
-        return ClusterSimulator(tenants, inventory).run(duration_s=60.0)
+        return cluster_type(tenants, inventory).run(duration_s=60.0)
 
     def test_cluster_results_bit_identical(self, generator):
         fast = self._run(generator, fast=True)
@@ -436,29 +445,10 @@ class TestFastOracleParity:
         assert fast.wall_time_s > 0.0
         assert fast.events_per_second > 0.0
 
-    def test_deployment_threads_fast_flag(self, generator):
-        def simulate(fast):
-            deployment = Deployment(
-                llm=LLM, profile=PROFILE, n_pods=2, max_batch_weight=WEIGHT,
-                generator=generator, seed=5, fast=fast,
-            )
-            assert deployment.pod_factory(0).fast is fast
-            assert deployment.scale(3).fast is fast
-            return deployment.simulate(
-                PoissonTraffic(4.0, rng=derive_rng(5, "dep-parity")),
-                duration_s=30.0,
-            )
-
-        fast, oracle = simulate(True), simulate(False)
-        assert fast.arrivals == oracle.arrivals
-        assert fast.tokens_generated == oracle.tokens_generated
-        assert fast.ttft == oracle.ttft
-        assert fast.itl == oracle.itl
-
 
 class TestClusterFrontierParity:
-    """The heap-driven cluster loop (``fast=True``, the default) must be
-    bit-identical to the retained O(tenants)-scan oracle loop — same
+    """The heap-driven cluster loop must be bit-identical to the
+    O(tenants)-scan loop of :class:`ReferenceClusterSimulator` — same
     per-tenant results, same inventory event stream — across seeds,
     with autoscaling, inventory contention, and a chaos schedule."""
 
@@ -508,9 +498,8 @@ class TestClusterFrontierParity:
             tenant("third", 4.0, seed_base + 5, 4),
         ]
         inventory = ClusterInventory(capacity={PROFILE.gpu.name: 4})
-        sim = ClusterSimulator(tenants, inventory, fast=fast_cluster)
-        assert sim.fast is fast_cluster
-        return sim.run(duration_s=60.0)
+        cluster_type = ClusterSimulator if fast_cluster else ReferenceClusterSimulator
+        return cluster_type(tenants, inventory).run(duration_s=60.0)
 
     @pytest.mark.parametrize("seed_base", [0, 40])
     @pytest.mark.parametrize("with_faults", [False, True])

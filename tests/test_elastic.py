@@ -615,14 +615,23 @@ class TestFeedbackScheduler:
         ]
 
 
+class _FreshArrivals(ElasticRecommender):
+    """Regenerates the arrival stream per candidate instead of replaying
+    the recorded one: the baseline the recording must equal."""
+
+    def _traffic(self):
+        return self.traffic_factory()
+
+
 class TestArrivalCache:
-    """The shared arrival-stream cache must be a pure performance knob:
-    one factory call per sweep, byte-identical recommendations."""
+    """The shared recorded arrival stream must be a pure performance
+    detail: one factory call per sweep, byte-identical recommendations."""
 
     SLO = 2.0
 
-    def _recommender(self, generator, cache_arrivals=True, factory=None):
-        return ElasticRecommender(
+    def _recommender(self, generator, fresh=False, factory=None):
+        recommender_type = _FreshArrivals if fresh else ElasticRecommender
+        return recommender_type(
             _deployment(generator),
             factory
             or (lambda: PoissonTraffic(3.0, rng=derive_rng(0, "elastic-test"))),
@@ -634,12 +643,11 @@ class TestArrivalCache:
             decision_interval_s=10.0,
             cold_start_s=5.0,
             metrics_window_s=15.0,
-            cache_arrivals=cache_arrivals,
         )
 
     def test_cached_recommendation_byte_identical_to_fresh(self, generator):
-        cached = self._recommender(generator, True).recommend(search_max=4)
-        fresh = self._recommender(generator, False).recommend(search_max=4)
+        cached = self._recommender(generator).recommend(search_max=4)
+        fresh = self._recommender(generator, fresh=True).recommend(search_max=4)
         assert json.dumps(cached.as_dict(), sort_keys=True) == json.dumps(
             fresh.as_dict(), sort_keys=True
         )
@@ -651,24 +659,11 @@ class TestArrivalCache:
             calls.append(1)
             return PoissonTraffic(3.0, rng=derive_rng(0, "elastic-test"))
 
-        recommender = self._recommender(generator, True, factory=factory)
+        recommender = self._recommender(generator, factory=factory)
         calls.clear()  # the constructor's open-loop probe does not count
         recommender.evaluate(ElasticCandidate("static", 1, 1))
         recommender.evaluate(ElasticCandidate("static", 2, 2))
         assert len(calls) == 1
-
-    def test_cache_off_regenerates_per_candidate(self, generator):
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return PoissonTraffic(3.0, rng=derive_rng(0, "elastic-test"))
-
-        recommender = self._recommender(generator, False, factory=factory)
-        calls.clear()
-        recommender.evaluate(ElasticCandidate("static", 1, 1))
-        recommender.evaluate(ElasticCandidate("static", 2, 2))
-        assert len(calls) == 2
 
     def test_evaluate_many_dedupes_identical_candidates(self, generator):
         recommender = self._recommender(generator)

@@ -3,8 +3,8 @@ simulation and recovery metrics.
 
 The central contracts:
 
-* the same seed produces the same fault schedule — on the fast core, the
-  golden oracle, and inside a cluster co-simulation;
+* the same seed produces the same fault schedule — on the production
+  core, the reference simulator, and inside a cluster co-simulation;
 * conservation survives chaos: every admitted request completes, stays
   in flight, or is explicitly counted lost;
 * a chaos scenario is golden-pinned so fault semantics cannot drift
@@ -27,6 +27,7 @@ from repro.simulation import (
     PoissonTraffic,
     RequestSource,
 )
+from repro.simulation.reference import ReferenceFleetSimulator
 from repro.simulation.scenario import ScenarioSpec
 from repro.utils.rng import derive_rng, spawn_seed
 
@@ -46,13 +47,13 @@ def _fleet(generator, seed=0, n_pods=3, rate=4.0, faults=None, fast=True,
     source = RequestSource(
         generator, derive_rng(seed, "fault-source", label), WEIGHT
     )
-    return FleetSimulator(
+    fleet_type = FleetSimulator if fast else ReferenceFleetSimulator
+    return fleet_type(
         [factory(i) for i in range(n_pods)],
         PoissonTraffic(rate, rng=derive_rng(seed, "fault-traffic", label)),
         LeastLoadedRouter(),
         source,
         pod_factory=factory,
-        fast=fast,
         faults=faults,
         zone_of=(lambda serial: f"zone-{serial % n_zones}"),
     )

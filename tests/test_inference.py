@@ -17,6 +17,7 @@ from repro.inference import (
     corner_case_batches,
 )
 from repro.models import get_llm
+from repro.simulation.reference import ReferenceEngine
 
 
 @pytest.fixture
@@ -308,14 +309,15 @@ class TestServer:
 
 
 class TestFastOracleParity:
-    """The vectorized decode kernel (``fast=True``, the default) must
-    be bit-identical to the scalar golden-oracle loop (``fast=False``):
-    same step times, same completion timestamps, same counters."""
+    """The vectorized decode kernel must be bit-identical to the scalar
+    loop of :class:`ReferenceEngine`: same step times, same completion
+    timestamps, same counters."""
 
     def _run(self, fast):
-        engine = ContinuousBatchingEngine(
+        engine_type = ContinuousBatchingEngine if fast else ReferenceEngine
+        engine = engine_type(
             get_llm("Llama-2-13b"), parse_profile("1xA100-40GB"),
-            max_batch_weight=6_000, seed=42, fast=fast,
+            max_batch_weight=6_000, seed=42,
         )
         rng = np.random.default_rng(7)
         requests = [

@@ -13,12 +13,18 @@ laws must hold:
   always-on single-pod floor, never above a flat-out ``max_pods`` fleet,
   and exactly ``pods * time`` for static fleets;
 * degeneracy — a 1-tenant cluster with ample inventory is the standalone
-  fleet simulation, number for number.
+  fleet simulation, number for number;
+* reference parity — the production fleet and the reference fleet of
+  ``repro.simulation.reference`` agree field for field.
 
 ``derandomize=True`` keeps CI deterministic: the sweep is a fixed,
 diverse grid rather than a fresh random draw per run.
 """
 
+import dataclasses
+import json
+
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -47,6 +53,7 @@ from repro.simulation import (
     TenantGroup,
     ThresholdPolicy,
 )
+from repro.simulation.reference import ReferenceEngine, ReferenceFleetSimulator
 from repro.utils.rng import derive_rng, spawn_seed
 
 LLM = get_llm("Llama-2-13b")
@@ -103,9 +110,13 @@ def _policy(kind):
 
 
 def _fleet(generator, seed, kind, rate, router_kind="least-loaded",
-           policy_kind="none", cap=4, label="fleet", faults=None, n_pods=1):
+           policy_kind="none", cap=4, label="fleet", faults=None, n_pods=1,
+           reference=False):
+    engine_type = ReferenceEngine if reference else ContinuousBatchingEngine
+    fleet_type = ReferenceFleetSimulator if reference else FleetSimulator
+
     def factory(serial):
-        return ContinuousBatchingEngine(
+        return engine_type(
             LLM, PROFILE, max_batch_weight=WEIGHT,
             seed=spawn_seed(seed, "pod", serial),
         )
@@ -123,7 +134,7 @@ def _fleet(generator, seed, kind, rate, router_kind="least-loaded",
     source = RequestSource(
         generator, derive_rng(seed, "invariant-source", label), WEIGHT
     )
-    return FleetSimulator(
+    return fleet_type(
         [factory(i) for i in range(n_pods)],
         _traffic(kind, rate, seed),
         _router(router_kind),
@@ -186,6 +197,52 @@ class TestFleetInvariants:
         res = fleet.run(duration_s=DURATION_S, keep_samples=False)
         res.verify_conservation()
         assert res.pod_seconds == pytest.approx(n_pods * res.time_s)
+
+
+def _result_fields(result) -> str:
+    """Every FleetResult field but the wall clock and the sample store,
+    canonically rendered (NaN-safe: empty pods carry NaN latencies)."""
+    comparable = dataclasses.replace(result, metrics=None, wall_time_s=0.0)
+    return json.dumps(dataclasses.asdict(comparable), sort_keys=True)
+
+
+class TestReferenceParity:
+    """The production fleet (heap frontier, vectorized decode, admission
+    memo) and the reference fleet are one simulation: whatever the
+    draw, they agree field for field and sample for sample."""
+
+    @SETTINGS
+    @given(seed=seeds, kind=traffic_kinds, rate=rates,
+           router_kind=router_kinds, autoscaled=st.booleans(),
+           chaos=st.booleans())
+    def test_production_fleet_equals_reference(
+        self, generator, seed, kind, rate, router_kind, autoscaled, chaos
+    ):
+        def run(reference):
+            faults = None
+            if chaos:
+                faults = FaultInjector(
+                    [
+                        FaultSpec(kind="crash", time_s=12.0, restart_delay_s=5.0),
+                        FaultSpec(kind="slowdown", time_s=20.0,
+                                  duration_s=10.0, factor=3.0),
+                    ],
+                    seed=seed,
+                )
+            fleet = _fleet(
+                generator, seed, kind, rate, router_kind,
+                "threshold" if autoscaled else "none", faults=faults,
+                n_pods=2, label="parity", reference=reference,
+            )
+            return fleet.run(duration_s=DURATION_S, keep_samples=True)
+
+        mine, ref = run(False), run(True)
+        assert _result_fields(mine) == _result_fields(ref)
+        np.testing.assert_array_equal(
+            mine.metrics.itl_samples(), ref.metrics.itl_samples()
+        )
+        if chaos:
+            assert mine.fault_events
 
 
 class TestClusterInvariants:
@@ -322,9 +379,9 @@ class TestFaultInvariants:
 
 
 class TestSweepCacheInvariants:
-    """The elastic sweep's shared arrival-stream cache must be invisible:
-    whatever the traffic model and seed, a cached sweep equals the
-    factory-fresh sweep candidate-for-candidate."""
+    """The elastic sweep's shared recorded arrival stream must be
+    invisible: whatever the traffic model and seed, the recorded sweep
+    equals a factory-fresh sweep candidate-for-candidate."""
 
     @SETTINGS
     @given(seed=seeds, kind=traffic_kinds, rate=rates)
@@ -342,12 +399,16 @@ class TestSweepCacheInvariants:
             LinearSLOPenalty,
         )
 
-        def recommender(cache_arrivals):
+        class FreshArrivals(ElasticRecommender):
+            def _traffic(self):
+                return self.traffic_factory()
+
+        def recommender(fresh):
             deployment = Deployment(
                 llm=LLM, profile=PROFILE, n_pods=1,
                 max_batch_weight=WEIGHT, generator=generator, seed=seed,
             )
-            return ElasticRecommender(
+            return (FreshArrivals if fresh else ElasticRecommender)(
                 deployment,
                 lambda: _traffic(kind, rate, seed),
                 CostObjective(
@@ -359,7 +420,6 @@ class TestSweepCacheInvariants:
                 decision_interval_s=5.0,
                 cold_start_s=2.0,
                 metrics_window_s=10.0,
-                cache_arrivals=cache_arrivals,
             )
 
         candidates = [
@@ -369,8 +429,8 @@ class TestSweepCacheInvariants:
                 "threshold", 1, 3, lambda: ThresholdPolicy(slo_p95_ttft_s=1.0)
             ),
         ]
-        cached = recommender(True).evaluate_many(candidates)
-        fresh = recommender(False).evaluate_many(candidates)
+        cached = recommender(fresh=False).evaluate_many(candidates)
+        fresh = recommender(fresh=True).evaluate_many(candidates)
         assert len(cached) == len(fresh)
         for mine, ref in zip(cached, fresh):
             assert json.dumps(mine.as_dict(), sort_keys=True) == json.dumps(

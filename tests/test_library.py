@@ -19,6 +19,7 @@ from repro.simulation import (
     load_by_name,
     scenario_path,
 )
+from repro.simulation.reference import run_scenario
 
 CURATED = [
     "bursty-agent-traffic",
@@ -126,12 +127,12 @@ class TestScenarioMatrix:
 class TestChaosParity:
     def test_pod_crash_recovery_fast_matches_oracle(self):
         # The library's designated parity scenario: a chaos run (crash +
-        # slowdown faults) must be bit-identical between the heap-frontier
-        # fast path and the oracle stepper.
+        # slowdown faults) must be bit-identical between the production
+        # simulator and the reference one.
         spec = load_by_name("pod-crash-recovery")
         assert spec.expectations.get("fast_oracle_parity") is True
-        fast = spec.run(keep_samples=True, fast=True)
-        oracle = spec.run(keep_samples=True, fast=False)
+        fast = spec.run(keep_samples=True)
+        oracle = run_scenario(spec, keep_samples=True)
         for field in (
             "arrivals",
             "admitted",

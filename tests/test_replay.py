@@ -203,6 +203,29 @@ class TestPersistence:
             ArrivalLog.load(str(bad))
 
 
+    def test_nan_timestamp_exits_2_naming_file_column_and_row(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        path = tmp_path / "nan-times.csv"
+        path.write_text(
+            "timestamp,input_tokens,output_tokens\n"
+            "0.0,50,20\n1.0,60,20\nnan,70,20\n"
+        )
+        rc = main(
+            [
+                "simulate", "--traffic", "replay", "--arrivals", str(path),
+                "--requests", "3000", "--duration", "5",
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "nan-times.csv" in err
+        assert "'timestamp'" in err and "row 2" in err
+
+
 class TestTraceBridge:
     def test_to_arrivals_rebases_and_sorts(self, small_traces):
         cols = small_traces.to_arrivals()

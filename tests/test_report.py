@@ -211,6 +211,16 @@ class TestReportCommand:
         assert rc == 2
         assert "no-such-file.json" in capsys.readouterr().err
 
+    def test_malformed_json_error_names_the_file(self, tmp_path, capsys):
+        src = tmp_path / "truncated.json"
+        src.write_text('{"kind": "fleet", "arrivals": ')
+        rc = main(["report", str(src)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "truncated.json" in err
+        assert "invalid JSON" in err
+
     def test_scenario_name_miss_lists_names(self, capsys):
         rc = main(["report", "--scenario-name", "nope"])
         assert rc == 2

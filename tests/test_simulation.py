@@ -29,6 +29,7 @@ from repro.simulation import (
     RoundRobinRouter,
     ThresholdPolicy,
 )
+from repro.simulation.reference import ReferenceEngine, ReferenceFleetSimulator
 from repro.utils.rng import derive_rng, spawn_seed
 
 LLM = get_llm("Llama-2-13b")
@@ -400,11 +401,11 @@ class TestMetricsCollector:
 
 
 class TestFastOracleParity:
-    """The fast core (heap frontier + vectorized decode, ``fast=True``,
-    the default) must be bit-identical to the straight-line golden
-    oracle (``fast=False``) — same floats, same RNG draws, same event
-    order. This is the contract that lets the golden pins above keep
-    guarding both implementations at once."""
+    """The production core (heap frontier + vectorized decode) must be
+    bit-identical to the reference simulator (O(pods) frontier scan +
+    scalar decode, ``repro.simulation.reference``) — same floats, same
+    RNG draws, same event order. This is the contract that lets the
+    golden pins above keep guarding both implementations at once."""
 
     FIELDS = (
         "time_s", "arrivals", "requests_completed", "tokens_generated",
@@ -413,10 +414,13 @@ class TestFastOracleParity:
     )
 
     def _run(self, generator, fast, autoscaled):
+        engine_type = ContinuousBatchingEngine if fast else ReferenceEngine
+        fleet_type = FleetSimulator if fast else ReferenceFleetSimulator
+
         def factory(serial):
-            return ContinuousBatchingEngine(
+            return engine_type(
                 LLM, PROFILE, max_batch_weight=12_000,
-                seed=spawn_seed(9, "pod", serial), fast=fast,
+                seed=spawn_seed(9, "pod", serial),
             )
 
         autoscaler = None
@@ -429,7 +433,7 @@ class TestFastOracleParity:
                 ),
             )
         source = RequestSource(generator, derive_rng(9, "parity"), 12_000)
-        fleet = FleetSimulator(
+        fleet = fleet_type(
             [factory(i) for i in range(4)],
             BurstyTraffic(
                 6.0, rng=derive_rng(9, "parity-traffic"),
@@ -439,7 +443,6 @@ class TestFastOracleParity:
             source,
             autoscaler=autoscaler,
             pod_factory=factory,
-            fast=fast,
         )
         return fleet.run(duration_s=40.0)
 
