@@ -7,7 +7,6 @@ Subcommands mirror the two roles the paper defines (§I):
   - ``characterize``  run the characterization campaign, save the dataset;
 * cluster user (online):
   - ``recommend``     recommend (GPU profile, pods) for an unseen LLM;
-  - ``evaluate``      leave-one-LLM-out Fig 8-style method comparison;
 * utility:
   - ``info``          workload-generator and catalog statistics;
   - ``simulate``      fleet-level what-if simulation: N pods on a shared

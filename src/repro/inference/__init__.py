@@ -10,7 +10,6 @@ from repro.inference.memory import (
     corner_case_batches,
 )
 from repro.inference.engine import ContinuousBatchingEngine, EngineStats
-from repro.inference.server import InferenceServer, DeploymentSpec
 from repro.inference.steadystate import SteadyStateEstimate, SteadyStateEstimator
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "corner_case_batches",
     "ContinuousBatchingEngine",
     "EngineStats",
-    "InferenceServer",
-    "DeploymentSpec",
     "SteadyStateEstimate",
     "SteadyStateEstimator",
 ]

@@ -157,9 +157,3 @@ class CostModel:
             + self._comm_latency_per_step
         )
         return self._decode_weight_read + kv_read + compute + comm + self._step_overhead
-
-    # ---- aggregates ----------------------------------------------------------
-
-    def model_load_time(self, disk_bandwidth_gbps: float = 1.5) -> float:
-        """Seconds to pull weights into GPU memory at deployment time."""
-        return self.llm.weights_bytes / (disk_bandwidth_gbps * 1e9)

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 
 from repro.hardware.pricing import CLOUD_PRICING_MODES, CloudCatalog, PricingTable
 from repro.utils.parallel import fork_map
-from repro.simulation.cloud import BurstPolicy, CloudLedger, HybridCapacity
+from repro.simulation.cloud import BurstPolicy, CloudLedger, bind_hybrid_capacity
 from repro.simulation.autoscale import (
     Autoscaler,
     AutoscaleConfig,
@@ -53,11 +53,13 @@ from repro.simulation.autoscale import (
     TargetUtilizationPolicy,
     ThresholdPolicy,
 )
+from repro.simulation.cluster import ClusterInventory
 from repro.simulation.fleet import FleetResult, Router
 from repro.simulation.replay import RecordedTraffic
 
 if TYPE_CHECKING:
     from repro.cluster.deployment import Deployment
+    from repro.simulation.fleet import FleetSimulator
     from repro.simulation.traffic import TrafficModel
     from repro.workload.generator import WorkloadGenerator
 
@@ -469,11 +471,13 @@ class ElasticRecommender:
     timestamps and token draws per candidate.
 
     With ``on_prem_pods`` set the sweep is *hybrid*: each candidate's
-    fleet is bound to a :class:`~repro.simulation.cloud.HybridCapacity`
-    — the first ``on_prem_pods`` provisioned pods are owned, overflow
-    rents from the objective's cloud catalog under ``burst`` (default:
-    an unbounded :class:`~repro.simulation.cloud.BurstPolicy` in the
-    objective's ``cloud_mode``) — and scored against the mixed bill.
+    fleet is bound, through
+    :func:`~repro.simulation.cloud.bind_hybrid_capacity`, to a private
+    owned tier — the first ``on_prem_pods`` provisioned pods are owned,
+    overflow rents from the objective's cloud catalog under ``burst``
+    (default: an unbounded :class:`~repro.simulation.cloud.BurstPolicy`
+    in the objective's ``cloud_mode``) — and scored against the mixed
+    bill.
     """
 
     def __init__(
@@ -578,42 +582,19 @@ class ElasticRecommender:
             )
         deployment = self.deployment.scale(candidate.min_pods)
         router = self.router_factory() if self.router_factory else None
-        if self.on_prem_pods is None:
-            result = deployment.simulate(
-                self._traffic(),
-                duration_s=self.duration_s,
-                router=router,
-                warmup_s=self.warmup_s,
-                stream_label=self.stream_label,
-                keep_samples=False,
-                autoscaler=autoscaler,
-            )
-        else:
-            # Hybrid sweep: the first ``on_prem_pods`` provisioned pods
-            # are owned, anything beyond rents from the objective's
-            # catalog. A fresh ledger per evaluation keeps candidates
-            # independent (and fork_map-safe): rented capacity never
-            # leaks between candidates.
-            fleet = deployment.fleet(
-                self._traffic(),
-                router=router,
-                stream_label=self.stream_label,
-                autoscaler=autoscaler,
-            )
-            assert self.objective.cloud is not None
-            assert self.burst is not None
-            hybrid = HybridCapacity(
-                self.on_prem_pods,
-                CloudLedger(self.objective.cloud, seed=self.deployment.seed),
-                self.burst,
-                self.deployment.profile.name,
-            )
-            hybrid.bind(fleet)
-            result = fleet.run(
-                duration_s=self.duration_s,
-                warmup_s=self.warmup_s,
-                keep_samples=False,
-            )
+        fleet = deployment.fleet(
+            self._traffic(),
+            router=router,
+            stream_label=self.stream_label,
+            autoscaler=autoscaler,
+        )
+        if self.on_prem_pods is not None:
+            self._bind_owned_tier(fleet)
+        result = fleet.run(
+            duration_s=self.duration_s,
+            warmup_s=self.warmup_s,
+            keep_samples=False,
+        )
         result.verify_conservation()
         profile = self.deployment.profile
         compute = self.objective.compute_cost(result, profile)
@@ -634,6 +615,38 @@ class ElasticRecommender:
             scale_events=len(result.scale_events),
             denied_or_clipped=sum(1 for e in result.scale_events if e.constraint),
             result=result,
+        )
+
+    def _bind_owned_tier(self, fleet: "FleetSimulator") -> None:
+        """Seat a hybrid candidate's fleet on its own owned tier.
+
+        The first ``on_prem_pods`` provisioned pods are owned — a
+        private inventory of that many pods' GPUs, holding the initial
+        pods — and anything beyond rents from the objective's catalog,
+        through the same binder a cluster tenant uses. A fresh inventory
+        and ledger per evaluation keep candidates independent (and
+        fork_map-safe): rented capacity never leaks between candidates.
+        """
+        n_pods = len(fleet.pods)
+        if n_pods > self.on_prem_pods:
+            # An initial fleet larger than the owned tier would start
+            # life in the cloud, which no operator means.
+            raise ValueError(
+                f"initial fleet of {n_pods} pods exceeds the "
+                f"{self.on_prem_pods}-pod on-prem tier"
+            )
+        profile = self.deployment.profile
+        owned = ClusterInventory(
+            capacity={profile.gpu.name: self.on_prem_pods * profile.count}
+        )
+        owned.allocate(profile.name, n_pods)
+        bind_hybrid_capacity(
+            fleet,
+            "fleet",
+            profile.name,
+            owned,
+            CloudLedger(self.objective.cloud, seed=self.deployment.seed),
+            self.burst,
         )
 
     # ---- the sweep --------------------------------------------------------
@@ -681,9 +694,7 @@ class ElasticRecommender:
         points = fork_map(self.evaluate, unique, jobs)
         return [points[slots[key(candidate)]] for candidate in candidates]
 
-    def peak_static_pods(
-        self, search_max: int = 8, jobs: int = 1
-    ) -> tuple[int, list[TradePoint]]:
+    def peak_static_pods(self, search_max: int = 8) -> tuple[int, list[TradePoint]]:
         """Autoscaler-in-the-loop sizing of the *static* baseline.
 
         Finds the smallest static pod count in 1..``search_max`` that
@@ -697,14 +708,10 @@ class ElasticRecommender:
         pod count, as trade-curve points; the answer's rung is always
         among them. When even ``search_max`` pods breach, it is returned
         anyway (honest infeasibility: its penalty dominates its score).
-
-        ``jobs`` is accepted for interface compatibility but unused —
-        bisection is inherently sequential, and it already simulates
-        fewer rungs than a parallel full ladder would.
+        Bisection is inherently sequential, so the ladder runs serially.
         """
         if search_max < 1:
             raise ValueError(f"search_max must be >= 1, got {search_max}")
-        del jobs
         points: dict[int, TradePoint] = {}
 
         def meets(n_pods: int) -> bool:
@@ -774,7 +781,7 @@ class ElasticRecommender:
             # (penalty dominates) — exactly the case where bursting wins.
             search_max = min(search_max, self.on_prem_pods)
         if static_pods is None:
-            static_pods, ladder = self.peak_static_pods(search_max, jobs=jobs)
+            static_pods, ladder = self.peak_static_pods(search_max)
             static_point = next(
                 p for p in ladder if p.min_pods == static_pods
             )

@@ -68,7 +68,7 @@ from repro.simulation.cloud import (
     BurstPolicy,
     CloudLedger,
     CloudUsageEvent,
-    HybridCapacity,
+    bind_hybrid_capacity,
     spot_preemption_specs,
 )
 from repro.simulation.cluster import (
@@ -118,7 +118,7 @@ __all__ = [
     "BurstPolicy",
     "CloudLedger",
     "CloudUsageEvent",
-    "HybridCapacity",
+    "bind_hybrid_capacity",
     "spot_preemption_specs",
     "ClusterInventory",
     "ClusterResult",

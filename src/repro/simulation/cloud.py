@@ -17,19 +17,21 @@ queueing on-prem. This module carries the pieces the cluster loop needs:
   :class:`~repro.simulation.faults.FaultSpec`\\ s, which flow through the
   ordinary fault-injection path (victims restricted to cloud pods), so
   request conservation holds when a spot pod is reclaimed mid-flight;
-* :class:`HybridCapacity` binds a *standalone* fleet to the same
-  on-prem-first / cloud-overflow discipline, which is how the elastic
-  recommender scores candidates against mixed bills without spinning up
-  a whole cluster simulation.
+* :func:`bind_hybrid_capacity` binds a fleet to on-prem-first /
+  cloud-overflow capacity: every cluster tenant on the shared inventory,
+  and each hybrid candidate of the elastic recommender on a private
+  inventory the size of its owned tier, so a sweep scores candidates
+  against mixed bills without spinning up a whole cluster simulation.
 
 The production and reference cluster loops reach capacity only through
-the acquire/release closures the simulator installs, so burst decisions are
-bit-identical across them by construction.
+these acquire/release closures, so burst decisions are bit-identical
+across them by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.hardware.pricing import CLOUD_PRICING_MODES, CloudCatalog
 from repro.hardware.profile import parse_profile
@@ -37,11 +39,14 @@ from repro.simulation.faults import FaultSpec
 from repro.simulation.fleet import FleetSimulator
 from repro.utils.rng import derive_rng
 
+if TYPE_CHECKING:  # import cycle: the cluster module imports this one
+    from repro.simulation.cluster import ClusterInventory
+
 __all__ = [
     "BurstPolicy",
     "CloudUsageEvent",
     "CloudLedger",
-    "HybridCapacity",
+    "bind_hybrid_capacity",
     "spot_preemption_specs",
 ]
 
@@ -259,102 +264,84 @@ def spot_preemption_specs(
     return specs
 
 
-class HybridCapacity:
-    """Bind a standalone fleet to on-prem-first / cloud-overflow capacity.
+def bind_hybrid_capacity(
+    fleet: FleetSimulator,
+    tenant: str,
+    profile_name: str,
+    inventory: "ClusterInventory",
+    cloud: CloudLedger | None,
+    policy: BurstPolicy | None,
+) -> None:
+    """Bind ``fleet`` to on-prem-first, cloud-overflow capacity.
 
-    The single-fleet counterpart of the cluster simulator's burst
-    wiring, used by the elastic recommender to score candidates against
-    mixed bills: the first ``on_prem_pods`` concurrently-provisioned
-    pods are owned hardware, and every pod beyond that is rented from
-    ``ledger`` under ``policy`` — or denied, when policy, per-tenant
-    cap, or account quota refuse, exactly as a cluster tenant would be
-    clipped.
+    The one acquire/release pair behind every capacity-bound fleet (see
+    :meth:`~repro.simulation.fleet.FleetSimulator.bind_capacity`): each
+    cluster tenant on the shared ``inventory``, and the elastic
+    recommender's hybrid candidates on a private inventory the size of
+    the owned tier. A scale-up fills from ``inventory`` first; only the
+    shortfall of a denied or clipped ask is offered to ``cloud`` under
+    ``policy`` (no policy: the fleet never bursts). A scale-up fully
+    covered by bursting records no ``denied``/``clipped`` constraint —
+    the tenant got every pod it asked for, just not for free. Releases
+    return rented serials to ``cloud`` and the rest to ``inventory``.
     """
+    profile = parse_profile(profile_name)
 
-    def __init__(
-        self,
-        on_prem_pods: int,
-        ledger: CloudLedger,
-        policy: BurstPolicy,
-        profile_name: str,
-        tenant: str = "fleet",
-    ) -> None:
-        if on_prem_pods < 0:
-            raise ValueError(f"on_prem_pods must be >= 0, got {on_prem_pods}")
-        self.on_prem_pods = int(on_prem_pods)
-        self.ledger = ledger
-        self.policy = policy
-        self.profile_name = profile_name
-        self.profile = parse_profile(profile_name)
-        self.tenant = tenant
-        self._on_prem_used = 0
-        self._fleet: FleetSimulator | None = None
-
-    def bind(self, fleet: FleetSimulator) -> None:
-        """Install the hybrid acquire/release closures on ``fleet``.
-
-        The fleet's initial pods are seated on-prem; they must fit under
-        ``on_prem_pods`` (an initial fleet larger than the owned tier
-        would silently start life in the cloud, which no operator
-        means).
-        """
-        if len(fleet.pods) > self.on_prem_pods:
-            raise ValueError(
-                f"initial fleet of {len(fleet.pods)} pods exceeds the "
-                f"{self.on_prem_pods}-pod on-prem tier"
-            )
-        self._fleet = fleet
-        self._on_prem_used = len(fleet.pods)
-        fleet.bind_capacity(self._acquire, self._release)
-
-    def _acquire(self, want: int, t: float) -> int:
-        fleet = self._fleet
-        assert fleet is not None
-        grant = min(want, self.on_prem_pods - self._on_prem_used)
+    def acquire(want: int, t: float) -> int:
+        grant = min(want, inventory.fillable_pods(profile_name))
         burst = 0
         shortfall = want - grant
-        if shortfall > 0 and self.ledger.catalog.offers(self.profile.gpu.name):
-            price = self.ledger.catalog.pod_cost(self.profile, self.policy.mode)
-            ask = self.policy.burst_pods(
-                shortfall, self.ledger.held_pods(self.tenant), price
-            )
-            burst = min(ask, self.ledger.fillable_pods(self.profile_name))
+        if (
+            shortfall > 0
+            and policy is not None
+            and cloud.catalog.offers(profile.gpu.name)
+        ):
+            price = cloud.catalog.pod_cost(profile, policy.mode)
+            ask = policy.burst_pods(shortfall, cloud.held_pods(tenant), price)
+            burst = min(ask, cloud.fillable_pods(profile_name))
             if burst > 0:
-                fleet.mark_cloud(
-                    range(
-                        fleet.next_serial + grant,
-                        fleet.next_serial + grant + burst,
-                    )
+                # Serials are assigned sequentially after this grant
+                # returns: the first ``grant`` new pods sit on-prem, the
+                # last ``burst`` are rented (and, having the highest
+                # serials, are first in line for newest-first scale-down
+                # — rented capacity is returned before owned capacity
+                # idles).
+                start = fleet.next_serial + grant
+                fleet.mark_cloud(range(start, start + burst))
+                cloud.allocate(
+                    profile_name, burst, tenant=tenant, time_s=t, mode=policy.mode
                 )
-                self.ledger.allocate(
-                    self.profile_name,
-                    burst,
-                    tenant=self.tenant,
-                    time_s=t,
-                    mode=self.policy.mode,
-                )
-        self._on_prem_used += grant
+        if grant > 0:
+            inventory.allocate(
+                profile_name, grant, tenant=tenant, time_s=t, reason="scale-up"
+            )
         return grant + burst
 
-    def _release(
-        self,
+    def release(
         pods: int,
         t: float,
         serials: list[int] | None = None,
         reason: str = "scale-down",
     ) -> None:
-        fleet = self._fleet
-        assert fleet is not None
-        cloud_n = 0
+        rented = 0
         if serials is not None and fleet.cloud_serials:
-            cloud_n = sum(1 for s in serials if s in fleet.cloud_serials)
-        if cloud_n:
-            self.ledger.release(
-                self.profile_name,
-                cloud_n,
-                tenant=self.tenant,
+            rented = sum(1 for s in serials if s in fleet.cloud_serials)
+        if rented:
+            cloud.release(
+                profile_name,
+                rented,
+                tenant=tenant,
                 time_s=t,
-                mode=self.policy.mode,
-                reason="spot-preempt" if reason == "spot-preempt" else "scale-down",
+                mode=policy.mode,
+                reason=reason if reason == "spot-preempt" else "scale-down",
             )
-        self._on_prem_used -= pods - cloud_n
+        if pods - rented:
+            inventory.release(
+                profile_name,
+                pods - rented,
+                tenant=tenant,
+                time_s=t,
+                reason="scale-down",
+            )
+
+    fleet.bind_capacity(acquire, release)

@@ -28,8 +28,9 @@ GPUs *in time*.
   series — per-GPU-type occupancy over time, aggregate pod-seconds and
   the hourly-priced bill via :mod:`repro.hardware.pricing`.
 
-A cluster of one tenant degenerates to ``FleetSimulator.run``: the loop
-is the same extracted pieces, so the single-tenant path stays
+A cluster of one tenant degenerates to ``FleetSimulator.run``: both run
+the same event loop (:func:`~repro.simulation.frontier.run_event_loop`)
+over the same fleet pieces, so the single-tenant path stays
 golden-identical to the standalone fleet.
 """
 
@@ -47,11 +48,12 @@ from repro.simulation.cloud import (
     BurstPolicy,
     CloudLedger,
     CloudUsageEvent,
+    bind_hybrid_capacity,
     spot_preemption_specs,
 )
 from repro.simulation.faults import FaultEvent, FaultInjector
 from repro.simulation.fleet import FleetResult, FleetSimulator, ScaleEvent
-from repro.simulation.frontier import ClusterFrontier
+from repro.simulation.frontier import ClusterFrontier, run_event_loop
 from repro.simulation.results import fault_event_dict, json_float
 
 __all__ = [
@@ -640,91 +642,6 @@ class ClusterSimulator:
             raise ValueError(f"burst policies for unknown tenants: {sorted(unknown)}")
         self._spot_wired = False
 
-    def _bind(self, group: TenantGroup) -> None:
-        """Subject one tenant's elasticity to the shared ledger(s).
-
-        The production and reference cluster loops reach capacity only
-        through these closures, so the burst decision is bit-identical
-        across them by construction: on-prem fills first, and only the
-        shortfall of a denied/clipped scale-up is offered to the cloud
-        tier under the tenant's burst policy. A scale-up fully covered
-        by bursting records no ``denied``/``clipped`` constraint — the
-        tenant got every pod it asked for, just not for free.
-        """
-        policy = self._burst.get(group.name)
-        profile = parse_profile(group.profile)
-
-        def acquire(want: int, t: float) -> int:
-            grant = min(want, self.inventory.fillable_pods(group.profile))
-            burst = 0
-            shortfall = want - grant
-            if (
-                shortfall > 0
-                and policy is not None
-                and self.cloud.catalog.offers(profile.gpu.name)
-            ):
-                price = self.cloud.catalog.pod_cost(profile, policy.mode)
-                ask = policy.burst_pods(
-                    shortfall, self.cloud.held_pods(group.name), price
-                )
-                burst = min(ask, self.cloud.fillable_pods(group.profile))
-                if burst > 0:
-                    # Serials are assigned sequentially after this grant
-                    # returns: the first ``grant`` new pods sit on-prem,
-                    # the last ``burst`` are rented (and, having the
-                    # highest serials, are first in line for
-                    # newest-first scale-down — rented capacity is
-                    # returned before owned capacity idles).
-                    start = group.fleet.next_serial + grant
-                    group.fleet.mark_cloud(range(start, start + burst))
-                    self.cloud.allocate(
-                        group.profile,
-                        burst,
-                        tenant=group.name,
-                        time_s=t,
-                        mode=policy.mode,
-                    )
-            if grant > 0:
-                self.inventory.allocate(
-                    group.profile,
-                    grant,
-                    tenant=group.name,
-                    time_s=t,
-                    reason="scale-up",
-                )
-            return grant + burst
-
-        def release(
-            pods: int,
-            t: float,
-            serials: list[int] | None = None,
-            reason: str = "scale-down",
-        ) -> None:
-            cloud_pods = 0
-            if serials is not None and group.fleet.cloud_serials:
-                cloud_pods = sum(
-                    1 for s in serials if s in group.fleet.cloud_serials
-                )
-            if cloud_pods:
-                self.cloud.release(
-                    group.profile,
-                    cloud_pods,
-                    tenant=group.name,
-                    time_s=t,
-                    mode=policy.mode if policy is not None else "on-demand",
-                    reason=reason if reason == "spot-preempt" else "scale-down",
-                )
-            if pods - cloud_pods:
-                self.inventory.release(
-                    group.profile,
-                    pods - cloud_pods,
-                    tenant=group.name,
-                    time_s=t,
-                    reason="scale-down",
-                )
-
-        group.fleet.bind_capacity(acquire, release)
-
     def _wire_spot_preemptions(self, t_end: float) -> None:
         """Merge seeded spot-preemption schedules into spot tenants' faults.
 
@@ -774,10 +691,11 @@ class ClusterSimulator:
 
         The loop is the fleet's own event loop lifted one level: inject
         every tenant's due arrivals, find the globally earliest busy
-        pod, run every autoscale decision due at or before that frontier
-        (cheapest virtual time first, across tenants), then step that
-        one pod. Tenants interact *only* through the inventory, so
-        per-tenant causality is exactly the standalone fleet's.
+        pod, run every fault and autoscale decision due at or before
+        that frontier (earliest virtual time first, across tenants),
+        then step that one pod. Tenants interact *only* through the
+        inventory, so per-tenant causality is exactly the standalone
+        fleet's.
         """
         if duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {duration_s}")
@@ -812,7 +730,14 @@ class ClusterSimulator:
             granted.append(group)
         self._wire_spot_preemptions(t_end)
         for group in self.tenants:
-            self._bind(group)
+            bind_hybrid_capacity(
+                group.fleet,
+                group.name,
+                group.profile,
+                self.inventory,
+                self.cloud,
+                self._burst.get(group.name),
+            )
             group.fleet.begin(duration_s, warmup_s)
 
         self._run_loop(t_end)
@@ -847,59 +772,19 @@ class ClusterSimulator:
         )
 
     def _run_loop(self, t_end: float) -> None:
-        """The heap-driven cluster loop: O(log tenants) per event.
+        """Run the shared event loop over a :class:`ClusterFrontier`.
 
-        Bit-identical by construction to the straight-line scan loop of
-        :class:`repro.simulation.reference.ReferenceClusterSimulator`.
-        Two deviations from the scan's shape make it fast, neither of
-        which can change a single observable:
-
-        * ``inject_due`` runs only for tenants mutated since their last
-          injection (the ``dirty`` set), not for every tenant on every
-          iteration — injection is a per-tenant fixpoint (nothing
-          becomes due until the tenant itself steps, scales, faults or
-          injects), so the skipped calls were all no-ops. Dirty tenants
-          are injected at the top of the next iteration, *not* right
-          after the mutating tick: the reference's control drain
-          observes the fleet un-injected, and a decision must see
-          exactly the queue state its reference counterpart saw.
-        * the three per-event scans become :class:`ClusterFrontier`
-          peeks, whose heap keys replicate the scans' first-minimum and
-          fault-before-decision tie-breaks bit-for-bit.
+        O(log tenants) per event, and bit-identical to the straight-line
+        scan loop of
+        :class:`repro.simulation.reference.ReferenceClusterSimulator`,
+        which overrides this method (the parity suites hold them equal).
         """
-        fleets = [group.fleet for group in self.tenants]
-        frontier = ClusterFrontier(fleets)
-        dirty = set(range(len(fleets)))
-        while True:
-            if dirty:
-                for index in sorted(dirty):
-                    fleets[index].inject_due(t_end)
-                    frontier.push(index)
-                dirty.clear()
-            index, pod = frontier.peek_pod()
-            if pod is None:
-                break
-            t_next = pod.time
-            if t_next >= t_end:
-                break
-            faulted = False
-            while True:
-                t_ctl, ctl_index, is_fault = frontier.peek_control()
-                if ctl_index < 0 or t_ctl > t_next or t_ctl >= t_end:
-                    break
-                fleet = fleets[ctl_index]
-                if is_fault:
-                    fleet.fault_tick()
-                    faulted = True
-                else:
-                    fleet.autoscale_tick()
-                frontier.push(ctl_index)
-                dirty.add(ctl_index)
-            if faulted and not pod.has_work():
-                # A fault crashed the frontier pod itself (or evacuated
-                # its work): re-resolve the global frontier (the dirty
-                # tenants are injected first, as the reference would).
-                continue
-            fleets[index].step_pod(pod)
-            frontier.push(index)
-            dirty.add(index)
+        frontier = ClusterFrontier([group.fleet for group in self.tenants])
+        run_event_loop(
+            t_end,
+            frontier.inject_due,
+            frontier.peek_pod,
+            frontier.peek_control,
+            frontier.control_tick,
+            frontier.step_pod,
+        )

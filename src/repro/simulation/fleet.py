@@ -41,6 +41,7 @@ from repro.simulation.frontier import (
     EventFrontier,
     committed_load,
     least_loaded_pod,
+    run_event_loop,
 )
 from repro.simulation.metrics import LatencyStats, MetricsCollector
 from repro.simulation.results import (
@@ -664,8 +665,9 @@ class FleetSimulator:
         retire or a cold start is cancelled, with the serials of the
         released pods so a ledger that tracks tiers (on-prem vs
         cloud-burst, see :mod:`repro.simulation.cloud`) can credit the
-        right one. Used by the cluster co-simulation to make tenants
-        contend for one :class:`ClusterInventory`.
+        right one. :func:`repro.simulation.cloud.bind_hybrid_capacity`
+        installs the pair for cluster tenants contending for one
+        :class:`ClusterInventory` and for hybrid sweep candidates.
         """
         self._acquire = acquire
         self._release = release
@@ -738,43 +740,17 @@ class FleetSimulator:
         engines/collectors directly, like the single-pod load-test
         wrappers.
         """
-        t_end = warmup_s + duration_s
         self.begin(duration_s, warmup_s)
-        # The loop body runs once per simulated event; bind the three
-        # per-event calls as locals (peeking the frontier directly) to
-        # keep the dispatch overhead down.
-        inject_due = self._inject_due
-        step_pod = self.step_pod
-        peek = self._frontier.peek
-        while True:
-            inject_due(t_end)
-            stepping = peek()
-            if stepping is None or stepping._time >= t_end:
-                break
-            # Faults and autoscale decisions are both control events on
-            # the shared clock; the earlier fires first, a fault winning
-            # same-instant ties so the decision observes the degraded
-            # fleet. With no injector ``_next_fault`` is inf and this is
-            # the plain decision loop, bit-identical to the pre-fault
-            # simulator.
-            faulted = False
-            while True:
-                if self._next_fault <= self._next_decision:
-                    due, is_fault = self._next_fault, True
-                else:
-                    due, is_fault = self._next_decision, False
-                if due > stepping._time or due >= t_end:
-                    break
-                if is_fault:
-                    self.fault_tick()
-                    faulted = True
-                else:
-                    self.autoscale_tick()
-            if faulted and not stepping.has_work():
-                # A control event crashed the frontier pod itself (or
-                # evacuated its work): re-resolve the frontier.
-                continue
-            step_pod(stepping)
+        # Injection and the frontier peek go straight to the private
+        # pieces: the loop calls them once per simulated event.
+        run_event_loop(
+            warmup_s + duration_s,
+            self._inject_due,
+            self._frontier.peek,
+            self.next_control,
+            self.control_tick,
+            self.step_pod,
+        )
         self.drain_pending()
         if not assemble_result:
             return None
@@ -782,7 +758,7 @@ class FleetSimulator:
 
     # ---- co-simulation interface ------------------------------------------
     #
-    # ``run`` above is exactly these pieces glued together for one
+    # ``run`` above hands these pieces to the shared event loop for one
     # tenant; the cluster co-simulation (repro.simulation.cluster) drives
     # N fleets through the same methods on one shared clock, globally
     # ordering autoscale decisions so tenants contend for inventory in
@@ -877,6 +853,25 @@ class FleetSimulator:
         else:
             self._fault_crash(spec, t, action)
         self._next_fault = self.faults.next_time
+
+    def next_control(self) -> float:
+        """Virtual time of the next control event, fault or decision."""
+        t_fault, t_decision = self._next_fault, self._next_decision
+        return t_fault if t_fault <= t_decision else t_decision
+
+    def control_tick(self) -> bool:
+        """Run the control event due at :meth:`next_control`.
+
+        Returns True when it was a fault. Faults and autoscale decisions
+        share the clock: the earlier fires first, and a fault wins a
+        same-instant tie so the decision observes the degraded fleet.
+        With no injector ``next_fault`` is inf and only decisions fire.
+        """
+        if self._next_fault <= self._next_decision:
+            self.fault_tick()
+            return True
+        self.autoscale_tick()
+        return False
 
     def pod_zone(self, serial: int) -> str:
         """Zone label of pod ``serial`` (restart replacements inherit)."""

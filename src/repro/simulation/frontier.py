@@ -22,6 +22,10 @@ binary heap keyed on ``(pod.time, service_order)``:
   (activation, draining, retirement) renumber positions, so the fleet
   calls :meth:`rebuild` on every such (rare) event.
 
+:class:`ClusterFrontier` lifts the index to tenants, and
+:func:`run_event_loop` is the one event loop both the fleet and the
+cluster run over their frontiers.
+
 The module also hosts the one shared definition of pod load used by
 every least-loaded selection (routers, drain-victim choice), previously
 copy-pasted as ``key=lambda`` closures in three places.
@@ -30,7 +34,7 @@ copy-pasted as ``key=lambda`` closures in three places.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle with the engine
     from repro.inference.engine import ContinuousBatchingEngine
@@ -41,6 +45,7 @@ __all__ = [
     "EventFrontier",
     "committed_load",
     "least_loaded_pod",
+    "run_event_loop",
 ]
 
 
@@ -135,77 +140,102 @@ class EventFrontier:
         return None
 
 
-#: Control-entry kinds of the cluster frontier. A fault beats an
-#: autoscale decision at the same (time, tenant) — the reference scan
-#: checks ``next_fault`` before ``next_decision`` with a strict ``<``,
-#: so the decision observes the already-degraded fleet.
-_KIND_FAULT = 0
-_KIND_DECISION = 1
-
-
 class ClusterFrontier:
-    """Lazy-invalidation heaps over tenant fleets for the cluster loop.
+    """The cluster's event-loop operations, over lazy-invalidation heaps.
 
     :class:`EventFrontier` lifted one level: where the fleet indexes its
     busy *pods*, this indexes whole *tenants* for the
-    :class:`~repro.simulation.cluster.ClusterSimulator`, replacing its
-    three O(tenants) scans per event (frontier pod, next fault, next
-    decision) with O(log tenants) heap pops.
+    :class:`~repro.simulation.cluster.ClusterSimulator`, and hands
+    :func:`run_event_loop` the same five operations a fleet hands it —
+    answered across every tenant in O(log tenants) instead of the
+    reference cluster's three O(tenants) scans per event.
 
-    Two heaps share the same lazy-invalidation discipline:
+    Two heaps share the same lazy-invalidation discipline, both keyed
+    ``(time, tenant_index)``:
 
-    * the **pod heap** holds ``(frontier_time, tenant_index)`` entries —
-      one per recorded observation of a tenant's earliest busy pod. An
-      entry is stale when the tenant's current frontier time no longer
-      equals the recorded one (the tenant stepped away, went idle, or an
-      injection pulled its frontier *earlier* — unlike a single pod's
-      clock, a tenant frontier is not monotone, which is why
-      :meth:`push` must run after every mutation of that tenant so the
-      heap always holds a fresh entry at or below the true minimum);
-    * the **control heap** holds ``(time, tenant_index, kind)`` entries
-      for pending fault and autoscale-decision times, stale as soon as
-      the fleet's ``next_fault``/``next_decision`` moved past them.
+    * the **pod heap** holds one entry per recorded observation of a
+      tenant's earliest busy pod. An entry is stale when the tenant's
+      current frontier time no longer equals the recorded one (the
+      tenant stepped away, went idle, or an injection pulled its
+      frontier *earlier* — unlike a single pod's clock, a tenant
+      frontier is not monotone, which is why :meth:`push` runs after
+      every mutation of that tenant, so the heap always holds a fresh
+      entry at or below the true minimum). Validation goes through the
+      fleet's own ``frontier_pod()``, so a valid entry always yields the
+      tenant's *current* frontier pod, whichever pod that is;
+    * the **control heap** holds the tenant's next control time
+      (:meth:`~repro.simulation.fleet.FleetSimulator.next_control`),
+      stale as soon as a tick moved it. Only the tenant's own control
+      ticks move it, so it is recorded at construction and after each.
 
-    Tie-breaks replicate the reference scans bit-for-bit: equal times
-    resolve to the lowest tenant index (the scan's first minimum), and
-    within one tenant a fault (kind 0) sorts before a decision (kind 1)
-    at the same instant. Validation goes through the fleet's own
-    ``frontier_pod()``, so the pod returned for a valid entry is always
-    the tenant's *current* frontier pod, whichever pod that is.
+    Equal times resolve to the lowest tenant index, the reference scan's
+    first minimum; which of one tenant's due events fires first — a
+    fault at a tie — is that fleet's own
+    :meth:`~repro.simulation.fleet.FleetSimulator.control_tick`.
+
+    The frontier also keeps the loop's bookkeeping. :meth:`peek_pod` and
+    :meth:`peek_control` remember the tenant they resolved to, which
+    :meth:`step_pod` and :meth:`control_tick` then act on. And
+    :meth:`inject_due` re-injects only the tenants mutated since the
+    last loop top (the *dirty* set), not every tenant on every
+    iteration: injection is a per-tenant fixpoint (nothing becomes due
+    until the tenant itself steps, ticks or injects), so the skipped
+    calls were all no-ops. Dirty tenants are injected at the top of the
+    next iteration, *not* right after the mutating tick: the reference
+    loop's control drain observes the fleet un-injected, and a decision
+    must see exactly the queue state its reference counterpart saw.
     """
 
-    __slots__ = ("_fleets", "_pod_heap", "_ctl_heap")
+    __slots__ = (
+        "_fleets",
+        "_pod_heap",
+        "_ctl_heap",
+        "_dirty",
+        "_pod_index",
+        "_ctl_index",
+    )
 
     def __init__(self, fleets: Sequence["FleetSimulator"]) -> None:
         self._fleets = list(fleets)
         self._pod_heap: list[tuple[float, int]] = []
-        self._ctl_heap: list[tuple[float, int, int]] = []
+        self._ctl_heap: list[tuple[float, int]] = []
+        self._pod_index = -1
+        self._ctl_index = -1
+        # Every tenant injects at the first loop top.
+        self._dirty = set(range(len(self._fleets)))
         for index in range(len(self._fleets)):
             self.push(index)
+            self._push_control(index)
 
     def push(self, index: int) -> None:
-        """Re-record tenant ``index``'s frontier-pod and control times.
+        """Re-record tenant ``index``'s frontier-pod time.
 
         Called after anything that mutates the tenant (inject, step,
-        fault tick, autoscale tick). Old entries are left behind for
-        :meth:`peek_pod`/:meth:`peek_control` to discard lazily;
-        duplicates of a still-valid entry are harmless.
+        control tick). Old entries are left behind for :meth:`peek_pod`
+        to discard lazily; duplicates of a still-valid entry are
+        harmless.
         """
-        fleet = self._fleets[index]
-        pod = fleet.frontier_pod()
+        pod = self._fleets[index].frontier_pod()
         if pod is not None:
-            heapq.heappush(self._pod_heap, (pod.time, index))
-        t_fault = fleet.next_fault
-        if t_fault != float("inf"):
-            heapq.heappush(self._ctl_heap, (t_fault, index, _KIND_FAULT))
-        t_decision = fleet.next_decision
-        if t_decision != float("inf"):
-            heapq.heappush(self._ctl_heap, (t_decision, index, _KIND_DECISION))
+            heapq.heappush(self._pod_heap, (pod._time, index))
 
-    def peek_pod(self) -> tuple[int, "ContinuousBatchingEngine | None"]:
-        """``(tenant_index, pod)`` of the globally earliest busy pod.
+    def _push_control(self, index: int) -> None:
+        t = self._fleets[index].next_control()
+        if t != float("inf"):
+            heapq.heappush(self._ctl_heap, (t, index))
 
-        ``(-1, None)`` when every tenant is idle. The valid entry is left
+    def inject_due(self, cutoff: float) -> None:
+        """Inject the due arrivals of every tenant mutated since the last call."""
+        fleets = self._fleets
+        for index in sorted(self._dirty):
+            fleets[index].inject_due(cutoff)
+            self.push(index)
+        self._dirty.clear()
+
+    def peek_pod(self) -> "ContinuousBatchingEngine | None":
+        """The globally earliest busy pod (None when every tenant is idle).
+
+        Remembers its tenant for :meth:`step_pod`. The valid entry is left
         in place so repeated peeks are O(1).
         """
         heap = self._pod_heap
@@ -213,15 +243,16 @@ class ClusterFrontier:
         while heap:
             recorded, index = heap[0]
             pod = fleets[index].frontier_pod()
-            if pod is not None and pod.time == recorded:
-                return index, pod
+            if pod is not None and pod._time == recorded:
+                self._pod_index = index
+                return pod
             heapq.heappop(heap)
-        return -1, None
+        return None
 
-    def peek_control(self) -> tuple[float, int, bool]:
-        """``(time, tenant_index, is_fault)`` of the next control event.
+    def peek_control(self) -> float:
+        """Virtual time of the next control event anywhere (inf when none).
 
-        ``(inf, -1, False)`` when nothing is pending. Consecutive
+        Remembers its tenant for :meth:`control_tick`. Consecutive
         same-time faults stay valid across ticks (the injector may hold
         several events at one instant), exactly as the reference re-scan
         would find them.
@@ -229,10 +260,77 @@ class ClusterFrontier:
         heap = self._ctl_heap
         fleets = self._fleets
         while heap:
-            recorded, index, kind = heap[0]
-            fleet = fleets[index]
-            actual = fleet.next_fault if kind == _KIND_FAULT else fleet.next_decision
-            if actual == recorded:
-                return recorded, index, kind == _KIND_FAULT
+            recorded, index = heap[0]
+            if fleets[index].next_control() == recorded:
+                self._ctl_index = index
+                return recorded
             heapq.heappop(heap)
-        return float("inf"), -1, False
+        return float("inf")
+
+    def control_tick(self) -> bool:
+        """Run the control event :meth:`peek_control` found; True for a fault."""
+        index = self._ctl_index
+        faulted = self._fleets[index].control_tick()
+        self._push_control(index)
+        self.push(index)
+        self._dirty.add(index)
+        return faulted
+
+    def step_pod(self, pod: "ContinuousBatchingEngine") -> None:
+        """Step the pod :meth:`peek_pod` found, in its own tenant's fleet."""
+        index = self._pod_index
+        self._fleets[index].step_pod(pod)
+        self.push(index)
+        self._dirty.add(index)
+
+
+def run_event_loop(
+    t_end: float,
+    inject_due: Callable[[float], None],
+    peek_pod: Callable[[], "ContinuousBatchingEngine | None"],
+    peek_control: Callable[[], float],
+    control_tick: Callable[[], bool],
+    step_pod: Callable[["ContinuousBatchingEngine"], None],
+) -> None:
+    """The production event loop, shared by the fleet and the cluster.
+
+    Each iteration injects the arrivals due at the frontier, finds the
+    busy pod with the smallest clock, runs every control event (fault
+    or autoscale decision) due by that clock, then steps the pod. The
+    loop ends once no pod is busy or the frontier reaches ``t_end``.
+    ``FleetSimulator.run`` passes its own bound operations and
+    ``ClusterSimulator`` those of a :class:`ClusterFrontier`:
+
+    * ``inject_due(t_end)`` materializes the due arrivals;
+    * ``peek_pod()`` is the frontier pod, None when nothing is busy;
+    * ``peek_control()`` is the time of the next control event, inf
+      when none is pending;
+    * ``control_tick()`` runs that event and says whether it was a
+      fault;
+    * ``step_pod(pod)`` steps the frontier pod once.
+
+    Only a control tick moves a control time (arrivals and steps never
+    do), so the loop re-reads ``peek_control()`` after each tick instead
+    of once per event. Control events never move the frontier pod's
+    clock, so the pod found before them is still the one to step —
+    unless a fault took its work away.
+    """
+    t_ctl = peek_control()
+    while True:
+        inject_due(t_end)
+        pod = peek_pod()
+        if pod is None:
+            break
+        t_next = pod._time
+        if t_next >= t_end:
+            break
+        faulted = False
+        while t_ctl <= t_next and t_ctl < t_end:
+            if control_tick():
+                faulted = True
+            t_ctl = peek_control()
+        if faulted and not pod.has_work():
+            # A fault crashed the frontier pod itself (or evacuated its
+            # work): re-resolve the frontier.
+            continue
+        step_pod(pod)

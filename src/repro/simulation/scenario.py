@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -115,6 +116,10 @@ _EXPECTATION_KEYS = set(
     "p95_ttft_ms_max slo_attainment_min cost_max_usd min_completed "
     "max_lost fast_oracle_parity".split()
 )
+#: Numeric fields at the top level and in a tenant entry (plus the
+#: values of ``capacity``).
+_NUMBER_KEYS = "duration_s warmup_s seed pods max_batch_weight slo_ttft_ms".split()
+_TENANT_NUMBER_KEYS = "pods max_batch_weight slo_ttft_ms".split()
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
@@ -124,6 +129,17 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
             f"unknown key(s) in {where}: {sorted(unknown)}; "
             f"allowed: {sorted(allowed)}"
         )
+
+
+def _is_number(value) -> bool:
+    """A real number; a bool is not one (``true`` is not a pod count)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(value, cast):
+    """``cast(value)`` for a number; anything else is kept for validation
+    to reject by name — a string like ``"30"`` is never coerced."""
+    return cast(value) if _is_number(value) else value
 
 
 def fault_event_spec(event: dict, where: str) -> FaultSpec:
@@ -214,22 +230,26 @@ class ScenarioSpec:
             raise ValueError("scenario needs a duration_s")
         out = cls(
             name=str(spec.get("name", "scenario")),
-            duration_s=float(spec["duration_s"]),
+            duration_s=_number(spec["duration_s"], float),
             traffic=spec.get("traffic"),
-            seed=int(spec.get("seed", 0)),
-            warmup_s=float(spec.get("warmup_s", 0.0)),
+            seed=_number(spec.get("seed", 0), int),
+            warmup_s=_number(spec.get("warmup_s", 0.0), float),
             llm=str(spec.get("llm", cls.llm)),
             profile=str(spec.get("profile", cls.profile)),
-            pods=int(spec.get("pods", cls.pods)),
-            max_batch_weight=int(spec.get("max_batch_weight", cls.max_batch_weight)),
+            pods=_number(spec.get("pods", cls.pods), int),
+            max_batch_weight=_number(
+                spec.get("max_batch_weight", cls.max_batch_weight), int
+            ),
             workload=dict(spec.get("workload") or {}),
             router=spec.get("router", "least-loaded"),
             admission=spec.get("admission"),
             autoscaler=spec.get("autoscaler"),
-            slo_ttft_ms=(float(spec["slo_ttft_ms"]) if "slo_ttft_ms" in spec else None),
+            slo_ttft_ms=_number(spec.get("slo_ttft_ms"), float),
             faults=spec.get("faults"),
             tenants=[dict(t) for t in spec.get("tenants") or []],
-            capacity={str(k): int(v) for k, v in (spec.get("capacity") or {}).items()},
+            capacity={
+                str(k): _number(v, int) for k, v in (spec.get("capacity") or {}).items()
+            },
             cloud=spec.get("cloud"),
             expectations=spec.get("expectations"),
         )
@@ -284,20 +304,37 @@ class ScenarioSpec:
             if not ok:
                 errors.append(message)
 
-        require(
-            self.duration_s > 0,
-            f"duration_s must be positive, got {self.duration_s}",
-        )
-        require(self.warmup_s >= 0, f"warmup_s must be >= 0, got {self.warmup_s}")
-        require(self.pods >= 1, f"pods must be >= 1, got {self.pods}")
+        numeric = [(key, getattr(self, key)) for key in _NUMBER_KEYS]
+        numeric += [(f"capacity[{gpu}]", n) for gpu, n in self.capacity.items()]
+        for i, tenant in enumerate(self.tenants):
+            where = f"tenant {tenant['name']!r}" if "name" in tenant else f"tenant[{i}]"
+            numeric += [
+                (f"{where} {key}", tenant[key])
+                for key in _TENANT_NUMBER_KEYS
+                if key in tenant
+            ]
+        for name, value in numeric:
+            # A null SLO means no SLO, exactly like an absent one.
+            if value is None and name.endswith("slo_ttft_ms"):
+                continue
+            require(_is_number(value), f"{name} must be a number, got {value!r}")
+        # Range checks apply to numbers only; the rest failed above.
+        if _is_number(self.duration_s):
+            require(
+                self.duration_s > 0,
+                f"duration_s must be positive, got {self.duration_s}",
+            )
+        if _is_number(self.warmup_s):
+            require(self.warmup_s >= 0, f"warmup_s must be >= 0, got {self.warmup_s}")
+        if _is_number(self.pods):
+            require(self.pods >= 1, f"pods must be >= 1, got {self.pods}")
         check(_check_keys, self.workload, _WORKLOAD_KEYS, "workload")
         check(self._validate_faults, self.faults, "scenario faults")
         check(self._validate_cloud)
         check(self._validate_expectations)
         if self.cloud is not None and not self.tenants:
             errors.append(
-                "a cloud section needs tenants: bursting is a cluster "
-                "decision (single fleets use HybridCapacity directly)"
+                "a cloud section needs tenants: bursting is a cluster decision"
             )
         if self.tenants:
             require(

@@ -13,10 +13,9 @@ The central contracts:
   exactly as before the tier existed.
 """
 
-import math
-
 import pytest
 
+from repro.cluster import Deployment
 from repro.hardware import (
     CloudCatalog,
     CloudInstanceType,
@@ -26,7 +25,12 @@ from repro.hardware import (
 )
 from repro.inference import ContinuousBatchingEngine
 from repro.models import get_llm
-from repro.recommendation import CostObjective, LinearSLOPenalty
+from repro.recommendation import (
+    CostObjective,
+    ElasticCandidate,
+    ElasticRecommender,
+    LinearSLOPenalty,
+)
 from repro.simulation import (
     Autoscaler,
     AutoscaleConfig,
@@ -38,12 +42,12 @@ from repro.simulation import (
     FaultInjector,
     FaultSpec,
     FleetSimulator,
-    HybridCapacity,
     LeastLoadedRouter,
     PoissonTraffic,
     RequestSource,
     TenantGroup,
     ThresholdPolicy,
+    bind_hybrid_capacity,
     spot_preemption_specs,
 )
 from repro.simulation.reference import ReferenceClusterSimulator
@@ -88,6 +92,19 @@ def _fleet(generator, name, rate, seed, autoscaler=None, n_pods=1, faults=None):
         pod_factory=factory,
         faults=faults,
     )
+
+
+def _bind_hybrid(fleet, on_prem_pods, policy):
+    """Seat ``fleet`` on a private owned tier of ``on_prem_pods`` pods.
+
+    Overflow rents from a fresh ledger, through the binder cluster
+    tenants use; returns the ledger.
+    """
+    owned = ClusterInventory(capacity={GPU: on_prem_pods * PROFILE.count})
+    owned.allocate(PROFILE.name, len(fleet.pods))
+    ledger = CloudLedger(aws_like_cloud_catalog(), seed=0)
+    bind_hybrid_capacity(fleet, "fleet", PROFILE.name, owned, ledger, policy)
+    return ledger
 
 
 def _burst_cluster(generator, *, capacity=2, cloud=None, burst=None, fast=True,
@@ -419,23 +436,16 @@ class TestSpotPreemptionMidDrain:
         fleet = _fleet(
             generator, "mid-drain", 6.0, 5, autoscaler=scaler, faults=faults
         )
-        hybrid = HybridCapacity(
-            1,
-            CloudLedger(aws_like_cloud_catalog(), seed=0),
-            BurstPolicy(mode="spot"),
-            PROFILE.name,
-        )
-        hybrid.bind(fleet)
+        ledger = _bind_hybrid(fleet, 1, BurstPolicy(mode="spot"))
         res = fleet.run(duration_s=40.0, keep_samples=False)
         events = [e for e in res.fault_events if e.kind == "spot-preempt"]
         assert [e.pod for e in events] == [2]
         assert 2 in fleet.cloud_serials
         res.verify_conservation()
         # The reclaim returned the rented capacity to the ledger.
-        assert hybrid.ledger.held_pods("fleet") == 0
+        assert ledger.held_pods("fleet") == 0
         assert any(
-            e.reason == "spot-preempt" and e.delta < 0
-            for e in hybrid.ledger.events
+            e.reason == "spot-preempt" and e.delta < 0 for e in ledger.events
         )
 
 
@@ -467,27 +477,30 @@ class TestSingleTenantEquivalence:
 
 class TestHybridCapacity:
     def test_initial_fleet_must_fit_the_owned_tier(self, generator):
-        fleet = _fleet(generator, "big", 1.0, 0, n_pods=3)
-        hybrid = HybridCapacity(
-            2,
-            CloudLedger(aws_like_cloud_catalog(), seed=0),
-            BurstPolicy(),
-            PROFILE.name,
+        deployment = Deployment(
+            llm=LLM, profile=PROFILE, n_pods=1, max_batch_weight=WEIGHT,
+            generator=generator,
+        )
+        recommender = ElasticRecommender(
+            deployment,
+            lambda: PoissonTraffic(1.0, rng=derive_rng(0, "owned-tier")),
+            CostObjective(
+                aws_like_pricing(),
+                LinearSLOPenalty(slo_p95_ttft_s=10.0),
+                cloud=aws_like_cloud_catalog(),
+            ),
+            slo_p95_ttft_s=10.0,
+            duration_s=10.0,
+            on_prem_pods=2,
         )
         with pytest.raises(ValueError, match="exceeds the 2-pod on-prem tier"):
-            hybrid.bind(fleet)
+            recommender.evaluate(ElasticCandidate("static", 3, 3))
 
     def test_hybrid_fleet_bills_cloud_seconds(self, generator):
         fleet = _fleet(
             generator, "hybrid", 8.0, 1, autoscaler=_scaler(max_pods=5)
         )
-        hybrid = HybridCapacity(
-            2,
-            CloudLedger(aws_like_cloud_catalog(), seed=0),
-            BurstPolicy(),
-            PROFILE.name,
-        )
-        hybrid.bind(fleet)
+        _bind_hybrid(fleet, 2, BurstPolicy())
         res = fleet.run(duration_s=60.0, keep_samples=False)
         res.verify_conservation()
         assert res.cloud_pod_seconds > 0
@@ -504,13 +517,7 @@ class TestCostObjectiveMixedBill:
         fleet = _fleet(
             generator, "bill", 8.0, 1, autoscaler=_scaler(max_pods=5)
         )
-        hybrid = HybridCapacity(
-            2,
-            CloudLedger(aws_like_cloud_catalog(), seed=0),
-            BurstPolicy(mode="spot"),
-            PROFILE.name,
-        )
-        hybrid.bind(fleet)
+        _bind_hybrid(fleet, 2, BurstPolicy(mode="spot"))
         return fleet.run(duration_s=60.0, keep_samples=False)
 
     def test_mixed_bill_prices_each_tier(self, generator):

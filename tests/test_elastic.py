@@ -26,7 +26,9 @@ from repro.recommendation.recommender import ProfileAssessment
 from repro.simulation import (
     Autoscaler,
     AutoscaleConfig,
+    BurstPolicy,
     BurstyTraffic,
+    DiurnalTraffic,
     PoissonTraffic,
     ThresholdPolicy,
 )
@@ -297,6 +299,53 @@ class TestElasticRecommender:
                 slo_p95_ttft_s=self.SLO,
                 duration_s=60.0,
             )
+
+
+class TestHybridSweepPin:
+    """A hybrid sweep end to end: a 2-pod owned tier, overflow rented
+    from the catalog. The chosen point and its mixed bill were recorded
+    at the session fixtures' seeds; a change to the capacity binding or
+    the event loop that moves them is a behaviour change."""
+
+    SLO = 10.0
+    ON_PREM = 2
+
+    def _recommend(self, generator, mode):
+        return ElasticRecommender(
+            _deployment(generator),
+            lambda: DiurnalTraffic(
+                2.5, rng=derive_rng(0, "hybrid-pin"), period_s=180.0
+            ),
+            CostObjective(
+                PRICING,
+                LinearSLOPenalty(self.SLO, penalty_per_hour=100.0),
+                cloud=aws_like_cloud_catalog(),
+                cloud_mode=mode,
+            ),
+            slo_p95_ttft_s=self.SLO,
+            duration_s=180.0,
+            decision_interval_s=10.0,
+            cold_start_s=5.0,
+            metrics_window_s=15.0,
+            on_prem_pods=self.ON_PREM,
+            burst=BurstPolicy(mode=mode, max_cloud_pods=3),
+        ).recommend(search_max=6)
+
+    @pytest.mark.parametrize(
+        "mode, label, total_cost",
+        [
+            ("on-demand", "predictive[1..4]", 0.6651416535126915),
+            ("spot", "predictive[1..4]", 0.4278830389972961),
+        ],
+    )
+    def test_sweep_pinned(self, generator, mode, label, total_cost):
+        rec = self._recommend(generator, mode)
+        assert any(p.result.cloud_pod_seconds > 0 for p in rec.curve)
+        static = [p for p in rec.curve if p.policy == "static"]
+        assert static
+        assert all(p.min_pods <= self.ON_PREM for p in static)
+        assert rec.chosen.label == label
+        assert rec.chosen.total_cost == total_cost
 
 
 class TestToolElasticWiring:

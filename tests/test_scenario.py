@@ -169,6 +169,44 @@ class TestValidation:
         assert "unknown router" in msg
         assert msg.count(";") >= 2
 
+    def test_numeric_fields_reject_strings_and_bools(self):
+        spec = cluster_spec(
+            duration_s="30",
+            warmup_s=False,
+            seed="1",
+            pods=True,
+            max_batch_weight="9000",
+            slo_ttft_ms="500",
+            capacity={"A10-24GB": "3"},
+            router="nope",
+        )
+        spec["tenants"][0].update(pods="2", slo_ttft_ms=True)
+        spec["tenants"][1]["max_batch_weight"] = "100"
+        with pytest.raises(ValueError) as exc_info:
+            ScenarioSpec.from_dict(spec)
+        errors = str(exc_info.value).split("; ")
+        # One error per bad field, each naming the field (and tenant),
+        # joined with the spec's other problems into one ValueError.
+        assert errors[:10] == [
+            "duration_s must be a number, got '30'",
+            "warmup_s must be a number, got False",
+            "seed must be a number, got '1'",
+            "pods must be a number, got True",
+            "max_batch_weight must be a number, got '9000'",
+            "slo_ttft_ms must be a number, got '500'",
+            "capacity[A10-24GB] must be a number, got '3'",
+            "tenant 'chat' pods must be a number, got '2'",
+            "tenant 'chat' slo_ttft_ms must be a number, got True",
+            "tenant 'batch' max_batch_weight must be a number, got '100'",
+        ]
+        assert any("unknown router" in e for e in errors[10:])
+        with pytest.raises(ValueError, match="duration_s must be a number"):
+            ScenarioSpec.from_dict(fleet_spec(duration_s="abc"))
+
+    def test_null_slo_means_no_slo(self):
+        spec = ScenarioSpec.from_dict(fleet_spec(slo_ttft_ms=None))
+        assert spec.slo_ttft_ms is None
+
 
 FAULTS_SECTION = {
     "seed": 3,
