@@ -179,15 +179,13 @@ class CloudCatalog:
         """Account-level GPU cap for this type (``None`` = unmetered)."""
         return self.instance(gpu_name).quota_gpus
 
+    def quotas(self) -> dict[str, int | None]:
+        """Account-level GPU cap of every rentable type (``None`` = unmetered)."""
+        return {gpu: inst.quota_gpus for gpu, inst in self.instances.items()}
+
     def spot_interruptions_per_hour(self, gpu_name: str) -> float:
         """Mean spot preemptions per instance-hour for this type."""
         return self.instance(gpu_name).spot_interruptions_per_hour
-
-    def with_instance(self, instance: CloudInstanceType) -> "CloudCatalog":
-        """A copy of the catalog with one instance type added/replaced."""
-        table = dict(self.instances)
-        table[instance.gpu] = instance
-        return CloudCatalog(instances=table)
 
 
 #: Cloud rental multipliers over the on-prem table: on-demand rents at the

@@ -215,17 +215,6 @@ class ContinuousBatchingEngine:
                 return self._prefill(admitted)
         return self._decode()
 
-    def run_until(self, t_end: float, max_steps: int | None = None) -> list[RequestResult]:
-        """Step until virtual time reaches ``t_end`` or work runs out."""
-        completed: list[RequestResult] = []
-        steps = 0
-        while self._time < t_end and self.has_work():
-            completed.extend(self.step())
-            steps += 1
-            if max_steps is not None and steps >= max_steps:
-                break
-        return completed
-
     def itl_samples(self) -> np.ndarray:
         """All client-observed inter-token gaps recorded so far.
 

@@ -42,13 +42,12 @@ class InferenceRequest:
 
 @dataclass
 class RequestResult:
-    """Completion record with per-token arrival timestamps (client side)."""
+    """Completion record of one request (client-side timestamps)."""
 
     request: InferenceRequest
     submitted_at: float
     first_token_at: float
     finished_at: float
-    token_times: list[float] = field(default_factory=list)
 
     @property
     def ttft(self) -> float:
@@ -56,17 +55,5 @@ class RequestResult:
         return self.first_token_at - self.submitted_at
 
     @property
-    def normalized_ttft(self) -> float:
-        """TTFT divided by the number of input tokens (paper's nTTFT)."""
-        return self.ttft / self.request.input_tokens
-
-    @property
     def e2e_latency(self) -> float:
         return self.finished_at - self.submitted_at
-
-    def inter_token_latencies(self) -> list[float]:
-        """Gaps between successive output tokens, excluding the first token."""
-        return [
-            self.token_times[i] - self.token_times[i - 1]
-            for i in range(1, len(self.token_times))
-        ]

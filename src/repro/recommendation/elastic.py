@@ -476,8 +476,8 @@ class ElasticRecommender:
     owned tier — the first ``on_prem_pods`` provisioned pods are owned,
     overflow rents from the objective's cloud catalog under ``burst``
     (default: an unbounded :class:`~repro.simulation.cloud.BurstPolicy`
-    in the objective's ``cloud_mode``) — and scored against the mixed
-    bill.
+    in the objective's ``cloud_mode``, the only mode a given policy may
+    rent in) — and scored against the mixed bill.
     """
 
     def __init__(
@@ -510,6 +510,12 @@ class ElasticRecommender:
                     "a hybrid sweep (on_prem_pods set) needs a cloud "
                     "catalog to rent overflow from; construct the "
                     "objective with CostObjective(cloud=...)"
+                )
+            if burst is not None and burst.mode != objective.cloud_mode:
+                raise ValueError(
+                    f"the burst policy rents in {burst.mode!r} mode but the "
+                    f"objective prices rentals at {objective.cloud_mode!r}; "
+                    "give both the same cloud mode"
                 )
         elif burst is not None:
             raise ValueError(

@@ -67,7 +67,6 @@ from repro.simulation.autoscale import (
 from repro.simulation.cloud import (
     BurstPolicy,
     CloudLedger,
-    CloudUsageEvent,
     bind_hybrid_capacity,
     spot_preemption_specs,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "WeightAwareRouter",
     "BurstPolicy",
     "CloudLedger",
-    "CloudUsageEvent",
     "bind_hybrid_capacity",
     "spot_preemption_specs",
     "ClusterInventory",

@@ -8,10 +8,12 @@ queueing on-prem. This module carries the pieces the cluster loop needs:
 * a :class:`BurstPolicy` decides, per denied/clipped scale-up, how many
   of the missing pods to rent — bounded by a pod cap and a price cap,
   under one purchasing mode (on-demand / spot / reserved);
-* a :class:`CloudLedger` is the rented-capacity counterpart of the
-  on-prem inventory: per-GPU-type usage against the catalog's account
-  quotas, every change recorded as a :class:`CloudUsageEvent` so mixed
-  bills and conservation checks can replay it after the run;
+* a :class:`CloudLedger` pairs a catalog with the seed of its spot
+  schedules; what is rented is a second
+  :class:`~repro.simulation.cluster.ClusterInventory` whose capacity is
+  the catalog's account quotas (``None`` = unmetered), so every rental
+  and return is an :class:`~repro.simulation.cluster.InventoryEvent`
+  that mixed bills and conservation checks replay like on-prem ones;
 * :func:`spot_preemption_specs` expands a catalog's spot-interruption
   rate into a seeded Poisson schedule of ``"spot-preempt"``
   :class:`~repro.simulation.faults.FaultSpec`\\ s, which flow through the
@@ -44,7 +46,6 @@ if TYPE_CHECKING:  # import cycle: the cluster module imports this one
 
 __all__ = [
     "BurstPolicy",
-    "CloudUsageEvent",
     "CloudLedger",
     "bind_hybrid_capacity",
     "spot_preemption_specs",
@@ -92,10 +93,11 @@ class BurstPolicy:
         """How many of ``shortfall`` missing pods this policy rents.
 
         ``held_cloud_pods`` is what the tenant already rents (counted
-        against ``max_cloud_pods``); ``pod_price_per_hour`` is the
-        catalog's pod-hour price under :attr:`mode`, checked against the
-        price cap. The account quota is the ledger's business, not the
-        policy's — the ledger clips the returned ask further.
+        against ``max_cloud_pods``; :func:`bind_hybrid_capacity` keeps
+        the count); ``pod_price_per_hour`` is the catalog's pod-hour
+        price under :attr:`mode`, checked against the price cap. The
+        account quota is the ledger's business, not the policy's — the
+        binder clips the returned ask to the quota's headroom.
         """
         if shortfall <= 0:
             return 0
@@ -110,123 +112,29 @@ class BurstPolicy:
         return ask
 
 
-@dataclass(frozen=True)
-class CloudUsageEvent:
-    """One attributed change of rented cloud capacity, on the shared clock.
-
-    The cloud-tier mirror of
-    :class:`~repro.simulation.cluster.InventoryEvent`: ``delta`` counts
-    GPUs of type ``gpu`` (positive = rented, negative = returned),
-    ``mode`` the purchasing mode, and ``reason`` is ``"burst"`` for
-    rentals, ``"scale-down"`` for returns from cancelled cold starts and
-    retired pods, and ``"spot-preempt"`` when the provider reclaimed the
-    instance.
-    """
-
-    time_s: float
-    tenant: str
-    gpu: str
-    delta: int
-    mode: str
-    reason: str
-
-
 @dataclass
 class CloudLedger:
-    """Rented capacity, by GPU type, against the catalog's account quotas.
+    """A cloud catalog, the capacity rented from it, and the spot seed.
 
-    The elastic counterpart of the on-prem inventory ledger: usage may
-    grow without bound for unmetered types, a type with ``quota_gpus``
-    set clips every rental at the account cap, and each tenant's
-    currently-rented pod count is tracked so burst policies can enforce
-    per-tenant caps. ``seed`` drives the spot-preemption schedules
-    derived from this ledger's catalog.
+    :attr:`rented` is a :class:`~repro.simulation.cluster.ClusterInventory`
+    whose capacity per GPU type is the catalog's account quota (``None``
+    = unmetered; types the provider does not rent have no capacity), so
+    renting past a quota raises exactly like over-allocating owned GPUs.
+    Rentals and returns are its
+    :class:`~repro.simulation.cluster.InventoryEvent`\\ s, with reasons
+    ``"burst"``, ``"scale-down"`` and ``"spot-preempt"``; each tenant's
+    purchasing mode lives on its :class:`BurstPolicy`. ``seed`` drives
+    the spot-preemption schedules derived from the catalog.
     """
 
     catalog: CloudCatalog
     seed: int = 0
-    used: dict[str, int] = field(default_factory=dict)
-    events: list[CloudUsageEvent] = field(default_factory=list)
-    held: dict[str, int] = field(default_factory=dict)
+    rented: ClusterInventory = field(init=False)
 
-    def available_gpus(self, gpu_name: str) -> int | None:
-        """GPUs of this type still rentable (``None`` = unmetered)."""
-        if not self.catalog.offers(gpu_name):
-            return 0
-        quota = self.catalog.quota_gpus(gpu_name)
-        if quota is None:
-            return None
-        return max(0, quota - self.used.get(gpu_name, 0))
+    def __post_init__(self) -> None:
+        from repro.simulation.cluster import ClusterInventory  # import cycle
 
-    def fillable_pods(self, profile_name: str) -> int:
-        """How many whole pods of ``profile_name`` the quota still fills.
-
-        Unmetered types report a practically-unbounded count; types the
-        provider does not rent at all report 0.
-        """
-        profile = parse_profile(profile_name)
-        headroom = self.available_gpus(profile.gpu.name)
-        if headroom is None:
-            return 1 << 30
-        return headroom // profile.count
-
-    def held_pods(self, tenant: str) -> int:
-        """Pods this tenant currently rents (all purchasing modes)."""
-        return self.held.get(tenant, 0)
-
-    def allocate(
-        self,
-        profile_name: str,
-        pods: int,
-        tenant: str,
-        time_s: float,
-        mode: str,
-        reason: str = "burst",
-    ) -> None:
-        """Rent ``pods`` pods' worth of GPUs (raises past the quota)."""
-        profile = parse_profile(profile_name)
-        need = profile.count * pods
-        headroom = self.available_gpus(profile.gpu.name)
-        if headroom is not None and need > headroom:
-            raise ValueError(
-                f"cloud quota exceeded for {profile.gpu.name}: need {need}, "
-                f"quota headroom {headroom}"
-            )
-        if need:
-            self.used[profile.gpu.name] = (
-                self.used.get(profile.gpu.name, 0) + need
-            )
-            self.held[tenant] = self.held.get(tenant, 0) + pods
-            self.events.append(
-                CloudUsageEvent(
-                    time_s, tenant, profile.gpu.name, need, mode, reason
-                )
-            )
-
-    def release(
-        self,
-        profile_name: str,
-        pods: int,
-        tenant: str,
-        time_s: float,
-        mode: str,
-        reason: str = "scale-down",
-    ) -> None:
-        """Return ``pods`` pods' worth of GPUs (the inverse of allocate)."""
-        profile = parse_profile(profile_name)
-        need = profile.count * pods
-        if self.used.get(profile.gpu.name, 0) < need:
-            raise ValueError("returning more cloud GPUs than rented")
-        if self.held.get(tenant, 0) < pods:
-            raise ValueError(f"tenant {tenant!r} returns pods it never rented")
-        if need:
-            self.used[profile.gpu.name] -= need
-            self.held[tenant] -= pods
-            self.events.append(
-                CloudUsageEvent(
-                    time_s, tenant, profile.gpu.name, -need, mode, reason
-                )
-            )
+        self.rented = ClusterInventory(capacity=self.catalog.quotas())
 
 
 def spot_preemption_specs(
@@ -268,7 +176,7 @@ def bind_hybrid_capacity(
     fleet: FleetSimulator,
     tenant: str,
     profile_name: str,
-    inventory: "ClusterInventory",
+    inventory: ClusterInventory,
     cloud: CloudLedger | None,
     policy: BurstPolicy | None,
 ) -> None:
@@ -284,11 +192,19 @@ def bind_hybrid_capacity(
     covered by bursting records no ``denied``/``clipped`` constraint —
     the tenant got every pod it asked for, just not for free. Releases
     return rented serials to ``cloud`` and the rest to ``inventory``.
+    The binder counts the pods the tenant rents, for the policy's
+    per-tenant cap.
     """
     profile = parse_profile(profile_name)
+    rented_pods = 0
+
+    def fill(ledger: ClusterInventory, ask: int) -> int:
+        free = ledger.fillable_pods(profile_name)
+        return ask if free is None else min(ask, free)  # None: unmetered
 
     def acquire(want: int, t: float) -> int:
-        grant = min(want, inventory.fillable_pods(profile_name))
+        nonlocal rented_pods
+        grant = fill(inventory, want)
         burst = 0
         shortfall = want - grant
         if (
@@ -297,8 +213,8 @@ def bind_hybrid_capacity(
             and cloud.catalog.offers(profile.gpu.name)
         ):
             price = cloud.catalog.pod_cost(profile, policy.mode)
-            ask = policy.burst_pods(shortfall, cloud.held_pods(tenant), price)
-            burst = min(ask, cloud.fillable_pods(profile_name))
+            ask = policy.burst_pods(shortfall, rented_pods, price)
+            burst = fill(cloud.rented, ask)
             if burst > 0:
                 # Serials are assigned sequentially after this grant
                 # returns: the first ``grant`` new pods sit on-prem, the
@@ -308,9 +224,10 @@ def bind_hybrid_capacity(
                 # idles).
                 start = fleet.next_serial + grant
                 fleet.mark_cloud(range(start, start + burst))
-                cloud.allocate(
-                    profile_name, burst, tenant=tenant, time_s=t, mode=policy.mode
+                cloud.rented.allocate(
+                    profile_name, burst, tenant=tenant, time_s=t, reason="burst"
                 )
+                rented_pods += burst
         if grant > 0:
             inventory.allocate(
                 profile_name, grant, tenant=tenant, time_s=t, reason="scale-up"
@@ -323,22 +240,25 @@ def bind_hybrid_capacity(
         serials: list[int] | None = None,
         reason: str = "scale-down",
     ) -> None:
-        rented = 0
+        nonlocal rented_pods
+        returned = 0
         if serials is not None and fleet.cloud_serials:
-            rented = sum(1 for s in serials if s in fleet.cloud_serials)
-        if rented:
-            cloud.release(
+            returned = sum(1 for s in serials if s in fleet.cloud_serials)
+        if returned:
+            if returned > rented_pods:
+                raise ValueError(f"tenant {tenant!r} returns pods it never rented")
+            cloud.rented.release(
                 profile_name,
-                rented,
+                returned,
                 tenant=tenant,
                 time_s=t,
-                mode=policy.mode,
                 reason=reason if reason == "spot-preempt" else "scale-down",
             )
-        if pods - rented:
+            rented_pods -= returned
+        if pods - returned:
             inventory.release(
                 profile_name,
-                pods - rented,
+                pods - returned,
                 tenant=tenant,
                 time_s=t,
                 reason="scale-down",

@@ -8,10 +8,11 @@ answers the dynamic question: what happens to each tenant's latency,
 throughput and bill when their autoscalers compete for the same finite
 GPUs *in time*.
 
-* :class:`ClusterInventory` is the finite per-GPU-type ledger,
-  generalized from the scheduler's static packing state into a
-  clock-aware resource ledger whose allocations and releases are
-  recorded as :class:`InventoryEvent`\\ s;
+* :class:`ClusterInventory` is the per-GPU-type ledger, generalized
+  from the scheduler's static packing state into a clock-aware resource
+  ledger whose allocations and releases are recorded as
+  :class:`InventoryEvent`\\ s — the owned GPUs tenants share, and the
+  cloud tier's rented GPUs (:class:`~repro.simulation.cloud.CloudLedger`);
 * a :class:`TenantGroup` embeds one tenant's
   :class:`~repro.simulation.fleet.FleetSimulator` — its own traffic
   model, router, admission controller and autoscaler — in the cluster
@@ -47,7 +48,6 @@ from repro.hardware.profile import parse_profile
 from repro.simulation.cloud import (
     BurstPolicy,
     CloudLedger,
-    CloudUsageEvent,
     bind_hybrid_capacity,
     spot_preemption_specs,
 )
@@ -72,7 +72,9 @@ class InventoryEvent:
     ``delta`` counts GPUs of type ``gpu`` (positive = allocated,
     negative = released); ``reason`` is ``"initial"`` for the t=0 tenant
     allocation, ``"scale-up"`` for autoscaler grants and ``"scale-down"``
-    for cancelled cold starts and retired pods.
+    for cancelled cold starts and retired pods. On the cloud tier's
+    ledger rentals are ``"burst"`` and a pod the provider reclaimed is
+    returned as ``"spot-preempt"``.
     """
 
     time_s: float
@@ -84,39 +86,47 @@ class InventoryEvent:
 
 @dataclass
 class ClusterInventory:
-    """Finite GPU inventory, by GPU type name.
+    """GPU inventory, by GPU type name.
 
     Doubles as the static packing state of the multi-tenant scheduler
     (anonymous :meth:`allocate`/:meth:`release`, e.g. during the
     best-fit search) and as the clock-aware ledger of the cluster
     co-simulation: calls that name a ``tenant`` are stamped with virtual
     time and appended to :attr:`events`, so occupancy over time is
-    reconstructible after a run.
+    reconstructible after a run. The same class books both tiers: the
+    owned GPUs, and the cloud GPUs a
+    :class:`~repro.simulation.cloud.CloudLedger` rents, whose capacity
+    is the catalog's account quota. A ``None`` capacity is unmetered;
+    a type absent from :attr:`capacity` has none.
     """
 
-    capacity: dict[str, int]
+    capacity: dict[str, int | None]
     used: dict[str, int] = field(default_factory=dict)
     events: list[InventoryEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         for name, count in self.capacity.items():
-            if count < 0:
+            if count is not None and count < 0:
                 raise ValueError(f"negative capacity for {name}")
             self.used.setdefault(name, 0)
 
-    def available(self, gpu_name: str) -> int:
-        """GPUs of this type not currently allocated."""
-        return self.capacity.get(gpu_name, 0) - self.used.get(gpu_name, 0)
+    def available(self, gpu_name: str) -> int | None:
+        """GPUs of this type not currently allocated (``None``: unmetered)."""
+        cap = self.capacity.get(gpu_name, 0)
+        return None if cap is None else cap - self.used.get(gpu_name, 0)
 
     def can_fit(self, profile_name: str, pods: int) -> bool:
         """Would ``pods`` pods of ``profile_name`` fit the remaining stock?"""
         profile = parse_profile(profile_name)
-        return self.available(profile.gpu.name) >= profile.count * pods
+        free = self.available(profile.gpu.name)
+        return free is None or free >= profile.count * pods
 
-    def fillable_pods(self, profile_name: str) -> int:
-        """How many whole pods of ``profile_name`` the remaining stock fills."""
+    def fillable_pods(self, profile_name: str) -> int | None:
+        """How many whole pods of ``profile_name`` the remaining stock
+        fills (``None``: unmetered)."""
         profile = parse_profile(profile_name)
-        return self.available(profile.gpu.name) // profile.count
+        free = self.available(profile.gpu.name)
+        return None if free is None else free // profile.count
 
     def allocate(
         self,
@@ -134,10 +144,11 @@ class ClusterInventory:
         """
         profile = parse_profile(profile_name)
         need = profile.count * pods
-        if self.available(profile.gpu.name) < need:
+        free = self.available(profile.gpu.name)
+        if free is not None and free < need:
             raise ValueError(
                 f"cannot allocate {need} x {profile.gpu.name}: only "
-                f"{self.available(profile.gpu.name)} available"
+                f"{free} available"
             )
         self.used[profile.gpu.name] = self.used.get(profile.gpu.name, 0) + need
         if tenant and need:
@@ -219,10 +230,10 @@ class ClusterResult:
     sim_events: int = 0
     wall_time_s: float = 0.0
     # Cloud-burst tier (absent on pure on-prem runs): the rented-capacity
-    # event ledger, the catalog prices were taken from, and each
-    # bursting tenant's purchasing mode (tenants without a burst policy
-    # are absent from the mapping).
-    cloud_events: list[CloudUsageEvent] = field(default_factory=list, repr=False)
+    # event ledger, the catalog prices and quotas were taken from, and
+    # each bursting tenant's purchasing mode (tenants without a burst
+    # policy are absent from the mapping).
+    cloud_events: list[InventoryEvent] = field(default_factory=list, repr=False)
     cloud_catalog: CloudCatalog | None = None
     cloud_modes: dict[str, str] = field(default_factory=dict)
 
@@ -239,11 +250,6 @@ class ClusterResult:
         if self.wall_time_s <= 0.0:
             return 0.0
         return self.sim_events / self.wall_time_s
-
-    @property
-    def pod_seconds_total(self) -> float:
-        """Provisioned pod-seconds summed over every tenant."""
-        return sum(r.pod_seconds for r in self.results.values())
 
     @property
     def arrivals_total(self) -> int:
@@ -476,10 +482,7 @@ class ClusterResult:
                 "cloud_pod_seconds_total": sum(
                     r.cloud_pod_seconds for r in self.results.values()
                 ),
-                "quota_gpus": {
-                    gpu: self.cloud_catalog.quota_gpus(gpu)
-                    for gpu in sorted(self.cloud_catalog.instances)
-                },
+                "quota_gpus": dict(sorted(self.cloud_catalog.quotas().items())),
             }
         occupancy = {}
         for gpu in sorted(self.capacity):
@@ -549,47 +552,18 @@ class ClusterResult:
         """Raise if any tenant leaked requests or the ledger went wrong.
 
         Checks, in order: per-tenant request conservation (arrivals ==
-        admitted + shed == completed + in-flight + shed), the on-prem
-        ledger replay (occupancy never negative and never above capacity
-        at any event, in causal order), the cloud ledger replay (rented
-        GPUs never negative and never above the catalog's account quota),
-        and that each tenant's net allocated GPUs — on-prem plus rented —
-        equal what its still-provisioned pods occupy at the end.
+        admitted + shed == completed + in-flight + shed), the replay of
+        both ledgers — owned GPUs against the inventory's capacity,
+        rented GPUs against the catalog's account quotas — and that each
+        tenant's net allocated GPUs, on-prem plus rented, equal what its
+        still-provisioned pods occupy at the end.
         """
         for result in self.results.values():
             result.verify_conservation()
-        running = dict(self.base_used)
         net: dict[str, int] = {}
-        for event in self.events:
-            running[event.gpu] = running.get(event.gpu, 0) + event.delta
-            if running[event.gpu] < 0:
-                raise ValueError(
-                    f"inventory leak: {event.gpu} below zero at t={event.time_s}"
-                )
-            if running[event.gpu] > self.capacity.get(event.gpu, 0):
-                raise ValueError(
-                    f"inventory over-allocated: {event.gpu} at "
-                    f"{running[event.gpu]} > capacity "
-                    f"{self.capacity.get(event.gpu, 0)} at t={event.time_s}"
-                )
-            net[event.tenant] = net.get(event.tenant, 0) + event.delta
-        rented: dict[str, int] = {}
-        for event in self.cloud_events:
-            rented[event.gpu] = rented.get(event.gpu, 0) + event.delta
-            if rented[event.gpu] < 0:
-                raise ValueError(
-                    f"cloud ledger leak: {event.gpu} below zero at "
-                    f"t={event.time_s}"
-                )
-            if self.cloud_catalog is not None:
-                quota = self.cloud_catalog.quota_gpus(event.gpu)
-                if quota is not None and rented[event.gpu] > quota:
-                    raise ValueError(
-                        f"cloud quota exceeded: {event.gpu} at "
-                        f"{rented[event.gpu]} > quota {quota} at "
-                        f"t={event.time_s}"
-                    )
-            net[event.tenant] = net.get(event.tenant, 0) + event.delta
+        _replay_ledger("on-prem", self.events, self.base_used, self.capacity, net)
+        quotas = {} if self.cloud_catalog is None else self.cloud_catalog.quotas()
+        _replay_ledger("cloud", self.cloud_events, {}, quotas, net)
         for tenant in self.tenants:
             per_pod = parse_profile(self.profiles[tenant]).count
             holds = self.end_provisioned[tenant] * per_pod
@@ -598,6 +572,36 @@ class ClusterResult:
                     f"ledger mismatch for {tenant}: net allocation "
                     f"{net.get(tenant, 0)} != {holds} GPUs held at end"
                 )
+
+
+def _replay_ledger(
+    tier: str,
+    events: list[InventoryEvent],
+    base_used: dict[str, int],
+    capacity: dict[str, int | None],
+    net: dict[str, int],
+) -> None:
+    """Replay one ledger's events in causal order, adding into ``net``.
+
+    Usage starts at ``base_used`` and must stay within ``[0, capacity]``
+    at every event (``None`` capacity: unmetered); a violation raises
+    naming the ledger's ``tier``, the GPU type and the time. Each
+    event's delta also counts toward its tenant's ``net`` allocation.
+    """
+    running = dict(base_used)
+    for event in events:
+        used = running[event.gpu] = running.get(event.gpu, 0) + event.delta
+        cap = capacity.get(event.gpu, 0)
+        if used < 0:
+            raise ValueError(
+                f"{tier} ledger leak: {event.gpu} below zero at t={event.time_s}"
+            )
+        if cap is not None and used > cap:
+            raise ValueError(
+                f"{tier} ledger over capacity: {event.gpu} at {used} > "
+                f"{cap} at t={event.time_s}"
+            )
+        net[event.tenant] = net.get(event.tenant, 0) + event.delta
 
 
 class ClusterSimulator:
@@ -764,7 +768,7 @@ class ClusterSimulator:
             base_used=base_used,
             sim_events=sim_events,
             wall_time_s=wall_time_s,
-            cloud_events=[] if self.cloud is None else list(self.cloud.events),
+            cloud_events=[] if self.cloud is None else list(self.cloud.rented.events),
             cloud_catalog=None if self.cloud is None else self.cloud.catalog,
             cloud_modes={
                 name: policy.mode for name, policy in self._burst.items()

@@ -227,9 +227,6 @@ class MetricsCollector:
     def itl_stats(self) -> LatencyStats:
         return LatencyStats.from_samples(self._itl.values())
 
-    def e2e_stats(self) -> LatencyStats:
-        return LatencyStats.from_samples(self.e2e_samples())
-
     def ttft_p95_series(self, window_s: float = 10.0) -> tuple[np.ndarray, np.ndarray]:
         """(window_start_s, p95 TTFT) over fixed windows of record time.
 

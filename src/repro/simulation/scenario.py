@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -98,6 +99,7 @@ _AUTOSCALER_KEYS = set(
     "slo_ttft_ms target requests_per_pod_per_s".split()
 )
 _WORKLOAD_KEYS = {"traces", "requests"}
+_BOOTSTRAP_KEYS = {"n", "rate_per_s", "seed"}
 _FAULTS_KEYS = {"seed", "zones", "events"}
 _FAULT_EVENT_KEYS = {
     "crash": {"time_s", "pod", "mode", "restart_delay_s"},
@@ -116,10 +118,32 @@ _EXPECTATION_KEYS = set(
     "p95_ttft_ms_max slo_attainment_min cost_max_usd min_completed "
     "max_lost fast_oracle_parity".split()
 )
-#: Numeric fields at the top level and in a tenant entry (plus the
-#: values of ``capacity``).
-_NUMBER_KEYS = "duration_s warmup_s seed pods max_batch_weight slo_ttft_ms".split()
-_TENANT_NUMBER_KEYS = "pods max_batch_weight slo_ttft_ms".split()
+#: The numeric keys of each section, in report order (plus every value
+#: of ``capacity`` and ``cloud.quota``). Each must be a finite number, and
+#: a bool is not one; a key marked ``?`` may also be null, which the
+#: ``build_*`` methods read as absent.
+_NUMBER_KEYS = {
+    "scenario": "duration_s warmup_s seed pods max_batch_weight slo_ttft_ms?",
+    "tenant": "pods max_batch_weight slo_ttft_ms?",
+    "traffic": (
+        "users rate_per_s amplitude period_s phase_rad off_rate_per_s "
+        "mean_on_s mean_off_s"
+    ),
+    "replay": "speedup rate_per_s? horizon_s?",
+    "bootstrap": "n rate_per_s? seed",
+    "admission": "slo_ttft_ms window_s retry_delay_s max_defers",
+    "autoscaler": (
+        "min_pods max_pods interval_s cold_start_s metrics_window_s "
+        "slo_ttft_ms target requests_per_pod_per_s"
+    ),
+    "workload": "requests",
+    "faults": "seed zones",
+    "fault event": "time_s pod? restart_delay_s? duration_s? factor?",
+    "cloud": (
+        "max_cloud_pods? price_cap_per_pod_hour? spot_interruptions_per_hour? seed"
+    ),
+    "catalog": "on_demand spot reserved quota_gpus? spot_interruptions_per_hour",
+}
 
 
 def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
@@ -132,14 +156,43 @@ def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
 
 
 def _is_number(value) -> bool:
-    """A real number; a bool is not one (``true`` is not a pod count)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A finite real number; a bool is not one (``true`` is not a pod
+    count)."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def _number(value, cast):
     """``cast(value)`` for a number; anything else is kept for validation
     to reject by name — a string like ``"30"`` is never coerced."""
     return cast(value) if _is_number(value) else value
+
+
+def _numbers(section, kind: str, where: str):
+    """``(name, value)`` of each numeric key a ``kind`` section sets.
+
+    The keys are :data:`_NUMBER_KEYS`'s; a null on a ``?`` key reads as
+    absent and is skipped. A non-mapping yields nothing: its own shape
+    check reports it.
+    """
+    if isinstance(section, dict):
+        for key in _NUMBER_KEYS[kind].split():
+            name = key.rstrip("?")
+            if name in section and (section[name] is not None or name == key):
+                yield f"{where}{name}", section[name]
+
+
+def _number_errors(fields) -> list[str]:
+    """One error per ``(name, value)`` field that is not a finite number."""
+    return [
+        f"{name} must be {'finite' if isinstance(value, float) else 'a number'}"
+        f", got {value!r}"
+        for name, value in fields
+        if not _is_number(value)
+    ]
 
 
 def fault_event_spec(event: dict, where: str) -> FaultSpec:
@@ -159,6 +212,9 @@ def fault_event_spec(event: dict, where: str) -> FaultSpec:
         )
     if "time_s" not in event:
         raise ValueError(f"{where} needs a time_s")
+    errors = _number_errors(_numbers(event, "fault event", f"{where} "))
+    if errors:
+        raise ValueError("; ".join(errors))
 
     def optional(key, cast):
         return None if event.get(key) is None else cast(event[key])
@@ -304,20 +360,7 @@ class ScenarioSpec:
             if not ok:
                 errors.append(message)
 
-        numeric = [(key, getattr(self, key)) for key in _NUMBER_KEYS]
-        numeric += [(f"capacity[{gpu}]", n) for gpu, n in self.capacity.items()]
-        for i, tenant in enumerate(self.tenants):
-            where = f"tenant {tenant['name']!r}" if "name" in tenant else f"tenant[{i}]"
-            numeric += [
-                (f"{where} {key}", tenant[key])
-                for key in _TENANT_NUMBER_KEYS
-                if key in tenant
-            ]
-        for name, value in numeric:
-            # A null SLO means no SLO, exactly like an absent one.
-            if value is None and name.endswith("slo_ttft_ms"):
-                continue
-            require(_is_number(value), f"{name} must be a number, got {value!r}")
+        errors += _number_errors(self._number_fields())
         # Range checks apply to numbers only; the rest failed above.
         if _is_number(self.duration_s):
             require(
@@ -395,6 +438,43 @@ class ScenarioSpec:
         if errors:
             raise ValueError("; ".join(errors))
 
+    def _number_fields(self):
+        """``(name, value)`` of every numeric field the spec sets.
+
+        The top level first, then each tenant's overrides, each named by
+        section, tenant and key; fault events are checked by
+        :func:`fault_event_spec`.
+        """
+        owners = [("", vars(self))] + [
+            (f"tenant {t['name']!r} " if "name" in t else f"tenant[{i}] ", t)
+            for i, t in enumerate(self.tenants)
+        ]
+        for prefix, owner in owners:
+            yield from _numbers(owner, "tenant" if prefix else "scenario", prefix)
+            if not prefix:
+                yield from ((f"capacity[{g}]", n) for g, n in self.capacity.items())
+            traffic = owner.get("traffic")
+            if isinstance(traffic, dict):
+                kind = traffic.get("kind")
+                where = f"{prefix}traffic[{kind}] "
+                yield from _numbers(
+                    traffic, "replay" if kind == "replay" else "traffic", where
+                )
+                yield from _numbers(
+                    traffic.get("bootstrap"), "bootstrap", f"{where}bootstrap "
+                )
+            for kind in ("admission", "autoscaler", "workload", "faults"):
+                yield from _numbers(owner.get(kind), kind, f"{prefix}{kind} ")
+        cloud = self.cloud if isinstance(self.cloud, dict) else {}
+        yield from _numbers(cloud, "cloud", "cloud ")
+        quota = cloud.get("quota")
+        if isinstance(quota, dict):
+            yield from ((f"cloud quota[{g}]", n) for g, n in quota.items())
+        catalog = cloud.get("catalog")
+        if isinstance(catalog, dict):
+            for gpu, entry in catalog.items():
+                yield from _numbers(entry, "catalog", f"cloud catalog[{gpu}] ")
+
     @staticmethod
     def _validate_traffic(traffic: dict | None, where: str) -> None:
         if not isinstance(traffic, dict) or "kind" not in traffic:
@@ -426,6 +506,13 @@ class ScenarioSpec:
                     f"replay 'llm' in {where} only applies to a 'trace' "
                     "source (CSV/JSONL logs are already per-service)"
                 )
+            boot = traffic.get("bootstrap")
+            if boot is not None:
+                if not isinstance(boot, dict) or "n" not in boot:
+                    raise ValueError(
+                        f"replay bootstrap in {where} needs a mapping with an 'n'"
+                    )
+                _check_keys(boot, _BOOTSTRAP_KEYS, f"{where} replay bootstrap")
 
     @staticmethod
     def _validate_faults(section: dict | None, where: str) -> None:
@@ -434,8 +521,9 @@ class ScenarioSpec:
         if not isinstance(section, dict):
             raise ValueError(f"{where} must be a mapping, got {type(section)}")
         _check_keys(section, _FAULTS_KEYS, where)
-        if int(section.get("zones", 1)) < 1:
-            raise ValueError(f"{where} zones must be >= 1, got {section['zones']}")
+        zones = section.get("zones", 1)
+        if _is_number(zones) and zones < 1:
+            raise ValueError(f"{where} zones must be >= 1, got {zones}")
         events = section.get("events", [])
         if not isinstance(events, list):
             raise ValueError(f"{where} events must be a list, got {type(events)}")
@@ -504,21 +592,15 @@ class ScenarioSpec:
                 f"unknown cloud mode {mode!r}; "
                 f"known: {sorted(CLOUD_PRICING_MODES)}"
             )
-        if int(section.get("max_cloud_pods", 0)) < 0:
-            raise ValueError(
-                f"cloud max_cloud_pods must be >= 0, "
-                f"got {section['max_cloud_pods']}"
-            )
-        if float(section.get("price_cap_per_pod_hour", 0.0)) < 0:
-            raise ValueError(
-                f"cloud price_cap_per_pod_hour must be >= 0, "
-                f"got {section['price_cap_per_pod_hour']}"
-            )
+        for key in ("max_cloud_pods", "price_cap_per_pod_hour"):
+            value = section.get(key)
+            if _is_number(value) and value < 0:
+                raise ValueError(f"cloud {key} must be >= 0, got {value}")
         quota = section.get("quota") or {}
         if not isinstance(quota, dict):
             raise ValueError(f"cloud quota must be a mapping, got {type(quota)}")
         for gpu, cap in quota.items():
-            if int(cap) < 0:
+            if _is_number(cap) and cap < 0:
                 raise ValueError(f"cloud quota for {gpu} must be >= 0, got {cap}")
         catalog = section.get("catalog")
         if catalog is not None:
@@ -682,8 +764,7 @@ class ScenarioSpec:
         if traffic.get("tenant") is not None:
             log = log.for_tenant(traffic["tenant"])
         if traffic.get("bootstrap") is not None:
-            boot = dict(traffic["bootstrap"])
-            _check_keys(boot, {"n", "rate_per_s", "seed"}, "replay bootstrap")
+            boot = traffic["bootstrap"]
             log = log.bootstrap(
                 int(boot["n"]),
                 rng=derive_rng(

@@ -543,6 +543,32 @@ class TestScenarioNameFlag:
         err = capsys.readouterr().err
         assert "bad-keys.json" in err
 
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            # A list where a count belongs used to escape as a TypeError
+            # traceback; an infinite duration used to run forever.
+            (
+                "traffic: {kind: closed, users: [4]}\nduration_s: 10\n",
+                "traffic[closed] users must be a number, got [4]",
+            ),
+            (
+                "traffic: {kind: poisson, rate_per_s: 1.0}\nduration_s: .inf\n",
+                "duration_s must be finite, got inf",
+            ),
+        ],
+        ids=["list-count", "infinite-duration"],
+    )
+    def test_bad_section_number_names_file_and_field(
+        self, tmp_path, capsys, line, error
+    ):
+        spec = tmp_path / "bad-number.yaml"
+        spec.write_text("name: bad\nllm: Llama-2-7b\nprofile: 1xA10-24GB\n" + line)
+        rc = main(["simulate", "--scenario", str(spec)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {spec}: {error}\n"
+
     def test_missing_scenario_file_error_names_the_file(self, capsys):
         rc = main(["simulate", "--scenario", "does-not-exist.yaml"])
         assert rc == 2

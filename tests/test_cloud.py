@@ -13,6 +13,8 @@ The central contracts:
   exactly as before the tier existed.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import Deployment
@@ -48,9 +50,10 @@ from repro.simulation import (
     TenantGroup,
     ThresholdPolicy,
     bind_hybrid_capacity,
+    load_by_name,
     spot_preemption_specs,
 )
-from repro.simulation.reference import ReferenceClusterSimulator
+from repro.simulation.reference import ReferenceClusterSimulator, run_scenario
 from repro.utils.rng import derive_rng, spawn_seed
 
 LLM = get_llm("Llama-2-13b")
@@ -193,26 +196,30 @@ class TestBurstPolicy:
 class TestCloudLedger:
     def test_allocate_release_bookkeeping(self):
         ledger = CloudLedger(aws_like_cloud_catalog())
-        ledger.allocate(f"2x{GPU}", 2, tenant="a", time_s=5.0, mode="spot")
-        assert ledger.used[GPU] == 4
-        assert ledger.held_pods("a") == 2
-        ledger.release(f"2x{GPU}", 1, tenant="a", time_s=9.0, mode="spot")
-        assert ledger.used[GPU] == 2
-        assert [(e.delta, e.reason) for e in ledger.events] == [
-            (4, "burst"),
-            (-2, "scale-down"),
+        ledger.rented.allocate(f"2x{GPU}", 2, tenant="a", time_s=5.0, reason="burst")
+        assert ledger.rented.used[GPU] == 4
+        ledger.rented.release(
+            f"2x{GPU}", 1, tenant="a", time_s=9.0, reason="scale-down"
+        )
+        assert ledger.rented.used[GPU] == 2
+        assert [(e.tenant, e.delta, e.reason) for e in ledger.rented.events] == [
+            ("a", 4, "burst"),
+            ("a", -2, "scale-down"),
         ]
 
     def test_quota_clips_fillable_pods(self):
         ledger = CloudLedger(aws_like_cloud_catalog(quota_gpus={GPU: 5}))
-        assert ledger.fillable_pods(f"2x{GPU}") == 2
-        ledger.allocate(f"2x{GPU}", 2, tenant="a", time_s=0.0, mode="on-demand")
-        assert ledger.fillable_pods(f"2x{GPU}") == 0
-        assert ledger.available_gpus(GPU) == 1
+        assert ledger.rented.fillable_pods(f"2x{GPU}") == 2
+        ledger.rented.allocate(f"2x{GPU}", 2, tenant="a", time_s=0.0, reason="burst")
+        assert ledger.rented.fillable_pods(f"2x{GPU}") == 0
+        assert ledger.rented.available(GPU) == 1
 
     def test_unmetered_type_is_practically_unbounded(self):
+        # Unmetered is None, not a large stand-in count.
         ledger = CloudLedger(aws_like_cloud_catalog())
-        assert ledger.fillable_pods(f"1x{GPU}") == 1 << 30
+        assert ledger.rented.fillable_pods(f"1x{GPU}") is None
+        assert ledger.rented.available(GPU) is None
+        assert ledger.rented.can_fit(f"8x{GPU}", 10**6)
 
     def test_unoffered_type_fills_nothing(self):
         catalog = CloudCatalog(
@@ -221,17 +228,29 @@ class TestCloudLedger:
             }
         )
         ledger = CloudLedger(catalog)
-        assert ledger.fillable_pods("1xA10-24GB") == 0
+        assert ledger.rented.fillable_pods("1xA10-24GB") == 0
 
     def test_over_quota_allocation_raises(self):
         ledger = CloudLedger(aws_like_cloud_catalog(quota_gpus={GPU: 1}))
-        with pytest.raises(ValueError, match="cloud quota exceeded"):
-            ledger.allocate(f"2x{GPU}", 1, tenant="a", time_s=0.0, mode="spot")
+        with pytest.raises(ValueError, match=f"cannot allocate 2 x {GPU}: only 1"):
+            ledger.rented.allocate(f"2x{GPU}", 1, tenant="a", reason="burst")
 
     def test_over_return_raises(self):
         ledger = CloudLedger(aws_like_cloud_catalog())
-        with pytest.raises(ValueError, match="more cloud GPUs than rented"):
-            ledger.release(f"1x{GPU}", 1, tenant="a", time_s=0.0, mode="spot")
+        with pytest.raises(ValueError, match="releasing more GPUs than allocated"):
+            ledger.rented.release(f"1x{GPU}", 1, tenant="a", reason="scale-down")
+
+    def test_tenant_returning_unrented_pods_raises(self, generator):
+        # The binder counts each tenant's rented pods: a release naming
+        # cloud serials it never rented is a bookkeeping bug, not a return.
+        # Another tenant's rental keeps the ledger's GPU count positive, so
+        # only the per-tenant count can catch it.
+        fleet = _fleet(generator, "unrented", 1.0, 0)
+        ledger = _bind_hybrid(fleet, 2, BurstPolicy())
+        ledger.rented.allocate(PROFILE.name, 1, tenant="other", reason="burst")
+        fleet.mark_cloud([0])
+        with pytest.raises(ValueError, match="'fleet' returns pods it never rented"):
+            fleet._release(1, 0.0, [0])
 
 
 class TestSpotPreemptionSpecs:
@@ -274,6 +293,30 @@ class TestClusterBurst:
     def test_conservation_with_cloud_events(self, bursted):
         _, res = bursted
         res.verify_conservation()
+
+    def test_replay_names_the_ledger(self, bursted):
+        _, res = bursted
+        rent = res.cloud_events[0]
+        early_return = dataclasses.replace(rent, delta=-rent.delta)
+        returned_first = dataclasses.replace(
+            res, cloud_events=[early_return, *res.cloud_events]
+        )
+        with pytest.raises(
+            ValueError, match=f"cloud ledger leak: {GPU} below zero at t={rent.time_s}"
+        ):
+            returned_first.verify_conservation()
+        no_quota = dataclasses.replace(
+            res, cloud_catalog=aws_like_cloud_catalog(quota_gpus={GPU: 0})
+        )
+        with pytest.raises(
+            ValueError, match=f"cloud ledger over capacity: {GPU} at 1 > 0 at t="
+        ):
+            no_quota.verify_conservation()
+        owned_less = dataclasses.replace(res, capacity={GPU: 1})
+        with pytest.raises(
+            ValueError, match=f"on-prem ledger over capacity: {GPU} at 2 > 1 at t="
+        ):
+            owned_less.verify_conservation()
 
     def test_on_prem_occupancy_still_capped(self, bursted):
         _, res = bursted
@@ -443,10 +486,192 @@ class TestSpotPreemptionMidDrain:
         assert 2 in fleet.cloud_serials
         res.verify_conservation()
         # The reclaim returned the rented capacity to the ledger.
-        assert ledger.held_pods("fleet") == 0
+        assert ledger.rented.used[GPU] == 0
         assert any(
-            e.reason == "spot-preempt" and e.delta < 0 for e in ledger.events
+            e.reason == "spot-preempt" and e.delta < 0 for e in ledger.rented.events
         )
+
+
+def _library_burst(generator, reference):
+    """The curated spot-burst-hybrid scenario (two tenants, spot mode)."""
+    spec = load_by_name("spot-burst-hybrid")
+    return run_scenario(spec) if reference else spec.run()
+
+
+def _capped_spot_burst(generator, reference):
+    """Spot at 240 interruptions/h, where the 2-pod max_cloud_pods binds."""
+    cloud = CloudLedger(
+        aws_like_cloud_catalog(spot_interruptions_per_hour=240.0), seed=0
+    )
+    return _burst_cluster(
+        generator,
+        cloud=cloud,
+        burst=BurstPolicy(mode="spot", max_cloud_pods=2),
+        fast=not reference,
+        duration=180.0,
+    )[1]
+
+
+def _quota_bound_burst(generator, reference):
+    """On-demand overflow clipped by a 2-GPU account quota."""
+    cloud = CloudLedger(aws_like_cloud_catalog(quota_gpus={GPU: 2}), seed=0)
+    return _burst_cluster(
+        generator, cloud=cloud, burst=BurstPolicy(), fast=not reference, rate=6.0
+    )[1]
+
+
+_UNMETERED = dict.fromkeys(
+    ["A10-24GB", "A100-40GB", "A100-80GB", "H100-80GB", "T4-16GB", "V100-16GB"]
+)
+
+#: Per run: the rented-capacity events as (time_s, tenant, gpu, delta,
+#: reason), the per-tier bill, the JSON cloud block and the number of
+#: scale-ups the cap or quota left contended.
+CLOUD_LEDGER_PINS = {
+    "spot-burst-hybrid": (
+        _library_burst,
+        [
+            (30.0, "api", "A10-24GB", 1, "burst"),
+            (40.0, "api", "A10-24GB", 1, "burst"),
+            (50.0, "api", "A10-24GB", 1, "burst"),
+            (60.0, "api", "A10-24GB", 1, "burst"),
+            (111.2236230103704, "api", "A10-24GB", -1, "scale-down"),
+        ],
+        {
+            "api": {
+                "on_prem": {
+                    "pod_seconds": 228.241443740771,
+                    "hourly_per_pod": 1.01,
+                    "cost": 0.06403440504949408,
+                },
+                "cloud": {
+                    "pod_seconds": 291.3139075353093,
+                    "mode": "spot",
+                    "hourly_per_pod": 0.303,
+                    "cost": 0.02451892055088853,
+                },
+                "total": 0.0885533256003826,
+            },
+            "background": {
+                "on_prem": {
+                    "pod_seconds": 120.00964996305608,
+                    "hourly_per_pod": 1.01,
+                    "cost": 0.033669374017412955,
+                },
+                "cloud": None,
+                "total": 0.033669374017412955,
+            },
+        },
+        {
+            "modes": {"api": "spot", "background": "spot"},
+            "usage_events": 5,
+            "cloud_pod_seconds_total": 291.3139075353093,
+            "quota_gpus": _UNMETERED,
+        },
+        2,
+    ),
+    "capped-spot": (
+        _capped_spot_burst,
+        [
+            (t, "noisy", GPU, delta, reason)
+            for t, delta, reason in [
+                (20.0, 1, "burst"),
+                (27.94494239042149, -1, "spot-preempt"),
+                (30.0, 1, "burst"),
+                (37.37520250901913, -1, "spot-preempt"),
+                (40.0, 1, "burst"),
+                (49.82889973175895, -1, "spot-preempt"),
+                (50.0, 1, "burst"),
+                (59.7974709561173, -1, "spot-preempt"),
+                (60.0, 1, "burst"),
+                (70.0, 1, "burst"),
+                (90.46871730781609, -1, "spot-preempt"),
+                (100.0, 1, "burst"),
+                (101.25925361574234, -1, "spot-preempt"),
+                (110.0, 1, "burst"),
+                (119.84324386145282, -1, "spot-preempt"),
+                (120.0, 1, "burst"),
+                (133.213086898599, -1, "spot-preempt"),
+                (140.0, 1, "burst"),
+                (154.26324957043389, -1, "spot-preempt"),
+                (160.0, 1, "burst"),
+            ]
+        ],
+        {
+            "noisy": {
+                "on_prem": {
+                    "pod_seconds": 350.60817097796917,
+                    "hourly_per_pod": 5.12,
+                    "cost": 0.49864273205755616,
+                },
+                "cloud": {
+                    "pod_seconds": 234.6022378193301,
+                    "mode": "spot",
+                    "hourly_per_pod": 1.536,
+                    "cost": 0.10009695480291417,
+                },
+                "total": 0.5987396868604703,
+            },
+        },
+        {
+            "modes": {"noisy": "spot"},
+            "usage_events": 20,
+            "cloud_pod_seconds_total": 234.6022378193301,
+            "quota_gpus": _UNMETERED,
+        },
+        5,
+    ),
+    "quota-bound": (
+        _quota_bound_burst,
+        [
+            (20.0, "noisy", GPU, 1, "burst"),
+            (30.0, "noisy", GPU, 1, "burst"),
+        ],
+        {
+            "noisy": {
+                "on_prem": {
+                    "pod_seconds": 170.1657314497668,
+                    "hourly_per_pod": 5.12,
+                    "cost": 0.24201348472855724,
+                },
+                "cloud": {
+                    "pod_seconds": 130.1657314497668,
+                    "mode": "on-demand",
+                    "hourly_per_pod": 5.12,
+                    "cost": 0.18512459583966834,
+                },
+                "total": 0.42713808056822555,
+            },
+        },
+        {
+            "modes": {"noisy": "on-demand"},
+            "usage_events": 2,
+            "cloud_pod_seconds_total": 130.1657314497668,
+            "quota_gpus": {**_UNMETERED, GPU: 2},
+        },
+        5,
+    ),
+}
+
+
+class TestCloudLedgerPin:
+    """Three bursting clusters, on the production and the reference
+    simulator: the rented-capacity ledger, the mixed bill and the JSON
+    cloud block were recorded at these seeds. A change to how rentals
+    are booked that moves any of them is a behaviour change."""
+
+    @pytest.mark.parametrize("reference", [False, True], ids=["production", "reference"])
+    @pytest.mark.parametrize("name", sorted(CLOUD_LEDGER_PINS))
+    def test_ledger_pinned(self, generator, name, reference):
+        run, events, billing, cloud, contended = CLOUD_LEDGER_PINS[name]
+        res = run(generator, reference)
+        pricing = aws_like_pricing()
+        assert [
+            (e.time_s, e.tenant, e.gpu, e.delta, e.reason) for e in res.cloud_events
+        ] == events
+        assert res.billing(pricing) == billing
+        assert res.to_dict(pricing=pricing)["cloud"] == cloud
+        assert len(res.contended_scale_events()) == contended
 
 
 class TestSingleTenantEquivalence:

@@ -300,6 +300,25 @@ class TestElasticRecommender:
                 duration_s=60.0,
             )
 
+    def test_rejects_rental_and_pricing_mode_mismatch(self, generator):
+        """A hybrid sweep that rents at spot but prices its rentals (and
+        its prune floor) at the objective's on-demand default is wrong
+        by construction."""
+        with pytest.raises(ValueError, match="'spot'.*'on-demand'"):
+            ElasticRecommender(
+                _deployment(generator),
+                lambda: PoissonTraffic(1.0, rng=derive_rng(0, "mode-mismatch")),
+                CostObjective(
+                    PRICING,
+                    LinearSLOPenalty(self.SLO),
+                    cloud=aws_like_cloud_catalog(),
+                ),
+                slo_p95_ttft_s=self.SLO,
+                duration_s=60.0,
+                on_prem_pods=1,
+                burst=BurstPolicy(mode="spot"),
+            )
+
 
 class TestHybridSweepPin:
     """A hybrid sweep end to end: a 2-pod owned tier, overflow rented

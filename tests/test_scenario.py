@@ -1,6 +1,7 @@
 """Tests for declarative scenario specs and their CLI entry points."""
 
 import json
+import math
 
 import pytest
 
@@ -206,6 +207,140 @@ class TestValidation:
     def test_null_slo_means_no_slo(self):
         spec = ScenarioSpec.from_dict(fleet_spec(slo_ttft_ms=None))
         assert spec.slo_ttft_ms is None
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            (fleet_spec(duration_s=math.inf), "duration_s must be finite, got inf"),
+            (fleet_spec(warmup_s=math.nan), "warmup_s must be finite, got nan"),
+            (fleet_spec(slo_ttft_ms=math.inf), "slo_ttft_ms must be finite, got inf"),
+            (
+                fleet_spec(traffic={"kind": "closed", "users": [4]}),
+                "traffic[closed] users must be a number, got [4]",
+            ),
+            (
+                fleet_spec(traffic={"kind": "poisson", "rate_per_s": math.nan}),
+                "traffic[poisson] rate_per_s must be finite, got nan",
+            ),
+            (
+                fleet_spec(traffic={"kind": "poisson", "rate_per_s": "2"}),
+                "traffic[poisson] rate_per_s must be a number, got '2'",
+            ),
+            (
+                fleet_spec(
+                    traffic={
+                        "kind": "replay",
+                        "arrivals": REPLAY_ARRIVALS,
+                        "speedup": True,
+                        "bootstrap": {"n": "50", "seed": math.inf},
+                    }
+                ),
+                "traffic[replay] speedup must be a number, got True; "
+                "traffic[replay] bootstrap n must be a number, got '50'; "
+                "traffic[replay] bootstrap seed must be finite, got inf",
+            ),
+            (
+                fleet_spec(admission={"mode": "shed", "window_s": "30"}),
+                "admission window_s must be a number, got '30'",
+            ),
+            (
+                fleet_spec(autoscaler={"min_pods": "abc"}),
+                "autoscaler min_pods must be a number, got 'abc'",
+            ),
+            (
+                fleet_spec(autoscaler={"min_pods": "2"}),
+                "autoscaler min_pods must be a number, got '2'",
+            ),
+            (
+                fleet_spec(workload={"requests": math.inf}),
+                "workload requests must be finite, got inf",
+            ),
+            (
+                fleet_spec(faults={"zones": [2]}),
+                "faults zones must be a number, got [2]",
+            ),
+            (
+                fleet_spec(faults={"zones": True}),
+                "faults zones must be a number, got True",
+            ),
+            (fleet_spec(faults={"seed": "3"}), "faults seed must be a number, got '3'"),
+            (
+                fleet_spec(
+                    faults={
+                        "events": [
+                            {
+                                "kind": "crash",
+                                "time_s": "abc",
+                                "restart_delay_s": math.inf,
+                            }
+                        ]
+                    }
+                ),
+                "scenario faults event[0] time_s must be a number, got 'abc'; "
+                "scenario faults event[0] restart_delay_s must be finite, got inf",
+            ),
+            (
+                cluster_spec(
+                    tenants=[
+                        {
+                            "name": "chat",
+                            "traffic": {"kind": "poisson", "rate_per_s": math.inf},
+                            "autoscaler": {"max_pods": True},
+                            "faults": {"zones": "2"},
+                        }
+                    ]
+                ),
+                "tenant 'chat' traffic[poisson] rate_per_s must be finite, got inf; "
+                "tenant 'chat' autoscaler max_pods must be a number, got True; "
+                "tenant 'chat' faults zones must be a number, got '2'",
+            ),
+            (
+                cluster_spec(
+                    cloud={
+                        "max_cloud_pods": "abc",
+                        "seed": math.nan,
+                        "quota": {"A10-24GB": "3"},
+                        "catalog": {
+                            "A10-24GB": {
+                                "on_demand": 1.0,
+                                "spot": "x",
+                                "reserved": None,
+                            }
+                        },
+                    }
+                ),
+                "cloud max_cloud_pods must be a number, got 'abc'; "
+                "cloud seed must be finite, got nan; "
+                "cloud quota[A10-24GB] must be a number, got '3'; "
+                "cloud catalog[A10-24GB] spot must be a number, got 'x'; "
+                "cloud catalog[A10-24GB] reserved must be a number, got None",
+            ),
+        ],
+    )
+    def test_section_numbers_must_be_finite(self, spec, error):
+        # One error per bad field, naming its section, tenant and key.
+        with pytest.raises(ValueError) as exc_info:
+            ScenarioSpec.from_dict(spec)
+        assert str(exc_info.value) == error
+
+    def test_null_still_means_absent(self):
+        traffic = {
+            "kind": "replay",
+            "arrivals": REPLAY_ARRIVALS,
+            "rate_per_s": None,
+            "horizon_s": None,
+            "bootstrap": {"n": 8, "rate_per_s": None},
+        }
+        faults = {"events": [{"kind": "crash", "time_s": 1.0, "pod": None}]}
+        ScenarioSpec.from_dict(fleet_spec(traffic=traffic, faults=faults)).run()
+        cloud = {
+            "max_cloud_pods": None,
+            "price_cap_per_pod_hour": None,
+            "spot_interruptions_per_hour": None,
+        }
+        _, policy = ScenarioSpec.from_dict(cluster_spec(cloud=cloud)).build_cloud()
+        assert policy.max_cloud_pods is None
+        assert policy.price_cap_per_pod_hour is None
 
 
 FAULTS_SECTION = {
@@ -460,7 +595,7 @@ class TestCloudSection:
         assert policy.mode == "spot"
         assert policy.max_cloud_pods == 4
         assert ledger.seed == 7
-        assert ledger.available_gpus("A10-24GB") == 2
+        assert ledger.rented.available("A10-24GB") == 2
 
     def test_custom_catalog_prices_win(self):
         spec = ScenarioSpec.from_dict(
