@@ -1,10 +1,11 @@
 """Cross-validation of the inference-server simulator.
 
 Not a paper artifact — this benchmark validates the substitution at the
-heart of the reproduction (DESIGN.md): the discrete-event engine and the
-closed-form steady-state estimator are two independent derivations from
-the same roofline assumptions, and must agree on throughput and ITL
-within a factor of two across LLMs, GPU profiles and load levels.
+heart of the reproduction (docs/architecture.md): the discrete-event
+engine and the closed-form steady-state estimator are two independent
+derivations from the same roofline assumptions, and must agree on
+throughput and ITL within a factor of two across LLMs, GPU profiles and
+load levels.
 """
 
 from benchmarks.conftest import BENCH_SEED, write_report

@@ -1,11 +1,11 @@
 """Table II: characteristics of the production traces.
 
 Our trace collection is synthetic (the paper's 17.3M-request IBM traces
-are proprietary — see DESIGN.md), so the claim reproduced here is the
-*structure*: months-long collection window, thousands of users, 24 LLMs
-spanning 3B-176B parameters, clipped token ranges (input 1-4093,
-output 1-1500), client batch sizes 1-5 and a long tail of additional
-request parameters.
+are proprietary — see docs/architecture.md), so the claim reproduced
+here is the *structure*: months-long collection window, thousands of
+users, 24 LLMs spanning 3B-176B parameters, clipped token ranges (input
+1-4093, output 1-1500), client batch sizes 1-5 and a long tail of
+additional request parameters.
 """
 
 from benchmarks.conftest import write_report

@@ -54,7 +54,6 @@ def check_feasibility(
     llm: LLMSpec,
     profile: GPUProfile,
     max_request_weight: int,
-    max_input_tokens: int = 4093,
 ) -> FeasibilityReport:
     """Classify one (LLM, GPU profile) combination.
 
@@ -87,8 +86,7 @@ def check_feasibility(
             ),
         )
 
-    tuner = BatchWeightTuner(llm, profile, max_input_tokens=max_input_tokens)
-    result = tuner.tune()
+    result = BatchWeightTuner(llm, profile).tune()
     if not result.feasible:
         return FeasibilityReport(
             llm=llm.name,

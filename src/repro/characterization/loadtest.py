@@ -36,12 +36,16 @@ __all__ = [
     "LoadTestResult",
     "run_load_test",
     "run_open_loop_test",
-    "noisy_medians",
     "DEFAULT_USER_COUNTS",
 ]
 
 #: The paper's default load ladder: 1, 2, 4, ..., 128 concurrent users.
 DEFAULT_USER_COUNTS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
+
+#: Lognormal sigma of the client-side measurement noise on every
+#: reported metric (what gives no-effect deployment knobs a tiny
+#: non-zero MDI in the Fig 4 study, exactly as on a real testbed).
+_MEASUREMENT_NOISE_SIGMA = 0.015
 
 
 @dataclass
@@ -68,54 +72,57 @@ class LoadTestResult:
     offered_rate_per_s: float = float("nan")
     results: list[RequestResult] = field(default_factory=list, repr=False)
 
-    def as_row(self) -> dict[str, float]:
-        """Flat dict for dataset assembly."""
-        return {
-            "concurrent_users": float(self.concurrent_users),
-            "arrivals": float(self.arrivals),
-            "offered_rate_per_s": self.offered_rate_per_s,
-            "ttft_median_s": self.ttft_median_s,
-            "nttft_median_s": self.nttft_median_s,
-            "itl_median_s": self.itl_median_s,
-            "throughput_tokens_per_s": self.throughput_tokens_per_s,
-            "e2e_median_s": self.e2e_median_s,
-        }
+    @classmethod
+    def measure(
+        cls,
+        engine: ContinuousBatchingEngine,
+        completed: list[RequestResult],
+        elapsed: float,
+        noise_rng: np.random.Generator,
+        **fields,
+    ) -> "LoadTestResult":
+        """The metrics of ``engine`` over a measured window of ``elapsed``
+        seconds, as a client observes them.
 
+        ``completed`` are the requests the end-to-end latency and the
+        completion count cover. Every metric carries lognormal client
+        measurement noise from ``noise_rng``; the draw order (ttft,
+        nttft, itl, throughput, e2e — each skipped when its sample set
+        is empty) is part of the seeded contract, do not reorder.
+        ``fields`` are the remaining :class:`LoadTestResult` fields.
+        """
 
-def noisy_medians(
-    ttft: np.ndarray,
-    ttft_inputs: np.ndarray,
-    itl: np.ndarray,
-    completed: list[RequestResult],
-    tokens_generated: int,
-    elapsed: float,
-    noise_rng: np.random.Generator,
-    sigma: float,
-) -> tuple[float, float, float, float, float]:
-    """The shared metric assembly: medians under client measurement noise.
+        def noisy(value: float) -> float:
+            if not np.isfinite(value):
+                return value
+            return float(value * noise_rng.lognormal(0.0, _MEASUREMENT_NOISE_SIGMA))
 
-    The draw order (ttft, nttft, itl, throughput, e2e — each skipped when
-    its sample set is empty) is part of the seeded contract; do not
-    reorder.
-    """
-
-    def noisy(value: float) -> float:
-        if not np.isfinite(value) or sigma <= 0:
-            return value
-        return float(value * noise_rng.lognormal(0.0, sigma))
-
-    ttft_median = noisy(float(np.median(ttft))) if ttft.size else float("nan")
-    nttft_median = (
-        noisy(float(np.median(ttft / ttft_inputs))) if ttft.size else float("nan")
-    )
-    itl_median = noisy(float(np.median(itl))) if itl.size else float("nan")
-    throughput = noisy(tokens_generated / elapsed)
-    e2e = (
-        noisy(float(np.median([r.e2e_latency for r in completed])))
-        if completed
-        else float("nan")
-    )
-    return ttft_median, nttft_median, itl_median, throughput, e2e
+        nan = float("nan")
+        ttft, ttft_inputs = engine.ttft_samples()
+        itl = engine.itl_samples()
+        tokens = engine.stats.tokens_generated
+        ttft_median = noisy(float(np.median(ttft))) if ttft.size else nan
+        nttft_median = noisy(float(np.median(ttft / ttft_inputs))) if ttft.size else nan
+        itl_median = noisy(float(np.median(itl))) if itl.size else nan
+        throughput = noisy(tokens / elapsed)
+        e2e = (
+            noisy(float(np.median([r.e2e_latency for r in completed])))
+            if completed
+            else nan
+        )
+        return cls(
+            duration_s=elapsed,
+            ttft_median_s=ttft_median,
+            nttft_median_s=nttft_median,
+            itl_median_s=itl_median,
+            throughput_tokens_per_s=throughput,
+            e2e_median_s=e2e,
+            requests_completed=len(completed),
+            first_tokens_served=int(ttft.size),
+            tokens_generated=tokens,
+            queue_depth_end=engine.queue_depth,
+            **fields,
+        )
 
 
 def run_load_test(
@@ -125,7 +132,6 @@ def run_load_test(
     duration_s: float = 120.0,
     seed: int = 0,
     keep_results: bool = False,
-    measurement_noise_sigma: float = 0.015,
     noise_seed: int | None = None,
     warmup_s: float = 0.0,
 ) -> LoadTestResult:
@@ -133,12 +139,11 @@ def run_load_test(
 
     Users behave as in the paper's harness: each user has exactly one
     request in flight; on completion it immediately submits the next one.
-    ``measurement_noise_sigma`` applies a small lognormal perturbation to
-    the reported medians, standing in for client-side measurement noise
-    (this is what gives no-effect deployment knobs a tiny non-zero MDI in
-    the Fig 4 study, exactly as on a real testbed). ``noise_seed`` decouples
-    the measurement-noise stream from the workload stream — controlled
-    sensitivity studies rerun the same workload under fresh noise.
+    The reported metrics carry a small lognormal perturbation standing in
+    for client-side measurement noise (see :meth:`LoadTestResult.measure`).
+    ``noise_seed`` decouples the measurement-noise stream from the
+    workload stream — controlled sensitivity studies rerun the same
+    workload under fresh noise.
 
     ``warmup_s`` excludes the initial transient: metric collection
     restarts at the warmup boundary and end-to-end latency counts only
@@ -163,38 +168,17 @@ def run_load_test(
     fleet.run(duration_s=duration_s, warmup_s=warmup_s, assemble_result=False)
 
     completed = [r for r in engine.metrics.completed if r.submitted_at >= warmup_s]
-    elapsed = max(engine.time, warmup_s + duration_s) - warmup_s
-    ttft, ttft_inputs = engine.ttft_samples()
-    itl = engine.itl_samples()
-
     noise_rng = derive_rng(
         seed if noise_seed is None else noise_seed,
         "measurement-noise",
         concurrent_users,
     )
-    ttft_median, nttft_median, itl_median, throughput, e2e = noisy_medians(
-        ttft,
-        ttft_inputs,
-        itl,
+    return LoadTestResult.measure(
+        engine,
         completed,
-        engine.stats.tokens_generated,
-        elapsed,
+        max(engine.time, warmup_s + duration_s) - warmup_s,
         noise_rng,
-        measurement_noise_sigma,
-    )
-
-    return LoadTestResult(
         concurrent_users=concurrent_users,
-        duration_s=elapsed,
-        ttft_median_s=ttft_median,
-        nttft_median_s=nttft_median,
-        itl_median_s=itl_median,
-        throughput_tokens_per_s=throughput,
-        e2e_median_s=e2e,
-        requests_completed=len(completed),
-        first_tokens_served=int(ttft.size),
-        tokens_generated=engine.stats.tokens_generated,
-        queue_depth_end=engine.queue_depth,
         arrivals=fleet.arrivals,
         results=completed if keep_results else [],
     )
@@ -206,7 +190,6 @@ def run_open_loop_test(
     arrival_rate_per_s: float,
     duration_s: float = 120.0,
     seed: int = 0,
-    measurement_noise_sigma: float = 0.015,
 ) -> LoadTestResult:
     """Open-loop load test: Poisson arrivals at a fixed rate.
 
@@ -238,34 +221,12 @@ def run_open_loop_test(
     )
     fleet.run(duration_s=duration_s, assemble_result=False)
 
-    completed = list(engine.metrics.completed)
-    elapsed = max(engine.time, duration_s)
-    ttft, ttft_inputs = engine.ttft_samples()
-    itl = engine.itl_samples()
-    noise_rng = derive_rng(seed, "open-loop-noise", arrival_rate_per_s)
-    ttft_median, nttft_median, itl_median, throughput, e2e = noisy_medians(
-        ttft,
-        ttft_inputs,
-        itl,
-        completed,
-        engine.stats.tokens_generated,
-        elapsed,
-        noise_rng,
-        measurement_noise_sigma,
-    )
-
-    return LoadTestResult(
+    return LoadTestResult.measure(
+        engine,
+        engine.metrics.completed,
+        max(engine.time, duration_s),
+        derive_rng(seed, "open-loop-noise", arrival_rate_per_s),
         concurrent_users=0,
-        duration_s=elapsed,
-        ttft_median_s=ttft_median,
-        nttft_median_s=nttft_median,
-        itl_median_s=itl_median,
-        throughput_tokens_per_s=throughput,
-        e2e_median_s=e2e,
-        requests_completed=len(completed),
-        first_tokens_served=int(ttft.size),
-        tokens_generated=engine.stats.tokens_generated,
-        queue_depth_end=engine.queue_depth,
         arrivals=fleet.arrivals,
         offered_rate_per_s=arrival_rate_per_s,
     )

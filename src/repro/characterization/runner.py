@@ -28,6 +28,11 @@ from repro.workload.generator import WorkloadGenerator
 
 __all__ = ["CharacterizationConfig", "CharacterizationOutcome", "CharacterizationTool"]
 
+#: Virtual overhead accounting (paper §V-B): binary-search tuning and
+#: pod startup dominate the per-combination setup cost.
+_TUNING_PROBE_COST_S = 95.0
+_DEPLOYMENT_COST_S = 60.0
+
 
 @dataclass(frozen=True)
 class CharacterizationConfig:
@@ -36,10 +41,6 @@ class CharacterizationConfig:
     user_counts: tuple[int, ...] = DEFAULT_USER_COUNTS
     duration_s: float = 120.0
     seed: int = 0
-    #: Virtual overhead accounting (paper §V-B): binary-search tuning and
-    #: pod startup dominate the per-combination setup cost.
-    tuning_probe_cost_s: float = 95.0
-    deployment_cost_s: float = 60.0
 
 
 @dataclass
@@ -136,7 +137,7 @@ class CharacterizationTool:
             for llm in llms:
                 report, records = self.characterize_pair(llm, profile)
                 outcome.feasibility.append(report)
-                overhead += cfg.deployment_cost_s + cfg.tuning_probe_cost_s
+                overhead += _DEPLOYMENT_COST_S + _TUNING_PROBE_COST_S
                 if report.feasible:
                     outcome.tuned_weights[(llm.name, profile.name)] = (
                         report.max_batch_weight

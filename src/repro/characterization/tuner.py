@@ -12,10 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.profile import GPUProfile
-from repro.inference.memory import MemoryConfig, MemoryModel, corner_case_batches
+from repro.inference.memory import MemoryModel, corner_case_batches
 from repro.models.llm import LLMSpec
 
 __all__ = ["TuningResult", "BatchWeightTuner"]
+
+#: The binary search stops once the bracket is this many tokens wide.
+_RESOLUTION = 64
 
 
 @dataclass(frozen=True)
@@ -36,30 +39,17 @@ class TuningResult:
 class BatchWeightTuner:
     """Binary search for the largest OOM-safe maximum batch weight."""
 
-    def __init__(
-        self,
-        llm: LLMSpec,
-        profile: GPUProfile,
-        memory_config: MemoryConfig | None = None,
-        resolution: int = 64,
-        max_input_tokens: int = 4093,
-    ) -> None:
-        if resolution < 1:
-            raise ValueError("resolution must be >= 1")
+    def __init__(self, llm: LLMSpec, profile: GPUProfile) -> None:
         self.llm = llm
         self.profile = profile
-        self.memory = MemoryModel(llm, profile, config=memory_config)
-        self.resolution = resolution
-        self.max_input_tokens = max_input_tokens
+        self.memory = MemoryModel(llm, profile)
         self._probes = 0
 
     def is_valid(self, max_batch_weight: int) -> bool:
         """True when all corner-case batches fit without OOM."""
         if max_batch_weight < 2:
             return False
-        batches = corner_case_batches(
-            max_batch_weight, max_input_tokens=self.max_input_tokens
-        )
+        batches = corner_case_batches(max_batch_weight)
         self._probes += len(batches)
         return not any(self.memory.would_oom(b) for b in batches)
 
@@ -85,7 +75,7 @@ class BatchWeightTuner:
             if hi > 1 << 28:  # 268M tokens: unreachable in practice
                 break
         # Binary search in (lo valid, hi invalid].
-        while hi - lo > self.resolution:
+        while hi - lo > _RESOLUTION:
             mid = (lo + hi) // 2
             steps += 1
             if self.is_valid(mid):

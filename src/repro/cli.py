@@ -1145,11 +1145,18 @@ def _cmd_report(args) -> int:
             )
             spec = ScenarioSpec.load(path)
             stem = spec.name
+            # Building (a tenant the inventory cannot place) and running
+            # (a fault that kills the whole fleet) are user input too.
+            build = spec.build_cluster if spec.is_cluster else spec.build_fleet
+            res = build().run(
+                duration_s=spec.duration_s,
+                warmup_s=spec.warmup_s,
+                keep_samples=True,
+            )
     except (KeyError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if spec is not None:
-        res = spec.run(keep_samples=True)
         # A conservation violation is a simulator bug and should
         # surface as a traceback, not "error:".
         res.verify_conservation()

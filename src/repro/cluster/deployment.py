@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.characterization.loadtest import LoadTestResult, noisy_medians
+from repro.characterization.loadtest import LoadTestResult
 from repro.hardware.profile import GPUProfile
 from repro.inference.engine import ContinuousBatchingEngine
 from repro.models.llm import LLMSpec
@@ -286,7 +286,6 @@ class Deployment:
         total_users: int,
         duration_s: float = 120.0,
         router: Router | None = None,
-        measurement_noise_sigma: float = 0.015,
         autoscaler: Autoscaler | None = None,
     ) -> DeploymentLoadTestResult:
         """Drive ``total_users`` closed-loop users against the deployment.
@@ -327,15 +326,11 @@ class Deployment:
         out = DeploymentLoadTestResult(
             n_pods=self.n_pods, total_users=total_users, fleet=fleet_result
         )
-        elapsed = fleet_result.duration_s
         for pod_index, (engine, pod_stats) in enumerate(
             zip(pods, fleet_result.per_pod)
         ):
             if engine.stats.tokens_generated == 0 and pod_stats.arrivals_routed == 0:
                 continue
-            ttft, ttft_inputs = engine.ttft_samples()
-            itl = engine.itl_samples()
-            completed = list(engine.metrics.completed)
             noise_rng = derive_rng(
                 self.seed,
                 "pod-noise",
@@ -344,29 +339,13 @@ class Deployment:
                 pod_index,
                 total_users,
             )
-            ttft_m, nttft_m, itl_m, throughput, e2e = noisy_medians(
-                ttft,
-                ttft_inputs,
-                itl,
-                completed,
-                engine.stats.tokens_generated,
-                elapsed,
-                noise_rng,
-                measurement_noise_sigma,
-            )
             out.per_pod.append(
-                LoadTestResult(
+                LoadTestResult.measure(
+                    engine,
+                    engine.metrics.completed,
+                    fleet_result.duration_s,
+                    noise_rng,
                     concurrent_users=shares[pod_index],
-                    duration_s=elapsed,
-                    ttft_median_s=ttft_m,
-                    nttft_median_s=nttft_m,
-                    itl_median_s=itl_m,
-                    throughput_tokens_per_s=throughput,
-                    e2e_median_s=e2e,
-                    requests_completed=pod_stats.requests_completed,
-                    first_tokens_served=int(ttft.size),
-                    tokens_generated=engine.stats.tokens_generated,
-                    queue_depth_end=engine.queue_depth,
                     arrivals=pod_stats.arrivals_routed,
                 )
             )

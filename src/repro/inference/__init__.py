@@ -2,13 +2,8 @@
 analytic cost model, memory/OOM accounting and request records."""
 
 from repro.inference.request import InferenceRequest, RequestResult
-from repro.inference.costmodel import CostModel, CostModelConfig
-from repro.inference.memory import (
-    MemoryModel,
-    MemoryConfig,
-    CornerCaseBatch,
-    corner_case_batches,
-)
+from repro.inference.costmodel import CostModel
+from repro.inference.memory import MemoryModel, CornerCaseBatch, corner_case_batches
 from repro.inference.engine import ContinuousBatchingEngine, EngineStats
 from repro.inference.steadystate import SteadyStateEstimate, SteadyStateEstimator
 
@@ -16,9 +11,7 @@ __all__ = [
     "InferenceRequest",
     "RequestResult",
     "CostModel",
-    "CostModelConfig",
     "MemoryModel",
-    "MemoryConfig",
     "CornerCaseBatch",
     "corner_case_batches",
     "ContinuousBatchingEngine",

@@ -1,8 +1,9 @@
 """Analytic timing model for LLM inference on a GPU profile.
 
-This is the heart of the hardware substitution (see DESIGN.md): instead
-of running TGIS on physical GPUs we compute step times from first-order
-roofline terms, which reproduce the phenomena the paper measures:
+This is the heart of the hardware substitution (see docs/architecture.md):
+instead of running TGIS on physical GPUs we compute step times from
+first-order roofline terms, which reproduce the phenomena the paper
+measures:
 
 * the **prompt-processing (prefill) phase is compute-bound** (§V-B):
   time grows linearly with the number of prompt tokens processed, scaled
@@ -20,64 +21,42 @@ cross-GPU comparisons depend only on datasheet numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.hardware.profile import GPUProfile
 from repro.models.llm import LLMSpec
 
-__all__ = ["CostModel", "CostModelConfig"]
+__all__ = ["CostModel"]
 
-
-@dataclass(frozen=True)
-class CostModelConfig:
-    """Tunable constants of the analytic model."""
-
-    prefill_compute_efficiency: float = 0.45
-    decode_compute_efficiency: float = 0.35
-    memory_bandwidth_efficiency: float = 0.65
-    #: Fixed scheduler/kernel-launch overhead per engine step (seconds).
-    step_overhead_base_s: float = 0.002
-    #: Additional per-layer launch overhead per step (seconds).
-    step_overhead_per_layer_s: float = 4.0e-5
-    #: Per-all-reduce latency for NVLink / PCIe interconnects (seconds).
-    nvlink_collective_latency_s: float = 4.0e-6
-    pcie_collective_latency_s: float = 1.6e-5
-    #: Fraction of weights streamed per decode step for encoder-decoder
-    #: models (the encoder does not run during decode).
-    encoder_decoder_decode_fraction: float = 0.6
-
-    def __post_init__(self) -> None:
-        for name in (
-            "prefill_compute_efficiency",
-            "decode_compute_efficiency",
-            "memory_bandwidth_efficiency",
-        ):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {v}")
+#: Achieved fraction of peak tensor-core throughput, per phase.
+_PREFILL_COMPUTE_EFFICIENCY = 0.45
+_DECODE_COMPUTE_EFFICIENCY = 0.35
+#: Achieved fraction of datasheet memory bandwidth.
+MEMORY_BANDWIDTH_EFFICIENCY = 0.65
+#: Fixed scheduler/kernel-launch overhead per engine step (seconds).
+_STEP_OVERHEAD_BASE_S = 0.002
+#: Additional per-layer launch overhead per step (seconds).
+_STEP_OVERHEAD_PER_LAYER_S = 4.0e-5
+#: Per-all-reduce latency for NVLink / PCIe interconnects (seconds).
+_NVLINK_COLLECTIVE_LATENCY_S = 4.0e-6
+_PCIE_COLLECTIVE_LATENCY_S = 1.6e-5
+#: Fraction of weights streamed per decode step for encoder-decoder
+#: models (the encoder does not run during decode).
+_ENCODER_DECODER_DECODE_FRACTION = 0.6
 
 
 class CostModel:
     """Timing model for one (LLM, GPU profile) pair."""
 
-    def __init__(
-        self,
-        llm: LLMSpec,
-        profile: GPUProfile,
-        config: CostModelConfig | None = None,
-    ) -> None:
+    def __init__(self, llm: LLMSpec, profile: GPUProfile) -> None:
         self.llm = llm
         self.profile = profile
-        self.config = config or CostModelConfig()
-        cfg = self.config
         g = profile.count
 
         self._effective_tflops = profile.total_fp16_tflops * 1e12
         self._effective_bandwidth = (
-            profile.total_memory_bandwidth_gbps * 1e9 * cfg.memory_bandwidth_efficiency
+            profile.total_memory_bandwidth_gbps * 1e9 * MEMORY_BANDWIDTH_EFFICIENCY
         )
         decode_frac = (
-            cfg.encoder_decoder_decode_fraction if llm.is_encoder_decoder else 1.0
+            _ENCODER_DECODER_DECODE_FRACTION if llm.is_encoder_decoder else 1.0
         )
         self._decode_weight_bytes = llm.weights_bytes * decode_frac
 
@@ -94,9 +73,9 @@ class CostModel:
             )
             self._comm_bandwidth = link_bw
             latency = (
-                self.config.nvlink_collective_latency_s
+                _NVLINK_COLLECTIVE_LATENCY_S
                 if profile.gpu.nvlink
-                else self.config.pcie_collective_latency_s
+                else _PCIE_COLLECTIVE_LATENCY_S
             )
             self._comm_latency_per_step = latency * payload_factor * total_layers
         else:
@@ -105,8 +84,8 @@ class CostModel:
             self._comm_latency_per_step = 0.0
 
         self._step_overhead = (
-            cfg.step_overhead_base_s
-            + cfg.step_overhead_per_layer_s * (llm.n_layers + llm.n_encoder_layers)
+            _STEP_OVERHEAD_BASE_S
+            + _STEP_OVERHEAD_PER_LAYER_S * (llm.n_layers + llm.n_encoder_layers)
         )
 
         # decode_step_time runs once per simulated engine step — the
@@ -119,9 +98,7 @@ class CostModel:
         )
         self._decode_kv_bytes = self.llm.kv_bytes_per_token
         self._decode_flops = self.llm.flops_per_token
-        self._decode_compute_denom = (
-            self._effective_tflops * cfg.decode_compute_efficiency
-        )
+        self._decode_compute_denom = self._effective_tflops * _DECODE_COMPUTE_EFFICIENCY
 
     # ---- phases -----------------------------------------------------------
 
@@ -131,9 +108,7 @@ class CostModel:
         if prompt_tokens < 0:
             raise ValueError("prompt_tokens must be >= 0")
         flops = self.llm.flops_per_token * prompt_tokens
-        compute = flops / (
-            self._effective_tflops * self.config.prefill_compute_efficiency
-        )
+        compute = flops / (self._effective_tflops * _PREFILL_COMPUTE_EFFICIENCY)
         comm = (
             self._comm_bytes_per_token * prompt_tokens / self._comm_bandwidth
             + self._comm_latency_per_step

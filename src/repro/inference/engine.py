@@ -45,6 +45,15 @@ from repro.utils.rng import derive_rng
 
 __all__ = ["ContinuousBatchingEngine", "EngineStats"]
 
+#: Most requests one batch holds, whatever their weight.
+MAX_BATCH_REQUESTS = 256
+#: Lognormal sigma of the per-step timing jitter.
+_STEP_NOISE_SIGMA = 0.03
+#: How many queued requests admission examines past a blocked head.
+_ADMISSION_LOOKAHEAD = 32
+#: Head-of-line wait after which admission stops reordering (seconds).
+_STARVATION_TIMEOUT_S = 60.0
+
 
 @dataclass
 class _Active:
@@ -81,25 +90,14 @@ class ContinuousBatchingEngine:
         llm: LLMSpec,
         profile: GPUProfile,
         max_batch_weight: int,
-        cost_model: CostModel | None = None,
-        max_batch_requests: int = 256,
         seed: int = 0,
-        noise_sigma: float = 0.03,
-        admission_lookahead: int = 32,
-        starvation_timeout_s: float = 60.0,
     ) -> None:
         if max_batch_weight < 2:
             raise ValueError(f"max_batch_weight must be >= 2, got {max_batch_weight}")
-        if max_batch_requests < 1:
-            raise ValueError("max_batch_requests must be >= 1")
         self.llm = llm
         self.profile = profile
         self.max_batch_weight = int(max_batch_weight)
-        self.max_batch_requests = max_batch_requests
-        self.cost = cost_model or CostModel(llm, profile)
-        self.noise_sigma = noise_sigma
-        self.admission_lookahead = admission_lookahead
-        self.starvation_timeout_s = starvation_timeout_s
+        self.cost = CostModel(llm, profile)
         self._rng = derive_rng(seed, "engine", llm.name, profile.name)
         # Fault layer: a transient slowdown multiplies every step's cost.
         # Exactly 1.0 outside fault windows, where ``x * 1.0 == x`` in
@@ -263,28 +261,26 @@ class ContinuousBatchingEngine:
     # ---- internals --------------------------------------------------------
 
     def _noise(self) -> float:
-        if self.noise_sigma <= 0:
-            return 1.0
-        return float(self._rng.lognormal(0.0, self.noise_sigma))
+        return float(self._rng.lognormal(0.0, _STEP_NOISE_SIGMA))
 
     def _admit(self) -> list[_Active]:
         """Admission from the waiting queue under the batch-weight cap.
 
         The scheduler scans the queue in FIFO order and admits every
         request that fits the remaining weight budget, looking past a
-        blocked head up to ``admission_lookahead`` entries (as real
+        blocked head up to ``_ADMISSION_LOOKAHEAD`` entries (as real
         next-batch selection does). To prevent starvation of large
         requests, reordering is suspended once the head has waited longer
-        than ``starvation_timeout_s`` — the batch then drains until the
+        than ``_STARVATION_TIMEOUT_S`` — the batch then drains until the
         head fits.
         """
         admitted: list[_Active] = []
         if not self._queue:
             return admitted
         head_wait = self._time - self._queue[0][1]
-        allow_reorder = head_wait < self.starvation_timeout_s
+        allow_reorder = head_wait < _STARVATION_TIMEOUT_S
         budget = self.max_batch_weight - self._batch_weight
-        slots = self.max_batch_requests - len(self._active)
+        slots = MAX_BATCH_REQUESTS - len(self._active)
         skipped: list[tuple[InferenceRequest, float]] = []
         while self._queue and slots > 0:
             request, submitted_at = self._queue.popleft()
@@ -296,7 +292,7 @@ class ContinuousBatchingEngine:
                 admitted.append(_Active(request=request, submitted_at=submitted_at))
                 continue
             skipped.append((request, submitted_at))
-            if not allow_reorder or len(skipped) >= self.admission_lookahead:
+            if not allow_reorder or len(skipped) >= _ADMISSION_LOOKAHEAD:
                 break
         scanned_all = not self._queue
         for item in reversed(skipped):

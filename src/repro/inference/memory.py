@@ -18,25 +18,25 @@ from dataclasses import dataclass
 from repro.hardware.profile import GPUProfile
 from repro.models.llm import LLMSpec
 
-__all__ = ["MemoryModel", "MemoryConfig", "CornerCaseBatch", "corner_case_batches"]
+__all__ = ["MemoryModel", "CornerCaseBatch", "corner_case_batches"]
 
 _GB = 1e9
 
-
-@dataclass(frozen=True)
-class MemoryConfig:
-    """Constants of the memory model."""
-
-    #: Fraction of physical memory usable by the serving runtime.
-    usable_fraction: float = 0.96
-    #: Fixed runtime reserve per GPU (CUDA context, NCCL buffers...).
-    runtime_reserve_gb: float = 1.7
-    #: Linear activation bytes per prefill token, as a multiple of d_model
-    #: times the parameter byte width.
-    activation_multiplier: float = 28.0
-    #: Workspace bytes per attention-score element for non-flash models
-    #: (one layer's scores materialized at a time).
-    attention_score_bytes: float = 2.0
+#: The longest prompt the workload generator produces (the traces'
+#: input-token clip): the prompt the corner-case batches must prefill.
+MAX_INPUT_TOKENS = 4093
+#: Fraction of physical memory usable by the serving runtime.
+_USABLE_FRACTION = 0.96
+#: Fixed runtime reserve per GPU (CUDA context, NCCL buffers...).
+_RUNTIME_RESERVE_GB = 1.7
+#: Linear activation bytes per prefill token, as a multiple of d_model
+#: times the parameter byte width.
+_ACTIVATION_MULTIPLIER = 28.0
+#: Workspace bytes per attention-score element for non-flash models
+#: (one layer's scores materialized at a time).
+_ATTENTION_SCORE_BYTES = 2.0
+#: Every request generates at least one token.
+_MIN_OUTPUT_TOKENS = 1
 
 
 @dataclass(frozen=True)
@@ -65,24 +65,17 @@ class CornerCaseBatch:
 class MemoryModel:
     """Memory accounting for one (LLM, GPU profile) pair."""
 
-    def __init__(
-        self,
-        llm: LLMSpec,
-        profile: GPUProfile,
-        config: MemoryConfig | None = None,
-    ) -> None:
+    def __init__(self, llm: LLMSpec, profile: GPUProfile) -> None:
         self.llm = llm
         self.profile = profile
-        self.config = config or MemoryConfig()
 
     # ---- capacity ----------------------------------------------------------
 
     @property
     def capacity_bytes(self) -> float:
         """Usable aggregate memory after the runtime reserve."""
-        cfg = self.config
-        total = self.profile.total_memory_gb * _GB * cfg.usable_fraction
-        return total - cfg.runtime_reserve_gb * _GB * self.profile.count
+        total = self.profile.total_memory_gb * _GB * _USABLE_FRACTION
+        return total - _RUNTIME_RESERVE_GB * _GB * self.profile.count
 
     @property
     def weights_fit(self) -> bool:
@@ -96,9 +89,8 @@ class MemoryModel:
 
     def activation_bytes(self, prefill_tokens: int) -> float:
         """Peak activation workspace for a prefill over ``prefill_tokens``."""
-        cfg = self.config
         linear = (
-            cfg.activation_multiplier
+            _ACTIVATION_MULTIPLIER
             * self.llm.d_model
             * self.llm.bytes_per_param
             * prefill_tokens
@@ -108,7 +100,7 @@ class MemoryModel:
         # Non-flash attention materializes the (T x T) score matrix per head
         # for one layer at a time.
         quadratic = (
-            cfg.attention_score_bytes
+            _ATTENTION_SCORE_BYTES
             * self.llm.n_heads
             * float(prefill_tokens) ** 2
         )
@@ -133,11 +125,7 @@ class MemoryModel:
         return int(free / self.llm.kv_bytes_per_token)
 
 
-def corner_case_batches(
-    max_batch_weight: int,
-    max_input_tokens: int = 4093,
-    min_output_tokens: int = 1,
-) -> list[CornerCaseBatch]:
+def corner_case_batches(max_batch_weight: int) -> list[CornerCaseBatch]:
     """Worst-case batch compositions for a candidate batch weight.
 
     Mirrors the paper's tuning step (§III-C2): "a sequence of batches ...
@@ -151,7 +139,7 @@ def corner_case_batches(
 
     # (1) One request using the whole weight with the longest legal prompt:
     # stresses prefill activations.
-    inp = min(max_input_tokens, max_batch_weight - min_output_tokens)
+    inp = min(MAX_INPUT_TOKENS, max_batch_weight - _MIN_OUTPUT_TOKENS)
     cases.append(
         CornerCaseBatch(
             name="single-long-prompt",

@@ -7,11 +7,11 @@ on saturated and unsaturated regimes) and for quick what-if queries.
 
 Model: with mean request footprint E[(in+out)*batch] tokens, the batch
 weight admits ``n_fit = W / footprint`` concurrent requests. The active
-request count is ``min(u, n_fit, max_batch_requests)``; a decode step
-costs the cost-model step time at that batch size; throughput is
-``active_seqs / step_time``; TTFT is prefill time plus, past saturation,
-the queueing delay of a full rotation of the excess users (Little's law
-on the closed loop).
+request count is ``min(u, n_fit, MAX_BATCH_REQUESTS)``, the last being
+the engine's request cap; a decode step costs the cost-model step time
+at that batch size; throughput is ``active_seqs / step_time``; TTFT is
+prefill time plus, past saturation, the queueing delay of a full
+rotation of the excess users (Little's law on the closed loop).
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.hardware.profile import GPUProfile
 from repro.inference.costmodel import CostModel
+from repro.inference.engine import MAX_BATCH_REQUESTS
 from repro.models.llm import LLMSpec
 
 if TYPE_CHECKING:  # avoid the workload <-> inference import cycle
@@ -52,7 +53,6 @@ class SteadyStateEstimator:
         profile: GPUProfile,
         max_batch_weight: int,
         generator: WorkloadGenerator,
-        max_batch_requests: int = 256,
         n_samples: int = 20_000,
         seed: int = 0,
     ) -> None:
@@ -61,7 +61,6 @@ class SteadyStateEstimator:
         self.llm = llm
         self.profile = profile
         self.max_batch_weight = max_batch_weight
-        self.max_batch_requests = max_batch_requests
         self.cost = CostModel(llm, profile)
         cols = generator.sample_columns(n_samples, rng=seed)
         inp = cols["input_tokens"].astype(float)
@@ -78,7 +77,7 @@ class SteadyStateEstimator:
             raise ValueError("concurrent_users must be >= 1")
         u = concurrent_users
         n_fit = self.max_batch_weight / self._mean_footprint
-        active = min(float(u), n_fit, float(self.max_batch_requests))
+        active = min(float(u), n_fit, float(MAX_BATCH_REQUESTS))
         saturated = active < u
 
         seqs = active * self._mean_batch

@@ -384,15 +384,20 @@ class ElasticRecommendation:
         }
 
 
+#: The standard sweep's floor, and the utilization its
+#: target-utilization policy holds.
+_SWEEP_MIN_PODS = 1
+_SWEEP_TARGET_UTILIZATION = 0.5
+
+
 def default_candidates(
     slo_p95_ttft_s: float,
     max_pods: int,
     requests_per_pod_per_s: float,
-    min_pods: int = 1,
-    target_utilization: float = 0.5,
     policy_slo_fraction: float = 0.25,
 ) -> list[ElasticCandidate]:
-    """The standard sweep: all three adaptive policies between the bounds.
+    """The standard sweep: all three adaptive policies from one pod up to
+    ``max_pods``.
 
     The threshold policy reacts at ``policy_slo_fraction`` of the
     end-to-end SLO: the run's p95 includes every scale-up transient, so
@@ -407,7 +412,7 @@ def default_candidates(
     return [
         ElasticCandidate(
             "threshold",
-            min_pods,
+            _SWEEP_MIN_PODS,
             max_pods,
             lambda: ThresholdPolicy(
                 slo_p95_ttft_s=policy_slo_fraction * slo_p95_ttft_s
@@ -415,13 +420,13 @@ def default_candidates(
         ),
         ElasticCandidate(
             "target-utilization",
-            min_pods,
+            _SWEEP_MIN_PODS,
             max_pods,
-            lambda: TargetUtilizationPolicy(target=target_utilization),
+            lambda: TargetUtilizationPolicy(target=_SWEEP_TARGET_UTILIZATION),
         ),
         ElasticCandidate(
             "predictive",
-            min_pods,
+            _SWEEP_MIN_PODS,
             max_pods,
             lambda: PredictivePolicy(requests_per_pod_per_s=requests_per_pod_per_s),
         ),

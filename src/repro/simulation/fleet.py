@@ -546,21 +546,6 @@ class FleetResult:
             )
         return line
 
-    def as_row(self) -> dict[str, float]:
-        row = {
-            "n_pods": float(self.n_pods),
-            "arrivals": float(self.arrivals),
-            "admitted": float(self.admitted),
-            "shed": float(self.shed),
-            "requests_completed": float(self.requests_completed),
-            "throughput_tokens_per_s": self.throughput_tokens_per_s,
-            "pod_seconds": self.pod_seconds,
-        }
-        row.update(self.ttft.as_row("ttft"))
-        row.update(self.itl.as_row("itl"))
-        row.update(self.e2e.as_row("e2e"))
-        return row
-
 
 class FleetSimulator:
     """Co-simulates N pods under one traffic model and router.

@@ -121,13 +121,6 @@ class LatencyStats:
             mean_s=float(samples.mean()),
         )
 
-    def as_row(self, prefix: str) -> dict[str, float]:
-        return {
-            f"{prefix}_median_s": self.median_s,
-            f"{prefix}_p95_s": self.p95_s,
-            f"{prefix}_p99_s": self.p99_s,
-        }
-
 
 class MetricsCollector:
     """Accumulates latency/throughput events emitted by an engine.

@@ -131,6 +131,7 @@ _NUMBER_KEYS = {
     ),
     "replay": "speedup rate_per_s? horizon_s?",
     "bootstrap": "n rate_per_s? seed",
+    "router": "heavy_pod_fraction warmup window",
     "admission": "slo_ttft_ms window_s retry_delay_s max_defers",
     "autoscaler": (
         "min_pods max_pods interval_s cold_start_s metrics_window_s "
@@ -143,6 +144,9 @@ _NUMBER_KEYS = {
         "max_cloud_pods? price_cap_per_pod_hour? spot_interruptions_per_hour? seed"
     ),
     "catalog": "on_demand spot reserved quota_gpus? spot_interruptions_per_hour",
+    "expectations": (
+        "p95_ttft_ms_max slo_attainment_min cost_max_usd min_completed max_lost"
+    ),
 }
 
 
@@ -463,7 +467,7 @@ class ScenarioSpec:
                 yield from _numbers(
                     traffic.get("bootstrap"), "bootstrap", f"{where}bootstrap "
                 )
-            for kind in ("admission", "autoscaler", "workload", "faults"):
+            for kind in ("router", "admission", "autoscaler", "workload", "faults"):
                 yield from _numbers(owner.get(kind), kind, f"{prefix}{kind} ")
         cloud = self.cloud if isinstance(self.cloud, dict) else {}
         yield from _numbers(cloud, "cloud", "cloud ")
@@ -474,6 +478,7 @@ class ScenarioSpec:
         if isinstance(catalog, dict):
             for gpu, entry in catalog.items():
                 yield from _numbers(entry, "catalog", f"cloud catalog[{gpu}] ")
+        yield from _numbers(self.expectations, "expectations", "expectations ")
 
     @staticmethod
     def _validate_traffic(traffic: dict | None, where: str) -> None:
@@ -535,7 +540,9 @@ class ScenarioSpec:
         known bound names to non-negative numbers (plus the boolean
         ``fast_oracle_parity`` marker). Evaluation lives in
         :mod:`repro.simulation.library`; only the shape is checked here
-        so a curated scenario file fails at load, not mid-matrix."""
+        so a curated scenario file fails at load, not mid-matrix. That
+        each bound is a finite number is :data:`_NUMBER_KEYS`' check;
+        the range checks below skip the values it rejects."""
         section = self.expectations
         if section is None:
             return
@@ -551,17 +558,12 @@ class ScenarioSpec:
                         f"expectations fast_oracle_parity must be a "
                         f"boolean, got {value!r}"
                     )
-                continue
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(
-                    f"expectations {key} must be a number, got {value!r}"
-                )
-            if float(value) < 0:
+            elif _is_number(value) and value < 0:
                 raise ValueError(
                     f"expectations {key} must be >= 0, got {value}"
                 )
-        if "slo_attainment_min" in section:
-            attainment = float(section["slo_attainment_min"])
+        attainment = section.get("slo_attainment_min")
+        if _is_number(attainment):
             if attainment > 1.0:
                 raise ValueError(
                     f"expectations slo_attainment_min is a fraction, "

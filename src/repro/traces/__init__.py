@@ -1,5 +1,5 @@
 """Synthetic production-trace substrate (substitute for the paper's
-proprietary 17.3M-request IBM trace collection; see DESIGN.md)."""
+proprietary 17.3M-request IBM trace collection; see docs/architecture.md)."""
 
 from repro.traces.schema import (
     TraceDataset,

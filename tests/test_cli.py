@@ -556,8 +556,14 @@ class TestScenarioNameFlag:
                 "traffic: {kind: poisson, rate_per_s: 1.0}\nduration_s: .inf\n",
                 "duration_s must be finite, got inf",
             ),
+            # A string router parameter used to escape as a TypeError.
+            (
+                "traffic: {kind: poisson, rate_per_s: 1.0}\nduration_s: 10\n"
+                "router: {kind: weight-aware, heavy_pod_fraction: '0.5'}\n",
+                "router heavy_pod_fraction must be a number, got '0.5'",
+            ),
         ],
-        ids=["list-count", "infinite-duration"],
+        ids=["list-count", "infinite-duration", "string-router"],
     )
     def test_bad_section_number_names_file_and_field(
         self, tmp_path, capsys, line, error

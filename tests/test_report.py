@@ -227,3 +227,52 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert "unknown scenario name" in err
         assert "available:" in err
+
+    @pytest.mark.parametrize(
+        "spec, error",
+        [
+            (
+                {
+                    "name": "overcommitted",
+                    "duration_s": 10.0,
+                    "llm": "Llama-2-7b",
+                    "profile": "1xA10-24GB",
+                    "workload": {"requests": 2000},
+                    "capacity": {"A10-24GB": 1},
+                    "tenants": [
+                        {
+                            "name": "chat",
+                            "pods": 2,
+                            "traffic": {"kind": "poisson", "rate_per_s": 1.0},
+                        }
+                    ],
+                },
+                "does not fit the inventory",
+            ),
+            (
+                {
+                    "name": "dead-fleet",
+                    "duration_s": 10.0,
+                    "llm": "Llama-2-7b",
+                    "profile": "1xA10-24GB",
+                    "pods": 1,
+                    "workload": {"requests": 2000},
+                    "traffic": {"kind": "poisson", "rate_per_s": 1.0},
+                    "faults": {"events": [{"kind": "crash", "time_s": 2.0}]},
+                },
+                "a fault killed the whole fleet",
+            ),
+        ],
+    )
+    def test_unrunnable_scenario_exits_2(self, tmp_path, capsys, spec, error):
+        # Same contract as simulate/cluster-sim --scenario: a spec that
+        # cannot be built or run is user input, not a simulator bug.
+        src = tmp_path / "spec.json"
+        src.write_text(json.dumps(spec))
+        out = tmp_path / "report.html"
+        rc = main(["report", "--scenario", str(src), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert error in err
+        assert not out.exists()

@@ -315,6 +315,44 @@ class TestValidation:
                 "cloud catalog[A10-24GB] spot must be a number, got 'x'; "
                 "cloud catalog[A10-24GB] reserved must be a number, got None",
             ),
+            (
+                fleet_spec(
+                    router={"kind": "weight-aware", "heavy_pod_fraction": "0.5"}
+                ),
+                "router heavy_pod_fraction must be a number, got '0.5'",
+            ),
+            (
+                fleet_spec(router={"kind": "weight-aware", "window": 1e400}),
+                "router window must be finite, got inf",
+            ),
+            (
+                cluster_spec(
+                    tenants=[
+                        {
+                            "name": "chat",
+                            "traffic": {"kind": "poisson", "rate_per_s": 1.0},
+                            "router": {"kind": "weight-aware", "warmup": True},
+                        }
+                    ]
+                ),
+                "tenant 'chat' router warmup must be a number, got True",
+            ),
+            (
+                fleet_spec(expectations={"min_completed": math.inf}),
+                "expectations min_completed must be finite, got inf",
+            ),
+            (
+                fleet_spec(expectations={"p95_ttft_ms_max": math.nan}),
+                "expectations p95_ttft_ms_max must be finite, got nan",
+            ),
+            (
+                fleet_spec(
+                    slo_ttft_ms=500.0,
+                    expectations={"slo_attainment_min": "0.9", "max_lost": -1},
+                ),
+                "expectations slo_attainment_min must be a number, got '0.9'; "
+                "expectations max_lost must be >= 0, got -1",
+            ),
         ],
     )
     def test_section_numbers_must_be_finite(self, spec, error):
