@@ -15,7 +15,11 @@ laws must hold:
 * degeneracy — a 1-tenant cluster with ample inventory is the standalone
   fleet simulation, number for number;
 * reference parity — the production fleet and the reference fleet of
-  ``repro.simulation.reference`` agree field for field.
+  ``repro.simulation.reference`` agree field for field;
+* work conservation — the samples and counters an engine reports add up
+  to what its submitted requests demand, computed from the requests and
+  their results alone (no engine code path is shared, so a bug in the
+  semantics both engines share still fails here).
 
 ``derandomize=True`` keeps CI deterministic: the sweep is a fixed,
 diverse grid rather than a fresh random draw per run.
@@ -23,14 +27,16 @@ diverse grid rather than a fresh random draw per run.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.characterization import DEFAULT_USER_COUNTS, run_load_test
 from repro.hardware import parse_profile
-from repro.inference import ContinuousBatchingEngine
+from repro.inference import ContinuousBatchingEngine, InferenceRequest
 from repro.models import get_llm
 from repro.simulation import (
     AdmissionController,
@@ -243,6 +249,80 @@ class TestReferenceParity:
         )
         if chaos:
             assert mine.fault_events
+
+
+class TestWorkConservation:
+    """Engine output against the work its requests demand.
+
+    Every expected value is computed from the submitted requests (or, for
+    time, from each request's own first-token and finish stamps), never
+    from an engine counter or helper, so these identities hold the
+    production engine to account where parity with the reference cannot:
+    both engines share admission, prefill and the step-time semantics.
+    The engine runs with an unbounded decode horizon, so it may advance
+    through a whole run of decode steps per ``step()`` call.
+    """
+
+    def _drain(self, seed, slow_factor):
+        engine = ContinuousBatchingEngine(
+            LLM, PROFILE, max_batch_weight=3_000, seed=seed
+        )
+        engine.slow_factor = slow_factor
+        engine.horizon = float("inf")
+        rng = np.random.default_rng(seed)
+        requests = [
+            InferenceRequest(
+                request_id=i,
+                input_tokens=int(rng.integers(20, 300)),
+                output_tokens=int(rng.integers(1, 200)),
+                batch_size=int(rng.integers(1, 4)),
+            )
+            for i in range(60)
+        ]
+        for request in requests:
+            engine.submit(request)
+        results = engine.step()
+        # The whole population cannot fit one batch: admission blocks
+        # behind the first one until completions free weight.
+        assert engine.queue_depth > 0
+        while engine.has_work():
+            results.extend(engine.step())
+        return engine, requests, results
+
+    @pytest.mark.parametrize("seed,slow_factor", [(0, 1.0), (1, 2.5), (2, 0.7)])
+    def test_drained_engine_conserves_tokens_and_time(self, seed, slow_factor):
+        engine, requests, results = self._drain(seed, slow_factor)
+        assert sorted(r.request.request_id for r in results) == list(
+            range(len(requests))
+        )
+        assert any(r.batch_size > 1 for r in requests)
+        gaps = engine.itl_samples()
+        # One gap per output token after the first, per request...
+        assert gaps.size == sum(r.output_tokens - 1 for r in requests)
+        assert np.all(gaps > 0.0)
+        # ...and each request's gaps telescope to its decode span.
+        spans = math.fsum(r.finished_at - r.first_token_at for r in results)
+        assert math.fsum(gaps) == pytest.approx(spans, rel=1e-9)
+        # Client-visible tokens: every output token of every batch entry.
+        assert engine.stats.tokens_generated == sum(
+            r.output_tokens * r.batch_size for r in requests
+        )
+        assert engine.stats.requests_completed == len(requests)
+        # Everything was submitted at t=0 and the engine never idled, so
+        # its busy time is its clock, to the bit.
+        assert engine.stats.busy_time_s == engine.time
+        assert engine.time == max(r.finished_at for r in results)
+
+    @pytest.mark.parametrize("users", DEFAULT_USER_COUNTS)
+    def test_closed_loop_pod_is_never_idle(self, generator, users):
+        """A one-pod closed loop resubmits at every completion, so with no
+        warmup reset the busy time the engine accumulates is its clock."""
+        engine = ContinuousBatchingEngine(
+            LLM, PROFILE, max_batch_weight=WEIGHT, seed=users
+        )
+        res = run_load_test(engine, generator, users, duration_s=20.0, seed=users)
+        assert res.requests_completed > 0
+        assert engine.stats.busy_time_s == engine.time
 
 
 class TestClusterInvariants:
