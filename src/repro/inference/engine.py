@@ -27,6 +27,13 @@ their outputs are bit-identical on pinned seeds (see
 ``tests/test_inference.py`` and the golden pins in
 ``tests/test_simulation.py``); ``benchmarks/bench_core_speed.py``
 enforces the equality and the speedup.
+
+Between an admission and a completion every decode step has the same
+batch, so its duration is a closed-form function of the KV size. When
+the caller promises (through :attr:`ContinuousBatchingEngine.horizon`)
+that nothing reaches the engine before some time, one ``step()`` call
+runs every decode step that starts before it as one vectorized *leap*,
+again bit-identical to the one-step-at-a-time reference.
 """
 
 from __future__ import annotations
@@ -104,6 +111,11 @@ class ContinuousBatchingEngine:
         # IEEE-754 keeps fault-free runs bit-identical to an engine that
         # never heard of faults.
         self.slow_factor = 1.0
+        # Decode leaps (see step()): the caller's promise that nothing
+        # outside the engine — a submit, a slowdown, a metrics reset —
+        # touches it before this virtual time. The default promises
+        # nothing, so every step() call is one iteration.
+        self.horizon = float("-inf")
 
         self._time = 0.0
         self._queue: deque[tuple[InferenceRequest, float]] = deque()
@@ -198,7 +210,14 @@ class ContinuousBatchingEngine:
         return bool(self._queue or self._active)
 
     def step(self) -> list[RequestResult]:
-        """Run one scheduler iteration; returns requests completed in it."""
+        """Run one scheduler iteration; returns requests completed in it.
+
+        A decode iteration that starts before :attr:`horizon` is a
+        *leap*: every further decode step that also starts before the
+        horizon runs in the same call, up to and including the step that
+        completes the next request (see :meth:`_leap`). ``stats`` counts
+        each step the call simulated.
+        """
         if not (self._queue or self._active):
             return []
         self.stats.steps += 1
@@ -211,6 +230,8 @@ class ContinuousBatchingEngine:
             admitted = self._admit()
             if admitted:
                 return self._prefill(admitted)
+        if self._soa_min_left > 1 and self.horizon > self._time:
+            return self._leap()
         return self._decode()
 
     def itl_samples(self) -> np.ndarray:
@@ -388,31 +409,100 @@ class ContinuousBatchingEngine:
         self._soa_gen[:n] += 1
         self._kv_tokens += n_seqs
         stats.tokens_generated += n_seqs
-        completed: list[RequestResult] = []
+        self.metrics.record_tokens(n_seqs, now)
         # Every active request gains exactly one token per step, so the
         # smallest remaining-output count drops by exactly one — the
         # done-comparison only needs to run when that countdown hits 0.
         self._soa_min_left -= 1
-        if self._soa_min_left <= 0:
-            done = self._soa_gen[:n] >= self._soa_out[:n]
-            for i in np.flatnonzero(done):
-                a = self._active[i]
-                # Copy the authoritative array state back before the
-                # result is assembled (still-active rows stay lazily
-                # mirrored — the arrays are the source of truth).
-                a.generated = int(self._soa_gen[i])
-                a.last_token_at = now
-                self._soa_seqs -= a.request.batch_size
-                completed.append(self._finish(a))
-            keep = ~done
-            self._active = [a for a, k in zip(self._active, keep) if k]
-            m = len(self._active)
-            for arr in (self._soa_last, self._soa_gen, self._soa_out, self._soa_batch):
-                arr[:m] = arr[:n][keep]
-            self._soa_min_left = (
-                int((self._soa_out[:m] - self._soa_gen[:m]).min()) if m else 0
-            )
-        self.metrics.record_tokens(n_seqs, now)
+        if self._soa_min_left > 0:
+            return []
+        return self._complete(n)
+
+    def _leap(self) -> list[RequestResult]:
+        """Every decode step that starts before :attr:`horizon`, up to and
+        including the next completion, as one vectorized pass.
+
+        Until that completion the batch cannot change: nothing completes
+        earlier (``_soa_min_left`` counts the steps to it), admission is
+        blocked or the queue empty, and the horizon rules out a submit.
+        So step ``i`` (from 0) has the same ``n_seqs`` and a KV size of
+        ``kv0 + i * n_seqs``, and the pass is bit-identical to one
+        :meth:`_decode` per step:
+
+        * the noise is one ``lognormal(size=k)`` draw, which yields the
+          values of k scalar draws;
+        * the step costs come from :meth:`CostModel.decode_step_times`,
+          the element-wise twin of the scalar cost;
+        * step times and busy time are sequential ``cumsum`` from the
+          engine's clock and busy time, the sums of repeated ``+=``;
+        * the first step's gaps are ``t1 - last`` per request, and every
+          later step's gap is the difference of two consecutive step
+          times, which is the per-request subtraction once every
+          request's last token is the previous step's.
+        """
+        stats = self.stats
+        n = len(self._active)
+        n_seqs = self._soa_seqs
+        k = self._soa_min_left
+        rng = self._rng
+        state = rng.bit_generator.state
+        noise = rng.lognormal(0.0, _STEP_NOISE_SIGMA, size=k)
+        kv = self._kv_tokens + n_seqs * np.arange(k)
+        dt = self.cost.decode_step_times(n_seqs, kv) * noise * self.slow_factor
+        times = np.cumsum(np.concatenate(([self._time], dt)))
+        # Step i starts at times[i]; the first starts before the horizon.
+        run = k
+        if times[k - 1] >= self.horizon:
+            run = int(np.searchsorted(times[:k], self.horizon))
+            # The horizon cut the run short: leave the noise stream
+            # exactly ``run`` draws on, as ``run`` scalar draws would.
+            rng.bit_generator.state = state
+            rng.lognormal(0.0, _STEP_NOISE_SIGMA, size=run)
+            dt = dt[:run]
+            times = times[: run + 1]
+        busy = np.cumsum(np.concatenate(([stats.busy_time_s], dt)))
+        stats.steps += run - 1
+        stats.decode_steps += run
+        self._time = float(times[-1])
+        stats.busy_time_s = float(busy[-1])
+        gaps = self.metrics.gap_sink(n * run)
+        np.subtract(times[1], self._soa_last[:n], out=gaps[:n])
+        if run > 1:
+            later = gaps[n:].reshape(run - 1, n)
+            later[:] = (times[2:] - times[1:-1])[:, None]
+        self._soa_last[:n] = self._time
+        self._soa_gen[:n] += run
+        self._kv_tokens += run * n_seqs
+        stats.tokens_generated += run * n_seqs
+        self.metrics.record_token_steps(n_seqs, times[1:])
+        self._soa_min_left -= run
+        if self._soa_min_left > 0:
+            return []
+        return self._complete(n)
+
+    def _complete(self, n: int) -> list[RequestResult]:
+        """Retire the requests among the ``n`` active ones that the step
+        ending at the engine's clock completed, in active-list order."""
+        now = self._time
+        completed: list[RequestResult] = []
+        done = self._soa_gen[:n] >= self._soa_out[:n]
+        for i in np.flatnonzero(done):
+            a = self._active[i]
+            # Copy the authoritative array state back before the
+            # result is assembled (still-active rows stay lazily
+            # mirrored — the arrays are the source of truth).
+            a.generated = int(self._soa_gen[i])
+            a.last_token_at = now
+            self._soa_seqs -= a.request.batch_size
+            completed.append(self._finish(a))
+        keep = ~done
+        self._active = [a for a, k in zip(self._active, keep) if k]
+        m = len(self._active)
+        for arr in (self._soa_last, self._soa_gen, self._soa_out, self._soa_batch):
+            arr[:m] = arr[:n][keep]
+        self._soa_min_left = (
+            int((self._soa_out[:m] - self._soa_gen[:m]).min()) if m else 0
+        )
         return completed
 
     def _finish(self, a: _Active) -> RequestResult:

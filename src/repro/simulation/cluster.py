@@ -243,7 +243,7 @@ class ClusterResult:
 
         The cluster-level counterpart of
         :attr:`~repro.simulation.fleet.FleetResult.events_per_second`:
-        ``sim_events`` sums every tenant fleet's scheduler iterations,
+        ``sim_events`` sums every tenant fleet's engine steps simulated,
         ``wall_time_s`` covers the shared-clock loop from the first
         allocation to result assembly. 0.0 when timing was not captured.
         """

@@ -348,8 +348,9 @@ class FleetResult:
     def events_per_second(self) -> float:
         """Simulator throughput: engine steps per wall-clock second.
 
-        ``sim_events`` counts scheduler iterations (the unit of work the
-        event loop executes); ``wall_time_s`` is real time from
+        ``sim_events`` counts the engine steps simulated, each step of a
+        decode leap included, so it does not depend on how many event
+        loop iterations the run took; ``wall_time_s`` is real time from
         ``begin()`` to result assembly. The uniform throughput figure
         every benchmark reports. 0.0 when timing was not captured.
         """
@@ -616,6 +617,10 @@ class FleetSimulator:
         self._release: Callable[..., None] | None = None
         self._warmed_up = True
         self._warmup_s = 0.0
+        self._t_end = float("inf")
+        # Whether pods may leap through runs of decode steps (see
+        # _reindex); decided when the in-service pods change.
+        self._leap = False
         self._next_decision = float("inf")
         # Fault layer (simulation.faults): a seeded injector feeds the
         # run loop crash / slowdown / zone-outage events on the shared
@@ -761,7 +766,7 @@ class FleetSimulator:
         self.router.reset()
         self._events = 0
         self._wall_start = _time.perf_counter()
-        self._frontier.rebuild(self._in_service())
+        self._reindex()
         if self.autoscaler is not None:
             self.autoscaler.reset()
         self._next_decision = (
@@ -788,6 +793,7 @@ class FleetSimulator:
         self.initial_routed_counts = list(self.routed_counts)
         self._warmup_s = warmup_s
         self._warmed_up = warmup_s == 0.0
+        self._t_end = warmup_s + duration_s
 
     def inject_due(self, cutoff: float) -> None:
         """Materialize every arrival due at this fleet's busy frontier."""
@@ -866,8 +872,12 @@ class FleetSimulator:
         return self._zone_of(serial) if self._zone_of is not None else "zone-0"
 
     def step_pod(self, stepping: "ContinuousBatchingEngine") -> None:
-        """Step the frontier pod once; handle its completions."""
-        self._events += 1
+        """Step the frontier pod once; handle its completions.
+
+        Where the fleet allows it, the pod first learns its horizon (see
+        :meth:`_horizon`), so the step may be a leap through a whole run
+        of decode steps; the fleet counts every step simulated.
+        """
         if not self._warmed_up and stepping.time >= self._warmup_s:
             # Reset every engine ever provisioned, not just the ones
             # still in service: a pod retired before the warmup
@@ -876,7 +886,14 @@ class FleetSimulator:
             for pod in self._all_pods:
                 pod.reset_metrics()
             self._warmed_up = True
-        finished = stepping.step()
+        if self._leap:
+            stepping.horizon = self._horizon()
+            steps = stepping.stats.steps
+            finished = stepping.step()
+            self._events += stepping.stats.steps - steps
+        else:
+            finished = stepping.step()
+            self._events += 1
         self._completions += len(finished)
         for result in finished:
             follow_up = self.traffic.on_complete(result, stepping.time, self.source)
@@ -917,6 +934,52 @@ class FleetSimulator:
     def _in_service(self) -> list["ContinuousBatchingEngine"]:
         """Pods that may still be doing work: routable + draining."""
         return self.pods + self._draining if self._draining else self.pods
+
+    def _reindex(self) -> None:
+        """Re-index the in-service pods after their membership changed.
+
+        Also decides whether they may leap. A leap is safe while nothing
+        outside a pod can reach its batch before :meth:`_horizon`, which
+        fails in two cases. A draining fleet retires an idle draining pod
+        at the end of whichever step any of its pods takes next, so a
+        leap would move the retirement and its bill. And with several
+        routable pods, a completion-driven follow-up may be routed to
+        another pod, at a time only the completing pod's steps reveal.
+        Pods of a fleet that stops leaping lose their last horizon, so
+        every step() call is again one iteration.
+        """
+        in_service = self._in_service()
+        self._frontier.rebuild(in_service)
+        leap = not self._draining and (
+            len(self.pods) <= 1
+            or type(self.traffic).on_complete is TrafficModel.on_complete
+        )
+        if self._leap and not leap:
+            for pod in in_service:
+                pod.horizon = float("-inf")
+        self._leap = leap
+
+    def _horizon(self) -> float:
+        """The earliest time an event outside the pods can reach them.
+
+        The earliest of the next scheduled arrival, the pending heap's
+        head (follow-ups, deferred retries and crash requeues), the next
+        control event, the end of the window and, until it has passed,
+        the warmup boundary. Every decode step that starts before it
+        would run before any of those in a one-step-per-event loop.
+        """
+        horizon = self._t_end
+        t = self.traffic.peek()
+        if t is not None and t < horizon:
+            horizon = t
+        if self._pending and self._pending[0][0] < horizon:
+            horizon = self._pending[0][0]
+        t = self.next_control()
+        if t < horizon:
+            horizon = t
+        if not self._warmed_up and self._warmup_s < horizon:
+            horizon = self._warmup_s
+        return horizon
 
     def _inject_due(self, cutoff: float) -> None:
         """Submit every arrival that is due at the current fleet frontier.
@@ -1138,7 +1201,7 @@ class FleetSimulator:
         if crashed:
             if restart is not None:
                 self._starting.sort(key=lambda e: (e[0], e[1]))
-            self._frontier.rebuild(self._in_service())
+            self._reindex()
         else:
             # Nothing in service matched (empty zone, pod already gone):
             # record the scheduled event so fault schedules stay visible.
@@ -1215,7 +1278,7 @@ class FleetSimulator:
             # Appending to self.pods shifts every draining pod's
             # position in the in-service order — the heap's tie-break —
             # so the index must be rebuilt.
-            self._frontier.rebuild(self._in_service())
+            self._reindex()
 
     def _retire_drained(self, now: float) -> None:
         """Retire draining pods that have finished their residual work."""
@@ -1236,7 +1299,7 @@ class FleetSimulator:
                 retired.append(serial)
         self._draining = still
         if retired:
-            self._frontier.rebuild(self._in_service())
+            self._reindex()
         if retired and self._release is not None:
             self._release(len(retired), now, retired)
 
@@ -1306,7 +1369,7 @@ class FleetSimulator:
                 drained = True
                 delta -= 1
             if drained:
-                self._frontier.rebuild(self._in_service())
+                self._reindex()
         self.scale_events.append(
             ScaleEvent(
                 time_s=t,

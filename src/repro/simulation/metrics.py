@@ -161,7 +161,7 @@ class MetricsCollector:
         Equivalent to building an ``n``-sized array and passing it to
         :meth:`record_gaps`, minus the intermediate copy; used by the
         engine's vectorized decode step, which subtracts straight into
-        the buffer.
+        the buffer (a decode leap reserves all its steps' gaps at once).
         """
         return self._itl.write_slots(n)
 
@@ -169,6 +169,24 @@ class MetricsCollector:
         self.tokens_recorded += n_tokens
         window = int(now / self.window_s)
         self._window_tokens[window] = self._window_tokens.get(window, 0) + n_tokens
+
+    def record_token_steps(self, n_tokens: int, times: np.ndarray) -> None:
+        """:meth:`record_tokens` of ``n_tokens`` at every one of ``times``.
+
+        One call for a run of engine steps (a decode leap); ``times`` is
+        non-decreasing, so a run inside one window is one dict update.
+        """
+        self.tokens_recorded += n_tokens * times.size
+        counts = self._window_tokens
+        first = int(times[0] / self.window_s)
+        if first == int(times[-1] / self.window_s):
+            counts[first] = counts.get(first, 0) + n_tokens * times.size
+            return
+        windows, steps = np.unique(
+            (times / self.window_s).astype(np.int64), return_counts=True
+        )
+        for window, k in zip(windows.tolist(), steps.tolist()):
+            counts[window] = counts.get(window, 0) + n_tokens * k
 
     def record_completion(self, result: "RequestResult") -> None:
         self.completed.append(result)

@@ -269,7 +269,7 @@ class TestFastOracleParity:
     loop of :class:`ReferenceEngine`: same step times, same completion
     timestamps, same counters."""
 
-    def _run(self, fast):
+    def _run(self, fast, leap=False):
         engine_type = ContinuousBatchingEngine if fast else ReferenceEngine
         engine = engine_type(
             get_llm("Llama-2-13b"), parse_profile("1xA100-40GB"),
@@ -286,18 +286,32 @@ class TestFastOracleParity:
             for i in range(40)
         ]
         results = []
-        # Interleave arrivals with steps so admission, queueing and the
-        # failed-admission memo are all exercised mid-flight.
-        for request in requests:
-            engine.submit(request)
-            results.extend(engine.step())
+        if leap:
+            # Nothing is submitted once stepping starts, so the horizon
+            # is unbounded: every decode run leaps to its completion,
+            # with admission blocked behind a queue that cannot fit.
+            engine.horizon = float("inf")
+            for request in requests:
+                engine.submit(request)
+        else:
+            # Interleave arrivals with steps so admission, queueing and
+            # the failed-admission memo are all exercised mid-flight.
+            for request in requests:
+                engine.submit(request)
+                results.extend(engine.step())
         while engine.has_work():
             results.extend(engine.step())
         return engine, results
 
     def test_completions_bit_identical(self):
-        fast_engine, fast_results = self._run(fast=True)
-        oracle_engine, oracle_results = self._run(fast=False)
+        self._assert_identical(leap=False)
+
+    def test_leaping_drain_bit_identical(self):
+        self._assert_identical(leap=True)
+
+    def _assert_identical(self, leap):
+        fast_engine, fast_results = self._run(fast=True, leap=leap)
+        oracle_engine, oracle_results = self._run(fast=False, leap=leap)
         assert len(fast_results) == len(oracle_results) == 40
         for mine, ref in zip(fast_results, oracle_results):
             assert mine.request.request_id == ref.request.request_id

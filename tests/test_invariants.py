@@ -213,16 +213,20 @@ def _result_fields(result) -> str:
 
 
 class TestReferenceParity:
-    """The production fleet (heap frontier, vectorized decode, admission
-    memo) and the reference fleet are one simulation: whatever the
-    draw, they agree field for field and sample for sample."""
+    """The production fleet (heap frontier, vectorized decode, decode
+    leaps, admission memo) and the reference fleet are one simulation:
+    whatever the draw, they agree field for field and sample for
+    sample. The drawn pod count and warmup make leaps run and get cut
+    short by arrivals, control events and the warmup boundary."""
 
     @SETTINGS
     @given(seed=seeds, kind=traffic_kinds, rate=rates,
            router_kind=router_kinds, autoscaled=st.booleans(),
-           chaos=st.booleans())
+           chaos=st.booleans(), n_pods=st.sampled_from([1, 2]),
+           warmup_s=st.sampled_from([0.0, 5.0]))
     def test_production_fleet_equals_reference(
-        self, generator, seed, kind, rate, router_kind, autoscaled, chaos
+        self, generator, seed, kind, rate, router_kind, autoscaled, chaos,
+        n_pods, warmup_s,
     ):
         def run(reference):
             faults = None
@@ -238,9 +242,11 @@ class TestReferenceParity:
             fleet = _fleet(
                 generator, seed, kind, rate, router_kind,
                 "threshold" if autoscaled else "none", faults=faults,
-                n_pods=2, label="parity", reference=reference,
+                n_pods=n_pods, label="parity", reference=reference,
             )
-            return fleet.run(duration_s=DURATION_S, keep_samples=True)
+            return fleet.run(
+                duration_s=DURATION_S, warmup_s=warmup_s, keep_samples=True
+            )
 
         mine, ref = run(False), run(True)
         assert _result_fields(mine) == _result_fields(ref)

@@ -5,6 +5,9 @@ pre-refactor hand-written driver loops; the golden values pinned here
 were captured from that original implementation and must never drift.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -463,3 +466,50 @@ class TestFastOracleParity:
         assert result.sim_events > 0
         assert result.wall_time_s > 0.0
         assert result.events_per_second == result.sim_events / result.wall_time_s
+
+    @staticmethod
+    def _assert_load_tests_equal(mine, ref):
+        (engine, result), (ref_engine, ref_result) = mine, ref
+        np.testing.assert_array_equal(engine.itl_samples(), ref_engine.itl_samples())
+        assert engine.stats == ref_engine.stats
+        assert engine.time == ref_engine.time
+        # Every LoadTestResult field, per-request results included; the
+        # JSON rendering makes NaN compare equal to NaN.
+        assert json.dumps(dataclasses.asdict(result)) == json.dumps(
+            dataclasses.asdict(ref_result)
+        )
+
+    @pytest.mark.parametrize("warmup_s", [0.0, 5.0])
+    @pytest.mark.parametrize("users", [1, 8, 128])
+    def test_load_test_leaps_match_reference_engine(
+        self, generator, users, warmup_s
+    ):
+        """A one-pod load test leaps to each completion, cut short only at
+        the warmup boundary and the end of the window; the reference
+        engine takes one decode step per event."""
+
+        def run(engine_type):
+            engine = engine_type(LLM, PROFILE, max_batch_weight=12_000, seed=users)
+            result = run_load_test(
+                engine, generator, users, duration_s=20.0, seed=users,
+                keep_results=True, warmup_s=warmup_s,
+            )
+            return engine, result
+
+        self._assert_load_tests_equal(
+            run(ContinuousBatchingEngine), run(ReferenceEngine)
+        )
+
+    def test_open_loop_leaps_match_reference_engine(self, generator):
+        """At 4 arrivals/s an arrival cuts about three leaps in four
+        short, and the queue grows behind blocked admission."""
+
+        def run(engine_type):
+            engine = engine_type(LLM, PROFILE, max_batch_weight=12_000, seed=4)
+            return engine, run_open_loop_test(
+                engine, generator, 4.0, duration_s=30.0, seed=4
+            )
+
+        self._assert_load_tests_equal(
+            run(ContinuousBatchingEngine), run(ReferenceEngine)
+        )
