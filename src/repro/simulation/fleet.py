@@ -871,12 +871,17 @@ class FleetSimulator:
             return zone
         return self._zone_of(serial) if self._zone_of is not None else "zone-0"
 
-    def step_pod(self, stepping: "ContinuousBatchingEngine") -> None:
+    def step_pod(
+        self, stepping: "ContinuousBatchingEngine", next_control: float
+    ) -> None:
         """Step the frontier pod once; handle its completions.
 
-        Where the fleet allows it, the pod first learns its horizon (see
-        :meth:`_horizon`), so the step may be a leap through a whole run
-        of decode steps; the fleet counts every step simulated.
+        ``next_control`` is the time of the next control event on the
+        clock the fleet runs on: its own, or in a cluster the earliest of
+        every tenant's. Where the fleet allows it, the pod first learns
+        its horizon (see :meth:`_horizon`), so the step may be a leap
+        through a whole run of decode steps; the fleet counts every step
+        simulated.
         """
         if not self._warmed_up and stepping.time >= self._warmup_s:
             # Reset every engine ever provisioned, not just the ones
@@ -887,7 +892,7 @@ class FleetSimulator:
                 pod.reset_metrics()
             self._warmed_up = True
         if self._leap:
-            stepping.horizon = self._horizon()
+            stepping.horizon = self._horizon(next_control)
             steps = stepping.stats.steps
             finished = stepping.step()
             self._events += stepping.stats.steps - steps
@@ -959,24 +964,27 @@ class FleetSimulator:
                 pod.horizon = float("-inf")
         self._leap = leap
 
-    def _horizon(self) -> float:
+    def _horizon(self, next_control: float) -> float:
         """The earliest time an event outside the pods can reach them.
 
         The earliest of the next scheduled arrival, the pending heap's
         head (follow-ups, deferred retries and crash requeues), the next
-        control event, the end of the window and, until it has passed,
-        the warmup boundary. Every decode step that starts before it
-        would run before any of those in a one-step-per-event loop.
+        control event on the shared clock, the end of the window and,
+        until it has passed, the warmup boundary. Every decode step that
+        starts before it would run before any of those in a
+        one-step-per-event loop.
+
+        Another tenant's control event counts too. The loop steps its
+        frontier pod right after a control tick, before the ticked
+        tenant injects what the tick requeued; which pod that is depends
+        on every tenant's clock, so no pod may run past the tick.
         """
-        horizon = self._t_end
+        horizon = min(self._t_end, next_control)
         t = self.traffic.peek()
         if t is not None and t < horizon:
             horizon = t
         if self._pending and self._pending[0][0] < horizon:
             horizon = self._pending[0][0]
-        t = self.next_control()
-        if t < horizon:
-            horizon = t
         if not self._warmed_up and self._warmup_s < horizon:
             horizon = self._warmup_s
         return horizon

@@ -276,10 +276,10 @@ class ClusterFrontier:
         self._dirty.add(index)
         return faulted
 
-    def step_pod(self, pod: "ContinuousBatchingEngine") -> None:
+    def step_pod(self, pod: "ContinuousBatchingEngine", next_control: float) -> None:
         """Step the pod :meth:`peek_pod` found, in its own tenant's fleet."""
         index = self._pod_index
-        self._fleets[index].step_pod(pod)
+        self._fleets[index].step_pod(pod, next_control)
         self.push(index)
         self._dirty.add(index)
 
@@ -290,7 +290,7 @@ def run_event_loop(
     peek_pod: Callable[[], "ContinuousBatchingEngine | None"],
     peek_control: Callable[[], float],
     control_tick: Callable[[], bool],
-    step_pod: Callable[["ContinuousBatchingEngine"], None],
+    step_pod: Callable[["ContinuousBatchingEngine", float], None],
 ) -> None:
     """The production event loop, shared by the fleet and the cluster.
 
@@ -307,7 +307,9 @@ def run_event_loop(
       when none is pending;
     * ``control_tick()`` runs that event and says whether it was a
       fault;
-    * ``step_pod(pod)`` steps the frontier pod once.
+    * ``step_pod(pod, t_ctl)`` steps the frontier pod once; ``t_ctl``
+      is the next control event's time, the earliest anywhere on the
+      loop's clock.
 
     Only a control tick moves a control time (arrivals and steps never
     do), so the loop re-reads ``peek_control()`` after each tick instead
@@ -333,4 +335,4 @@ def run_event_loop(
             # A fault crashed the frontier pod itself (or evacuated its
             # work): re-resolve the frontier.
             continue
-        step_pod(pod)
+        step_pod(pod, t_ctl)

@@ -167,7 +167,7 @@ class ReferenceClusterSimulator(ClusterSimulator):
                 # A fault crashed the frontier pod itself (or evacuated
                 # its work): re-resolve the global frontier.
                 continue
-            stepping.fleet.step_pod(pod)
+            stepping.fleet.step_pod(pod, t_ctl)
 
 
 class _ReferenceDeployment(Deployment):

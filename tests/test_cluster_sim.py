@@ -386,12 +386,12 @@ class TestFastOracleParity:
     production core must be bit-identical to the reference simulator
     (reference engines, fleets and cluster loop)."""
 
-    def _run(self, generator, fast):
+    def _run(self, generator, fast, crash_at=None):
         engine_type = ContinuousBatchingEngine if fast else ReferenceEngine
         fleet_type = FleetSimulator if fast else ReferenceFleetSimulator
         cluster_type = ClusterSimulator if fast else ReferenceClusterSimulator
 
-        def tenant_fleet(name, rate, seed, max_pods):
+        def tenant_fleet(name, rate, seed, max_pods, n_pods=1, faults=None):
             def factory(serial):
                 return engine_type(
                     LLM, PROFILE, max_batch_weight=WEIGHT,
@@ -402,27 +402,51 @@ class TestFastOracleParity:
                 generator, derive_rng(seed, "cluster-test", name), WEIGHT
             )
             return fleet_type(
-                [factory(0)],
+                [factory(i) for i in range(n_pods)],
                 PoissonTraffic(rate, rng=derive_rng(seed, "cluster-traffic", name)),
                 LeastLoadedRouter(),
                 source,
                 autoscaler=_scaler(max_pods=max_pods),
                 pod_factory=factory,
+                faults=faults,
             )
 
+        noisy, capacity = tenant_fleet("noisy", 8.0, 2, 6), 3
+        if crash_at is not None:
+            from repro.simulation.faults import FaultInjector, FaultSpec
+
+            crash = FaultSpec(kind="crash", time_s=crash_at, restart_delay_s=5.0)
+            noisy = tenant_fleet(
+                "noisy", 8.0, 2, 6, n_pods=2, faults=FaultInjector([crash], seed=3)
+            )
+            capacity = 4
         tenants = [
             TenantGroup(
                 "quiet", tenant_fleet("quiet", 1.0, 1, 3), PROFILE.name,
                 slo_p95_ttft_s=5.0,
             ),
-            TenantGroup("noisy", tenant_fleet("noisy", 8.0, 2, 6), PROFILE.name),
+            TenantGroup("noisy", noisy, PROFILE.name),
         ]
-        inventory = ClusterInventory(capacity={PROFILE.gpu.name: 3})
+        inventory = ClusterInventory(capacity={PROFILE.gpu.name: capacity})
         return cluster_type(tenants, inventory).run(duration_s=60.0)
 
     def test_cluster_results_bit_identical(self, generator):
-        fast = self._run(generator, fast=True)
-        oracle = self._run(generator, fast=False)
+        self._assert_identical(
+            self._run(generator, fast=True), self._run(generator, fast=False)
+        )
+
+    def test_crash_beside_a_leaping_tenant_bit_identical(self, generator):
+        """The loop steps its frontier pod right after the crash, before
+        the crashed tenant injects its requeued work. The quiet tenant's
+        decode leaps must not run its pods past the crash, or a
+        different pod would be that frontier."""
+        self._assert_identical(
+            self._run(generator, fast=True, crash_at=12.5),
+            self._run(generator, fast=False, crash_at=12.5),
+        )
+
+    @staticmethod
+    def _assert_identical(fast, oracle):
         assert fast.tenants == oracle.tenants
         assert fast.end_provisioned == oracle.end_provisioned
         assert fast.sim_events == oracle.sim_events
