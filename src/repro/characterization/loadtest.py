@@ -99,11 +99,11 @@ class LoadTestResult:
 
         nan = float("nan")
         ttft, ttft_inputs = engine.ttft_samples()
-        itl = engine.itl_samples()
         tokens = engine.stats.tokens_generated
         ttft_median = noisy(float(np.median(ttft))) if ttft.size else nan
         nttft_median = noisy(float(np.median(ttft / ttft_inputs))) if ttft.size else nan
-        itl_median = noisy(float(np.median(itl))) if itl.size else nan
+        # NaN without ITL samples, which noisy() passes through undrawn.
+        itl_median = noisy(engine.metrics.itl_median())
         throughput = noisy(tokens / elapsed)
         e2e = (
             noisy(float(np.median([r.e2e_latency for r in completed])))

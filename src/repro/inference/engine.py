@@ -14,15 +14,17 @@ Each scheduler iteration advances virtual time by the cost-model step
 time (with a small seeded lognormal jitter, playing the role of real
 measurement noise). Per-token client timestamps are tracked exactly:
 every decode step records, for each active request, the gap since that
-request's previous token.
+request's previous token. Requests that share a last-token time share
+that gap, so the engine records the gaps as runs (see
+:class:`~repro.simulation.metrics.MetricsCollector`).
 
 The decode step is vectorized: the engine keeps the per-request decode
-state — last-token timestamp, generated count, output target, batch
-size — in parallel numpy arrays and advances the whole batch in a
-handful of array operations. Its scalar counterpart,
-:class:`repro.simulation.reference.ReferenceEngine`, walks the active
-list one request at a time; both draw the same single noise sample per
-step and perform the same IEEE-754 double arithmetic element-wise, so
+state — generated count, output target, batch size — in parallel numpy
+arrays (last-token times per segment of rows that share one) and
+advances the whole batch in a handful of array operations. Its scalar
+counterpart, :class:`repro.simulation.reference.ReferenceEngine`, walks
+the active list one request at a time; both draw the same single noise
+sample per step and perform the same IEEE-754 double arithmetic, so
 their outputs are bit-identical on pinned seeds (see
 ``tests/test_inference.py`` and the golden pins in
 ``tests/test_simulation.py``); ``benchmarks/bench_core_speed.py``
@@ -132,7 +134,6 @@ class ContinuousBatchingEngine:
         # Decode core: structure-of-arrays mirror of self._active. Row i
         # of each array belongs to self._active[i].
         self._soa_cap = 64
-        self._soa_last = np.zeros(self._soa_cap)  # last_token_at
         self._soa_gen = np.zeros(self._soa_cap, dtype=np.int64)  # generated
         self._soa_out = np.zeros(self._soa_cap, dtype=np.int64)  # output target
         self._soa_batch = np.zeros(self._soa_cap, dtype=np.int64)  # batch size
@@ -143,6 +144,12 @@ class ContinuousBatchingEngine:
         # are bookkeeping only — they change no simulated quantity.
         self._soa_seqs = 0
         self._soa_min_left = 0
+        # Last-token times by row segment: rows _seg_rows[j] up to the
+        # next segment's first row all emitted their last token at
+        # _seg_last[j]. A decode step leaves one segment; each prefill
+        # since adds one.
+        self._seg_rows: list[int] = []
+        self._seg_last: list[float] = []
         # Failed-admission memo: a scan that admitted nothing stays
         # futile until a completion frees budget/slots, or a new arrival
         # lands on a queue the scan had exhausted.
@@ -237,9 +244,9 @@ class ContinuousBatchingEngine:
     def itl_samples(self) -> np.ndarray:
         """All client-observed inter-token gaps recorded so far.
 
-        Delegates to the collector's incrementally grown buffer, so hot
-        analysis loops can call this repeatedly at O(1) cost instead of
-        re-concatenating per-step gap arrays.
+        A new array expanded from the collector's runs on every call;
+        ITL statistics come from :meth:`MetricsCollector.itl_stats` and
+        :meth:`MetricsCollector.itl_median` without building it.
         """
         return self.metrics.itl_samples()
 
@@ -358,12 +365,17 @@ class ContinuousBatchingEngine:
         if row >= self._soa_cap:
             while self._soa_cap <= row:
                 self._soa_cap *= 2
-            for name in ("_soa_last", "_soa_gen", "_soa_out", "_soa_batch"):
+            for name in ("_soa_gen", "_soa_out", "_soa_batch"):
                 old = getattr(self, name)
                 grown = np.zeros(self._soa_cap, dtype=old.dtype)
                 grown[: old.size] = old
                 setattr(self, name, grown)
-        self._soa_last[row] = a.last_token_at
+        if row == 0:
+            self._seg_rows = [0]
+            self._seg_last = [a.last_token_at]
+        elif a.last_token_at != self._seg_last[-1]:
+            self._seg_rows.append(row)
+            self._seg_last.append(a.last_token_at)
         self._soa_gen[row] = a.generated
         self._soa_out[row] = a.request.output_tokens
         self._soa_batch[row] = a.request.batch_size
@@ -379,13 +391,13 @@ class ContinuousBatchingEngine:
         to the scalar loop of
         :meth:`repro.simulation.reference.ReferenceEngine._decode` by
         construction: one noise draw per step, ``n_seqs`` is the same
-        exact integer, and the gap subtraction is the same IEEE-754
-        double op applied element-wise. Completions are emitted in
-        active-list order, exactly as the scalar loop does. When
-        extending this kernel, keep every float operation an
-        element-wise mirror of the scalar statement and never reorder
-        reductions — see docs/architecture.md ("Production core vs
-        reference").
+        exact integer, and each row segment's gap is the same IEEE-754
+        double subtraction the scalar loop makes for each of its rows.
+        Completions are emitted in active-list order, exactly as the
+        scalar loop does. When extending this kernel, keep every float
+        operation an element-wise mirror of the scalar statement and
+        never reorder reductions — see docs/architecture.md ("Production
+        core vs reference").
         """
         stats = self.stats
         stats.decode_steps += 1
@@ -400,12 +412,7 @@ class ContinuousBatchingEngine:
         self._time = now
         stats.busy_time_s += dt
 
-        last = self._soa_last
-        # The gap samples are subtracted straight into the collector's
-        # buffer — same operands and order as the reference's per-request
-        # ``now - a.last_token_at``, minus one array copy per step.
-        np.subtract(now, last[:n], out=self.metrics.gap_sink(n))
-        last[:n] = now
+        self._segment_gaps(now, n)
         self._soa_gen[:n] += 1
         self._kv_tokens += n_seqs
         stats.tokens_generated += n_seqs
@@ -435,10 +442,11 @@ class ContinuousBatchingEngine:
           the element-wise twin of the scalar cost;
         * step times and busy time are sequential ``cumsum`` from the
           engine's clock and busy time, the sums of repeated ``+=``;
-        * the first step's gaps are ``t1 - last`` per request, and every
-          later step's gap is the difference of two consecutive step
-          times, which is the per-request subtraction once every
-          request's last token is the previous step's.
+        * the first step's gaps are ``t1 - last`` per row segment, and
+          every later step's gap is the difference of two consecutive
+          step times, which is the per-request subtraction once every
+          request's last token is the previous step's; each later step
+          is one run of ``n`` samples.
         """
         stats = self.stats
         n = len(self._active)
@@ -465,12 +473,9 @@ class ContinuousBatchingEngine:
         stats.decode_steps += run
         self._time = float(times[-1])
         stats.busy_time_s = float(busy[-1])
-        gaps = self.metrics.gap_sink(n * run)
-        np.subtract(times[1], self._soa_last[:n], out=gaps[:n])
+        self._segment_gaps(times[1], n)
         if run > 1:
-            later = gaps[n:].reshape(run - 1, n)
-            later[:] = (times[2:] - times[1:-1])[:, None]
-        self._soa_last[:n] = self._time
+            self.metrics.gap_sink(times[2:] - times[1:-1], n)
         self._soa_gen[:n] += run
         self._kv_tokens += run * n_seqs
         stats.tokens_generated += run * n_seqs
@@ -479,6 +484,22 @@ class ContinuousBatchingEngine:
         if self._soa_min_left > 0:
             return []
         return self._complete(n)
+
+    def _segment_gaps(self, t: float, n: int) -> None:
+        """Record the gaps of the decode step ending at ``t`` over the
+        first ``n`` rows, one run per row segment.
+
+        The caller has moved the clock to the end of its last decode
+        step, so afterwards every row's last token is at the engine's
+        clock: one segment.
+        """
+        rows, lasts = self._seg_rows, self._seg_last
+        sink = self.metrics.gap_sink
+        for j in range(len(rows) - 1):
+            sink(t - lasts[j], rows[j + 1] - rows[j])
+        sink(t - lasts[-1], n - rows[-1])
+        self._seg_rows = [0]
+        self._seg_last = [self._time]
 
     def _complete(self, n: int) -> list[RequestResult]:
         """Retire the requests among the ``n`` active ones that the step
@@ -498,7 +519,7 @@ class ContinuousBatchingEngine:
         keep = ~done
         self._active = [a for a, k in zip(self._active, keep) if k]
         m = len(self._active)
-        for arr in (self._soa_last, self._soa_gen, self._soa_out, self._soa_batch):
+        for arr in (self._soa_gen, self._soa_out, self._soa_batch):
             arr[:m] = arr[:n][keep]
         self._soa_min_left = (
             int((self._soa_out[:m] - self._soa_gen[:m]).min()) if m else 0

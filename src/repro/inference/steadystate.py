@@ -31,6 +31,10 @@ if TYPE_CHECKING:  # avoid the workload <-> inference import cycle
 
 __all__ = ["SteadyStateEstimate", "SteadyStateEstimator"]
 
+#: Requests drawn from the workload generator to estimate the mean
+#: request shape.
+_SHAPE_SAMPLES = 20_000
+
 
 @dataclass(frozen=True)
 class SteadyStateEstimate:
@@ -53,7 +57,6 @@ class SteadyStateEstimator:
         profile: GPUProfile,
         max_batch_weight: int,
         generator: WorkloadGenerator,
-        n_samples: int = 20_000,
         seed: int = 0,
     ) -> None:
         if max_batch_weight < 2:
@@ -62,10 +65,10 @@ class SteadyStateEstimator:
         self.profile = profile
         self.max_batch_weight = max_batch_weight
         self.cost = CostModel(llm, profile)
-        cols = generator.sample_columns(n_samples, rng=seed)
+        cols = generator.sample_columns(_SHAPE_SAMPLES, rng=seed)
         inp = cols["input_tokens"].astype(float)
         out = cols["output_tokens"].astype(float)
-        batch = cols.get("batch_size", np.ones(n_samples)).astype(float)
+        batch = cols.get("batch_size", np.ones(_SHAPE_SAMPLES)).astype(float)
         self._mean_input = float(inp.mean())
         self._mean_output = float(out.mean())
         self._mean_batch = float(batch.mean())

@@ -6,10 +6,14 @@ engine emits events into. The collector owns three concerns:
 
 * **sample accumulation** — per-token inter-token gaps, per-request TTFT
   (with input-token counts for nTTFT) and completed-request records,
-  stored in amortized-O(1) growable arrays so hot analysis loops can call
-  :meth:`itl_samples` repeatedly without re-concatenating anything;
+  stored in amortized-O(1) growable arrays. Inter-token gaps are stored
+  as *runs*: a gap value and how many consecutive samples share it. One
+  decode step gives every request that decoded in the previous step the
+  same gap, so a step's samples form one run or a few, however many
+  requests decoded;
 * **tail statistics** — alongside the paper's medians, p95/p99
-  tails via :class:`LatencyStats`;
+  tails via :class:`LatencyStats`. ITL statistics are computed from the
+  runs, bit-identical to numpy on the expanded sample array;
 * **windowed time series** — per-window token counts, so non-stationary
   traffic (diurnal, bursty) can be inspected over time instead of only
   as one end-of-run aggregate.
@@ -74,18 +78,6 @@ class _GrowableArray:
         self._buf[self._n : self._n + len(values)] = values
         self._n += len(values)
 
-    def write_slots(self, n: int) -> np.ndarray:
-        """Reserve ``n`` cells and return them as a writable view.
-
-        Zero-copy variant of :meth:`extend` for producers that can
-        compute their samples directly into the buffer (the vectorized
-        decode kernel); the caller must fill every returned cell.
-        """
-        self._reserve(n)
-        start = self._n
-        self._n = start + n
-        return self._buf[start : self._n]
-
     def clear(self) -> None:
         # Fresh allocation, not _n = 0: views handed out before the
         # clear must keep their contents (warmup snapshots).
@@ -94,6 +86,155 @@ class _GrowableArray:
 
     def values(self) -> np.ndarray:
         return self._buf[: self._n]
+
+
+#: The quantiles :class:`LatencyStats` reports, as ``np.percentile``
+#: computes them from its percent arguments.
+_QUANTILES = np.true_divide((50.0, 95.0, 99.0), 100)
+
+#: Most samples one pairwise-sum leaf expands at a time. Any size gives
+#: the same sum; this one bounds the transient array at 512 KiB.
+_SUM_LEAF = 1 << 16
+
+
+class _Runs:
+    """Samples stored as runs: ``values[i]`` repeated ``counts[i]`` times.
+
+    Runs keep recording order, so :meth:`samples` rebuilds the recorded
+    array exactly. A run need not be maximal: equal neighbours may sit
+    in separate runs, which changes no statistic. The two columns grow
+    together by doubling; cells are never rewritten.
+    """
+
+    def __init__(self) -> None:
+        self._values = np.empty(1024)
+        self._counts = np.empty(1024, dtype=np.int64)
+        self._n = 0
+
+    def __len__(self) -> int:
+        return self._n
+
+    def add(self, values, counts) -> None:
+        """Append one run of ``counts`` samples equal to ``values`` (a
+        float), or one run per element of ``values`` (a 1-D array), with
+        ``counts`` one count for every run or an array of one each."""
+        n = self._n
+        if isinstance(values, float):
+            if n == self._values.size:
+                self._grow(n + 1)
+            self._values[n] = values
+            self._counts[n] = counts
+            self._n = n + 1
+            return
+        end = n + values.size
+        if end > self._values.size:
+            self._grow(end)
+        self._values[n:end] = values
+        self._counts[n:end] = counts
+        self._n = end
+
+    def _grow(self, need: int) -> None:
+        capacity = 2 * self._values.size
+        while capacity < need:
+            capacity *= 2
+        for name in ("_values", "_counts"):
+            old = getattr(self, name)
+            grown = np.empty(capacity, dtype=old.dtype)
+            grown[: self._n] = old[: self._n]
+            setattr(self, name, grown)
+
+    def runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, counts)``, zero-copy views in recording order."""
+        return self._values[: self._n], self._counts[: self._n]
+
+    def samples(self) -> np.ndarray:
+        """The samples as recorded: a new array on every call."""
+        return np.repeat(*self.runs())
+
+    def by_value(self) -> tuple[np.ndarray, np.ndarray]:
+        """Run values in ascending order, and the cumulative sample count
+        at the end of each (so order statistic ``k`` is in the first run
+        whose cumulative count exceeds ``k``)."""
+        values, counts = self.runs()
+        order = np.argsort(values)
+        return values[order], np.cumsum(counts[order])
+
+    def stats(self) -> "LatencyStats":
+        """``LatencyStats.from_samples(self.samples())``, bit for bit."""
+        values, counts = self.runs()
+        ends = np.cumsum(counts)
+        n = int(ends[-1]) if ends.size else 0
+        if n == 0:
+            return LatencyStats.from_samples(np.empty(0))
+        p50, p95, p99 = _order_lerp(*self.by_value(), n)
+        return LatencyStats(
+            count=n,
+            median_s=float(p50),
+            p95_s=float(p95),
+            p99_s=float(p99),
+            mean_s=float(_pairwise_sum(values, ends, 0, n) / n),
+        )
+
+    def median(self) -> float:
+        """``np.median(self.samples())``, bit for bit; NaN when empty.
+
+        Not the 50th percentile: numpy's median is the middle order
+        statistic for odd ``n`` and ``np.mean`` of the middle two for
+        even ``n``, which can differ from interpolating in the last bit.
+        """
+        values, ends = self.by_value()
+        n = int(ends[-1]) if ends.size else 0
+        if n == 0:
+            return float("nan")
+        middle = [n // 2] if n % 2 else [n // 2 - 1, n // 2]
+        return float(np.mean(values[np.searchsorted(ends, middle, side="right")]))
+
+
+def _order_lerp(values: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
+    """``np.percentile`` (linear method) at :data:`_QUANTILES` of ``n``
+    samples held as sorted runs (see :meth:`_Runs.by_value`).
+
+    Mirrors numpy's steps: virtual index ``(n - 1) * q``, neighbours
+    ``floor`` and ``floor + 1`` clipped to the last sample, ``gamma``
+    the distance from the lower one, and numpy's two-sided lerp.
+    """
+    virtual = (n - 1) * _QUANTILES
+    lower = np.floor(virtual)
+    upper = lower + 1
+    # Past the last sample numpy takes index -1 for both neighbours,
+    # and gamma against that.
+    clip = virtual >= n - 1
+    lower[clip] = -1
+    upper[clip] = -1
+    lower = lower.astype(np.intp)
+    upper = upper.astype(np.intp)
+    gamma = virtual - lower
+    a = values[np.searchsorted(ends, lower % n, side="right")]
+    b = values[np.searchsorted(ends, upper % n, side="right")]
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+
+
+def _pairwise_sum(values: np.ndarray, ends: np.ndarray, lo: int, hi: int):
+    """Sum of samples ``lo:hi`` of the runs' expansion (``ends`` is the
+    cumulative count in recording order), in the order numpy adds them.
+
+    numpy sums a contiguous float64 array pairwise: above 128 elements
+    it splits at ``n2 = n // 2 - (n // 2) % 8`` and adds the two halves'
+    sums. Splitting the sample range by the same rule down to leaves of
+    at most :data:`_SUM_LEAF` samples, each summed by numpy itself,
+    reproduces ``np.repeat(values, counts).sum()`` exactly.
+    """
+    m = hi - lo
+    if m <= _SUM_LEAF:
+        first = np.searchsorted(ends, lo, side="right")
+        last = np.searchsorted(ends, hi - 1, side="right") + 1
+        counts = np.diff(np.minimum(ends[first:last], hi) - lo, prepend=0)
+        return np.add.reduce(np.repeat(values[first:last], counts))
+    half = m // 2
+    half -= half % 8
+    left = _pairwise_sum(values, ends, lo, lo + half)
+    return left + _pairwise_sum(values, ends, lo + half, hi)
 
 
 @dataclass(frozen=True)
@@ -133,7 +274,7 @@ class MetricsCollector:
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
         self.window_s = float(window_s)
-        self._itl = _GrowableArray()
+        self._itl = _Runs()
         self._ttft = _GrowableArray()
         self._ttft_inputs = _GrowableArray(dtype=np.int64)
         self._ttft_times = _GrowableArray()
@@ -153,17 +294,28 @@ class MetricsCollector:
         self._ttft_times.append(now)
 
     def record_gaps(self, gaps: np.ndarray, now: float) -> None:
-        self._itl.extend(gaps)
+        """Record one ITL sample per element of ``gaps``.
 
-    def gap_sink(self, n: int) -> np.ndarray:
-        """Writable destination for ``n`` ITL gap samples (zero-copy).
-
-        Equivalent to building an ``n``-sized array and passing it to
-        :meth:`record_gaps`, minus the intermediate copy; used by the
-        engine's vectorized decode step, which subtracts straight into
-        the buffer (a decode leap reserves all its steps' gaps at once).
+        Neighbours with identical bits join one run, so
+        :meth:`itl_samples` returns the samples unchanged.
         """
-        return self._itl.write_slots(n)
+        gaps = np.ascontiguousarray(gaps, dtype=np.float64)
+        if gaps.size == 0:
+            return
+        bits = gaps.view(np.int64)
+        starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+        self._itl.add(gaps[starts], np.diff(starts, append=gaps.size))
+
+    def gap_sink(self, gaps, count: int) -> None:
+        """Record ``count`` ITL samples equal to ``gaps`` (a float), or
+        ``count`` samples equal to each element of ``gaps`` (a 1-D array).
+
+        The engine's decode kernel emits its gaps as runs through this
+        sink: one decode step gives every request of a row segment (rows
+        sharing a last-token time) the same gap, and each later step of
+        a decode leap gives every request the same gap.
+        """
+        self._itl.add(gaps, count)
 
     def record_tokens(self, n_tokens: int, now: float) -> None:
         self.tokens_recorded += n_tokens
@@ -193,7 +345,7 @@ class MetricsCollector:
 
     def reset(self) -> None:
         """Drop every collected sample (warmup support)."""
-        self._itl.clear()
+        self._itl = _Runs()
         self._ttft.clear()
         self._ttft_inputs.clear()
         self._ttft_times.clear()
@@ -205,8 +357,16 @@ class MetricsCollector:
     # ---- sample access ----------------------------------------------------
 
     def itl_samples(self) -> np.ndarray:
-        """All inter-token gaps recorded so far (zero-copy view)."""
-        return self._itl.values()
+        """All inter-token gaps recorded so far, in recording order.
+
+        Expands the stored runs into a new array on every call; the
+        statistics (:meth:`itl_stats`, :meth:`itl_median`) never build it.
+        """
+        return self._itl.samples()
+
+    def itl_median(self) -> float:
+        """``np.median(self.itl_samples())``, bit for bit; NaN when empty."""
+        return self._itl.median()
 
     def ttft_samples(self) -> tuple[np.ndarray, np.ndarray]:
         """(ttft_seconds, input_tokens) for every first token served."""
@@ -236,7 +396,7 @@ class MetricsCollector:
         return LatencyStats.from_samples(self._ttft.values())
 
     def itl_stats(self) -> LatencyStats:
-        return LatencyStats.from_samples(self._itl.values())
+        return self._itl.stats()
 
     def ttft_p95_series(self, window_s: float = 10.0) -> tuple[np.ndarray, np.ndarray]:
         """(window_start_s, p95 TTFT) over fixed windows of record time.
@@ -279,7 +439,7 @@ class MetricsCollector:
         out = cls(window_s=window_s)
         out._ttft_times_sorted = len(collectors) <= 1
         for c in collectors:
-            out._itl.extend(c._itl.values())
+            out._itl.add(*c._itl.runs())
             out._ttft.extend(c._ttft.values())
             out._ttft_inputs.extend(c._ttft_inputs.values())
             out._ttft_times.extend(c._ttft_times.values())

@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.characterization import run_load_test, run_open_loop_test
 from repro.hardware import parse_profile
@@ -41,6 +43,29 @@ PROFILE = parse_profile("1xA100-40GB")
 
 def _engine(seed=0, weight=12_000):
     return ContinuousBatchingEngine(LLM, PROFILE, max_batch_weight=weight, seed=seed)
+
+
+@st.composite
+def _itl_runs(draw):
+    """``(values, counts)`` of ITL runs as the engine emits them: gap
+    values that repeat across runs and counts 1-300. Half the draws
+    repeat the runs until the total passes 2**17 samples, so the mean's
+    pairwise split recurses past one leaf."""
+    pool = draw(
+        st.lists(st.floats(1e-4, 10.0), min_size=1, max_size=6, unique=True)
+    )
+    runs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(pool), st.integers(1, 300)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    if draw(st.booleans()):
+        total = sum(count for _, count in runs)
+        runs = runs * (2**17 // total + 1) + runs[: draw(st.integers(0, 3))]
+    values, counts = zip(*runs)
+    return list(values), list(counts)
 
 
 class TestGoldenEquivalence:
@@ -333,13 +358,55 @@ class TestMetricsCollector:
             collector.itl_samples(), np.concatenate(chunks)
         )
 
-    def test_itl_samples_is_o1(self):
+    @given(_itl_runs(), st.booleans())
+    @example(([0.25], [1]), False)
+    @example(([0.25], [2]), True)
+    @example(([0.5, 0.25, 0.5], [3, 2, 4]), True)
+    # n = 2 with values where np.median (the mean of both) and p50
+    # differ in the last bit, and where numpy's two lerp formulas do.
+    @example(([0.027652, 0.098328], [1, 1]), False)
+    @example(([0.021056, 0.087446], [1, 1]), True)
+    @settings(max_examples=60, deadline=None)
+    def test_run_stats_match_numpy_on_expansion(self, runs, vector):
+        values, counts = runs
         collector = MetricsCollector()
-        collector.record_gaps(np.ones(10), now=0.0)
-        first = collector.itl_samples()
-        second = collector.itl_samples()
-        # Same backing buffer — no per-call concatenation.
-        assert first.base is second.base
+        if vector:
+            # The leap's path: an array of gaps, one run of ``count`` each.
+            for value, count in zip(values, counts):
+                collector.gap_sink(np.array([value]), count)
+        else:
+            for value, count in zip(values, counts):
+                collector.gap_sink(value, count)
+        samples = np.repeat(values, counts)
+        assert collector.itl_stats() == LatencyStats.from_samples(samples)
+        assert collector.itl_median() == np.median(samples)
+        np.testing.assert_array_equal(collector.itl_samples(), samples)
+
+    @given(
+        st.lists(st.floats(allow_nan=True), min_size=1, max_size=5),
+        st.lists(st.integers(0, 4), max_size=200),
+        st.lists(st.integers(0, 200), max_size=3),
+    )
+    @example([0.0, -0.0], [0, 1, 1, 0], [])
+    @settings(max_examples=60, deadline=None)
+    def test_record_gaps_round_trips_bits(self, pool, picks, cuts):
+        gaps = np.array([pool[i % len(pool)] for i in picks], dtype=float)
+        collector = MetricsCollector()
+        for chunk in np.split(gaps, sorted(c % (gaps.size + 1) for c in cuts)):
+            collector.record_gaps(chunk, now=0.0)
+        # Bits, not values: NaN payloads and signed zeros survive too.
+        np.testing.assert_array_equal(
+            collector.itl_samples().view(np.int64), gaps.view(np.int64)
+        )
+
+    def test_load_test_stores_gaps_as_few_runs(self, generator):
+        engine = _engine(seed=1, weight=20_000)
+        run_load_test(engine, generator, 64, duration_s=15.0, seed=1)
+        runs = len(engine.metrics._itl)
+        # At most one run per row segment of a decode step: a decode
+        # step leaves one segment and each prefill adds one.
+        assert 0 < runs <= engine.stats.decode_steps + engine.stats.prefill_steps
+        assert engine.itl_samples().size >= 10 * runs
 
     def test_samples_snapshot_survives_reset(self):
         collector = MetricsCollector()
