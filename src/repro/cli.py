@@ -81,7 +81,7 @@ from repro.simulation import (
     scenario_path,
     to_json,
 )
-from repro.simulation.scenario import fault_event_spec
+from repro.simulation.scenario import SCHEMA, fault_event_spec
 from repro.traces import TraceConfig, TraceDataset, TraceSynthesizer
 from repro.utils.parallel import fork_map
 from repro.utils.tables import format_table
@@ -90,7 +90,7 @@ from repro.workload import WorkloadGenerator
 __all__ = ["main", "build_parser"]
 
 #: Traffic kinds of the ``--traffic`` flag and the ``--tenant`` grammar.
-_TRAFFIC_KINDS = ("closed", "poisson", "diurnal", "bursty", "replay")
+_TRAFFIC_KINDS = tuple(SCHEMA["traffic"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -677,27 +677,32 @@ def _workload_section(args) -> dict:
     return {"traces": args.traces} if args.traces else {"requests": args.requests}
 
 
-#: ``--fault`` option name -> (scenario event key, value type).
+#: ``--fault`` option name -> scenario event key.
 _FAULT_OPTIONS = {
-    "pod": ("pod", int),
-    "zone": ("zone", str),
-    "mode": ("mode", str),
-    "restart": ("restart_delay_s", float),
-    "duration": ("duration_s", float),
-    "factor": ("factor", float),
+    "pod": "pod",
+    "zone": "zone",
+    "mode": "mode",
+    "restart": "restart_delay_s",
+    "duration": "duration_s",
+    "factor": "factor",
 }
 
 
 def _fault_event(text: str) -> dict:
-    """``--fault KIND@TIME[:key=value,...]`` -> one scenario fault event."""
+    """``--fault KIND@TIME[:key=value,...]`` -> one scenario fault event.
+
+    An option's value is read as the kind its event key has in the
+    scenario schema: an integer, a number, or the text itself.
+    """
     flag = f"--fault {text!r}"
     head, _, opts = text.partition(":")
     kind, at, time_s = head.partition("@")
     if not at or not kind or not time_s:
-        raise ValueError(
-            f"fault spec must be KIND@TIME[:key=value,...], got {text!r}"
-        )
+        raise ValueError(f"{flag}: fault spec must be KIND@TIME[:key=value,...]")
     event = {"kind": kind, "time_s": _number(float, time_s, flag, "TIME")}
+    kinds = {
+        k: key.kind for table in SCHEMA["event"].values() for k, key in table.items()
+    }
     for item in opts.split(",") if opts else []:
         key, eq, value = item.partition("=")
         if not eq or not key:
@@ -707,8 +712,9 @@ def _fault_event(text: str) -> dict:
                 f"{flag}: unknown fault option {key!r}; "
                 f"allowed: {sorted(_FAULT_OPTIONS)}"
             )
-        name, cast = _FAULT_OPTIONS[key]
-        event[name] = _number(cast, value, flag, key)
+        name = _FAULT_OPTIONS[key]
+        cast = {"int": int, "number": float}.get(kinds[name])
+        event[name] = value if cast is None else _number(cast, value, flag, key)
     fault_event_spec(event, flag)
     return event
 
@@ -779,13 +785,13 @@ def _gpu_counts(items, flag: str) -> dict[str, int]:
 
 def _tenant_entry(text: str, args) -> dict:
     """``--tenant NAME:LLM:PROFILE:PODS:TRAFFIC:PARAM`` -> one spec tenant."""
+    flag = f"--tenant {text!r}"
     parts = text.split(":")
     if len(parts) != 6:
         raise ValueError(
-            f"tenant spec must be NAME:LLM:PROFILE:PODS:TRAFFIC:PARAM, got {text!r}"
+            f"{flag}: tenant spec must be NAME:LLM:PROFILE:PODS:TRAFFIC:PARAM"
         )
     name, llm, profile, pods, kind, param = parts
-    flag = f"--tenant {text!r}"
     if kind not in _TRAFFIC_KINDS:
         raise ValueError(
             f"{flag}: TRAFFIC must be one of {'/'.join(_TRAFFIC_KINDS)}, "
@@ -904,7 +910,7 @@ def _print_fleet_report(res, spec: ScenarioSpec, slo_s: float | None) -> None:
             + (f", {res.deferrals} deferrals" if res.deferrals else "")
         )
     if spec.autoscaler is not None:
-        policy = spec.autoscaler.get("policy", "threshold")
+        policy = spec.autoscaler["policy"]
         if res.scale_events:
             rows = [
                 [f"{e.time_s:.0f}", e.direction, e.from_pods, e.to_pods, e.reason]

@@ -109,35 +109,8 @@ class Expectations:
 
     @classmethod
     def from_spec(cls, spec: ScenarioSpec) -> "Expectations":
-        section = spec.expectations or {}
-        return cls(
-            p95_ttft_ms_max=(
-                None
-                if section.get("p95_ttft_ms_max") is None
-                else float(section["p95_ttft_ms_max"])
-            ),
-            slo_attainment_min=(
-                None
-                if section.get("slo_attainment_min") is None
-                else float(section["slo_attainment_min"])
-            ),
-            cost_max_usd=(
-                None
-                if section.get("cost_max_usd") is None
-                else float(section["cost_max_usd"])
-            ),
-            min_completed=(
-                None
-                if section.get("min_completed") is None
-                else int(section["min_completed"])
-            ),
-            max_lost=(
-                None
-                if section.get("max_lost") is None
-                else int(section["max_lost"])
-            ),
-            fast_oracle_parity=bool(section.get("fast_oracle_parity", False)),
-        )
+        """The spec's typed ``expectations`` section (none: no bounds)."""
+        return cls(**(spec.expectations or {}))
 
 
 @dataclass(frozen=True)

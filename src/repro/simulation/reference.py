@@ -23,8 +23,6 @@ classes; no production code path selects them. (Not "oracle":
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.cluster.deployment import Deployment
@@ -186,5 +184,4 @@ def run_scenario(spec: ScenarioSpec, keep_samples: bool = False):
     The reference counterpart of :meth:`ScenarioSpec.run`: the same
     conservation-checked result type, from the reference classes.
     """
-    fields = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
-    return _ReferenceScenario(**fields).run(keep_samples=keep_samples)
+    return _ReferenceScenario(vars(spec)).run(keep_samples=keep_samples)

@@ -39,13 +39,12 @@ an elastic, priced cloud tier with seeded spot preemptions. See
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
+from repro.hardware.pricing import CLOUD_PRICING_MODES
 from repro.simulation.autoscale import (
     AUTOSCALE_POLICIES,
     AdmissionController,
@@ -56,7 +55,7 @@ from repro.simulation.autoscale import (
     ThresholdPolicy,
 )
 from repro.simulation.cluster import ClusterInventory
-from repro.simulation.faults import FaultInjector, FaultSpec
+from repro.simulation.faults import FAULT_MODES, FaultInjector, FaultSpec
 from repro.simulation.fleet import ROUTERS, FleetResult, FleetSimulator, Router
 from repro.simulation.replay import ArrivalLog, ReplayTraffic
 from repro.simulation.traffic import (
@@ -74,247 +73,451 @@ if TYPE_CHECKING:
 
 __all__ = ["ScenarioSpec", "fault_event_spec", "load_scenario"]
 
-_TOP_KEYS = set(
-    "name seed duration_s warmup_s llm profile pods max_batch_weight "
-    "workload traffic router admission autoscaler slo_ttft_ms tenants "
-    "capacity faults cloud expectations".split()
-)
-_TENANT_KEYS = set(
-    "name llm profile pods max_batch_weight traffic router admission "
-    "autoscaler slo_ttft_ms faults".split()
-)
-_TRAFFIC_KEYS = {
-    "closed": {"users", "sticky"},
-    "poisson": {"rate_per_s"},
-    "diurnal": {"rate_per_s", "amplitude", "period_s", "phase_rad"},
-    "bursty": set("rate_per_s off_rate_per_s mean_on_s mean_off_s start_on".split()),
-    "replay": set(
-        "path arrivals trace llm tenant speedup rate_per_s horizon_s "
-        "bootstrap".split()
-    ),
-}
-_ADMISSION_KEYS = set("mode slo_ttft_ms window_s retry_delay_s max_defers".split())
-_AUTOSCALER_KEYS = set(
-    "policy min_pods max_pods interval_s cold_start_s metrics_window_s "
-    "slo_ttft_ms target requests_per_pod_per_s".split()
-)
-_WORKLOAD_KEYS = {"traces", "requests"}
-_BOOTSTRAP_KEYS = {"n", "rate_per_s", "seed"}
-_FAULTS_KEYS = {"seed", "zones", "events"}
-_FAULT_EVENT_KEYS = {
-    "crash": {"time_s", "pod", "mode", "restart_delay_s"},
-    "slowdown": {"time_s", "pod", "zone", "duration_s", "factor"},
-    "zone-outage": {"time_s", "zone", "mode", "restart_delay_s"},
-    "spot-preempt": {"time_s", "pod", "mode"},
-}
-_CLOUD_KEYS = set(
-    "mode max_cloud_pods price_cap_per_pod_hour quota "
-    "spot_interruptions_per_hour seed catalog".split()
-)
-_CLOUD_CATALOG_KEYS = set(
-    "on_demand spot reserved quota_gpus spot_interruptions_per_hour".split()
-)
-_EXPECTATION_KEYS = set(
-    "p95_ttft_ms_max slo_attainment_min cost_max_usd min_completed "
-    "max_lost fast_oracle_parity".split()
-)
-#: The numeric keys of each section, in report order (plus every value
-#: of ``capacity`` and ``cloud.quota``). Each must be a finite number, and
-#: a bool is not one; a key marked ``?`` may also be null, which the
-#: ``build_*`` methods read as absent.
-_NUMBER_KEYS = {
-    "scenario": "duration_s warmup_s seed pods max_batch_weight slo_ttft_ms?",
-    "tenant": "pods max_batch_weight slo_ttft_ms?",
-    "traffic": (
-        "users rate_per_s amplitude period_s phase_rad off_rate_per_s "
-        "mean_on_s mean_off_s"
-    ),
-    "replay": "speedup rate_per_s? horizon_s?",
-    "bootstrap": "n rate_per_s? seed",
-    "router": "heavy_pod_fraction warmup window",
-    "admission": "slo_ttft_ms window_s retry_delay_s max_defers",
-    "autoscaler": (
-        "min_pods max_pods interval_s cold_start_s metrics_window_s "
-        "slo_ttft_ms target requests_per_pod_per_s"
-    ),
-    "workload": "requests",
-    "faults": "seed zones",
-    "fault event": "time_s pod? restart_delay_s? duration_s? factor?",
-    "cloud": (
-        "max_cloud_pods? price_cap_per_pod_hour? spot_interruptions_per_hour? seed"
-    ),
-    "catalog": "on_demand spot reserved quota_gpus? spot_interruptions_per_hour",
-    "expectations": (
-        "p95_ttft_ms_max slo_attainment_min cost_max_usd min_completed max_lost"
-    ),
-}
 
+class Key(NamedTuple):
+    """One key of a :data:`SCHEMA` section.
 
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValueError(
-            f"unknown key(s) in {where}: {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
-def _is_number(value) -> bool:
-    """A finite real number; a bool is not one (``true`` is not a pod
-    count)."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-    )
-
-
-def _number(value, cast):
-    """``cast(value)`` for a number; anything else is kept for validation
-    to reject by name — a string like ``"30"`` is never coerced."""
-    return cast(value) if _is_number(value) else value
-
-
-def _numbers(section, kind: str, where: str):
-    """``(name, value)`` of each numeric key a ``kind`` section sets.
-
-    The keys are :data:`_NUMBER_KEYS`'s; a null on a ``?`` key reads as
-    absent and is skipped. A non-mapping yields nothing: its own shape
-    check reports it.
+    ``kind`` is ``number``, ``int``, ``str``, ``bool``, ``choice`` (one
+    of ``rng``), ``section`` (a mapping checked against section ``of``),
+    ``list`` (of ``of`` sections), ``rows`` (``of`` sections written as
+    positional lists) or ``map`` (name -> a value of Key ``of``). ``rng``
+    bounds a number: ``"> 0"``, ``">= 1"`` or an interval such as
+    ``"(0, 1]"``. A key whose ``default`` is ``None`` may be null, and so
+    may one marked ``null``; either way a null reads as the default.
     """
-    if isinstance(section, dict):
-        for key in _NUMBER_KEYS[kind].split():
-            name = key.rstrip("?")
-            if name in section and (section[name] is not None or name == key):
-                yield f"{where}{name}", section[name]
+
+    kind: str
+    default: object = None
+    rng: object = None
+    of: object = None
+    null: bool = False
 
 
-def _number_errors(fields) -> list[str]:
-    """One error per ``(name, value)`` field that is not a finite number."""
-    return [
-        f"{name} must be {'finite' if isinstance(value, float) else 'a number'}"
-        f", got {value!r}"
-        for name, value in fields
-        if not _is_number(value)
-    ]
+#: Defaults that are not values: the key must be given, or (a tenant's)
+#: it takes the scenario's value.
+REQUIRED, INHERIT = "required", "inherited"
+
+_RATE = Key("number", REQUIRED, "> 0")
+_COUNTS = Key("map", {}, of=Key("int", REQUIRED, ">= 0"), null=True)
+_TIME = Key("number", REQUIRED, ">= 0")
+_MODE = Key("choice", "requeue", FAULT_MODES)
+_RESTART = Key("number", None, "> 0")
+
+#: Every key of every section of a scenario spec, in report order. A
+#: section whose entries are tables is tagged: its ``kind`` key picks
+#: one. :func:`_section` checks a spec against this table and fills in
+#: the defaults; docs/scenarios.md has one reference table per section,
+#: and ``tools/check_docs.py`` holds the two to each other.
+SCHEMA: dict[str, dict] = {
+    "scenario": {
+        "name": Key("str", "scenario"),
+        "duration_s": Key("number", REQUIRED, "> 0"),
+        "warmup_s": Key("number", 0.0, ">= 0"),
+        "seed": Key("int", 0),
+        "llm": Key("str", "Llama-2-13b"),
+        "profile": Key("str", "1xA100-40GB"),
+        "pods": Key("int", 2, ">= 1"),
+        "max_batch_weight": Key("int", 12_000, ">= 2"),
+        "slo_ttft_ms": Key("number", None, "> 0"),
+        "capacity": _COUNTS,
+        "workload": Key("section", {}, of="workload", null=True),
+        "tenants": Key("list", [], of="tenant", null=True),
+        "traffic": Key("section", of="traffic"),
+        "router": Key("section", "least-loaded", of="router"),
+        "admission": Key("section", of="admission"),
+        "autoscaler": Key("section", of="autoscaler"),
+        "faults": Key("section", of="faults"),
+        "cloud": Key("section", of="cloud"),
+        "expectations": Key("section", of="expectations"),
+    },
+    "workload": {
+        "traces": Key("str"),
+        "requests": Key("int", 50_000, ">= 1"),
+    },
+    "traffic": {
+        "closed": {
+            "users": Key("int", REQUIRED, ">= 1"),
+            "sticky": Key("bool", True),
+        },
+        "poisson": {"rate_per_s": _RATE},
+        "diurnal": {
+            "rate_per_s": _RATE,
+            "amplitude": Key("number", 0.8, "[0, 1]"),
+            "period_s": Key("number", 600.0, "> 0"),
+            "phase_rad": Key("number", 0.0),
+        },
+        "bursty": {
+            "rate_per_s": _RATE,
+            "off_rate_per_s": Key("number", 0.0, ">= 0"),
+            "mean_on_s": Key("number", 20.0, "> 0"),
+            "mean_off_s": Key("number", 40.0, "> 0"),
+            "start_on": Key("bool", True),
+        },
+        "replay": {
+            "path": Key("str"),
+            "arrivals": Key("rows", of="arrival"),
+            "trace": Key("str"),
+            "llm": Key("str"),
+            "tenant": Key("str"),
+            "speedup": Key("number", 1.0, "> 0"),
+            "rate_per_s": Key("number", None, "> 0"),
+            "horizon_s": Key("number", None, "> 0"),
+            "bootstrap": Key("section", of="bootstrap"),
+        },
+    },
+    "arrival": {
+        "timestamp": Key("number", REQUIRED),
+        "input_tokens": Key("int", REQUIRED, ">= 1"),
+        "output_tokens": Key("int", REQUIRED, ">= 1"),
+        "batch_size": Key("int", 1, ">= 1"),
+    },
+    "bootstrap": {
+        "n": Key("int", REQUIRED, ">= 1"),
+        "rate_per_s": Key("number", None, "> 0"),
+        "seed": Key("int"),
+    },
+    "router": {
+        **{name: {} for name in ROUTERS},
+        "weight-aware": {
+            "heavy_pod_fraction": Key("number", 0.25, "(0, 1)"),
+            "warmup": Key("int", 64, ">= 1"),
+            "window": Key("int", 512, ">= 1"),
+        },
+    },
+    "admission": {
+        "mode": Key("choice", "shed", ("shed", "defer")),
+        "slo_ttft_ms": Key("number", None, "> 0"),
+        "window_s": Key("number", 30.0, "> 0"),
+        "retry_delay_s": Key("number", 5.0, "> 0"),
+        "max_defers": Key("int", 3, ">= 0"),
+    },
+    "autoscaler": {
+        "policy": Key("choice", "threshold", tuple(AUTOSCALE_POLICIES)),
+        "min_pods": Key("int", 1, ">= 1"),
+        "max_pods": Key("int", 16, ">= 1"),
+        "interval_s": Key("number", 15.0, "> 0"),
+        "cold_start_s": Key("number", 10.0, ">= 0"),
+        "metrics_window_s": Key("number", 30.0, "> 0"),
+        "slo_ttft_ms": Key("number", None, "> 0"),
+        "target": Key("number", 0.6, "(0, 1]"),
+        "requests_per_pod_per_s": Key("number", 2.0, "> 0"),
+    },
+    "faults": {
+        "seed": Key("int"),
+        "zones": Key("int", 1, ">= 1"),
+        "events": Key("list", [], of="event"),
+    },
+    "event": {
+        "crash": {
+            "time_s": _TIME,
+            "pod": Key("int"),
+            "mode": _MODE,
+            "restart_delay_s": _RESTART,
+        },
+        "slowdown": {
+            "time_s": _TIME,
+            "pod": Key("int"),
+            "zone": Key("str"),
+            "duration_s": Key("number", REQUIRED, "> 0"),
+            "factor": Key("number", REQUIRED, "> 0"),
+        },
+        "zone-outage": {
+            "time_s": _TIME,
+            "zone": Key("str", REQUIRED),
+            "mode": _MODE,
+            "restart_delay_s": _RESTART,
+        },
+        "spot-preempt": {"time_s": _TIME, "pod": Key("int"), "mode": _MODE},
+    },
+    "cloud": {
+        "mode": Key("choice", "on-demand", CLOUD_PRICING_MODES),
+        "max_cloud_pods": Key("int", None, ">= 0"),
+        "price_cap_per_pod_hour": Key("number", None, ">= 0"),
+        "spot_interruptions_per_hour": Key("number", None, ">= 0"),
+        "seed": Key("int"),
+        "quota": _COUNTS,
+        "catalog": Key("map", of=Key("section", of="catalog")),
+    },
+    "catalog": {
+        "on_demand": Key("number", REQUIRED, ">= 0"),
+        "spot": Key("number", REQUIRED, ">= 0"),
+        "reserved": Key("number", REQUIRED, ">= 0"),
+        "quota_gpus": Key("int", None, ">= 0"),
+        "spot_interruptions_per_hour": Key("number", None, ">= 0"),
+    },
+    "expectations": {
+        "p95_ttft_ms_max": Key("number", None, ">= 0"),
+        "slo_attainment_min": Key("number", None, "[0, 1]"),
+        "cost_max_usd": Key("number", None, ">= 0"),
+        "min_completed": Key("int", None, ">= 0"),
+        "max_lost": Key("int", None, ">= 0"),
+        "fast_oracle_parity": Key("bool", False),
+    },
+}
+#: The scenario keys a tenant may override; the ones it leaves out it
+#: inherits, and its null on a nullable key stays null.
+_INHERITED = (
+    "llm profile pods max_batch_weight slo_ttft_ms traffic router admission "
+    "autoscaler faults"
+).split()
+SCHEMA["tenant"] = {
+    "name": Key("str", REQUIRED),
+    **{
+        key: spec._replace(default=INHERIT, null=spec.null or spec.default is None)
+        for key, spec in SCHEMA["scenario"].items()
+        if key in _INHERITED
+    },
+}
+
+#: Sections handed to a constructor once their keys check out, so its
+#: own cross-field contract (a fault targets a pod or a zone) runs at load.
+_TYPES = {"event": FaultSpec}
+
+
+def _first(*values):
+    """The first of ``values`` that is not ``None``: a left-out key's
+    default that depends on another field."""
+    return next(v for v in values if v is not None)
+
+
+def _join(path: str, key: str) -> str:
+    return f"{path} {key}" if path else key
+
+
+def _describe(rng: str) -> str:
+    """A range as the error states it: ``positive``, ``>= 1``, ``in (0, 1]``."""
+    if rng == "> 0":
+        return "positive"
+    return f"in {rng}" if rng[0] in "([" else rng
+
+
+def _in_range(value, rng: str) -> bool:
+    if rng[0] in "([":
+        lo, hi = (float(x) for x in rng[1:-1].split(","))
+        above = lo < value if rng[0] == "(" else lo <= value
+        return above and (value < hi if rng[-1] == ")" else value <= hi)
+    op, bound = rng.split()
+    return value > float(bound) if op == ">" else value >= float(bound)
+
+
+def _leaf(value, spec: Key, path: str, errors: list[str]):
+    """The typed form of one scalar: a number or int is a finite real (a
+    bool is not one, and an int may be ``2.0`` but not ``2.5``); nothing
+    is coerced from a string."""
+    if spec.kind == "choice":
+        if value not in spec.rng:
+            known = ", ".join(sorted(spec.rng))
+            errors.append(f"unknown {path} {value!r} (known: {known})")
+        return value
+    if spec.kind in ("str", "bool"):
+        if not isinstance(value, str if spec.kind == "str" else bool):
+            what = "a string" if spec.kind == "str" else "a boolean"
+            errors.append(f"{path} must be {what}, got {value!r}")
+        return value
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        problem = "a number"
+    elif not math.isfinite(value):
+        problem = "finite"
+    elif spec.kind == "int" and value != int(value):
+        problem = "an integer"
+    elif spec.rng and not _in_range(value, spec.rng):
+        errors.append(f"{path} must be {_describe(spec.rng)}, got {value}")
+        return value
+    else:
+        return int(value) if spec.kind == "int" else float(value)
+    errors.append(f"{path} must be {problem}, got {value!r}")
+    return value
+
+
+def _value(value, spec: Key, path: str, errors: list[str], parent: str = ""):
+    """The typed form of one value of Key ``spec`` at ``path``.
+
+    A list item is named by its section under ``parent``: ``faults
+    event[0]``, or ``tenant 'chat'`` when the item has a string name.
+    """
+    if spec.kind == "section":
+        return _section(value, spec.of, path, errors)
+    if spec.kind == "map":
+        if not isinstance(value, dict):
+            errors.append(f"{path} must be a mapping, got {value!r}")
+            return value
+        return {k: _value(v, spec.of, f"{path}[{k}]", errors) for k, v in value.items()}
+    if spec.kind not in ("list", "rows"):
+        return _leaf(value, spec, path, errors)
+    if not isinstance(value, list):
+        errors.append(f"{path} must be a list, got {value!r}")
+        return value
+    table, items = SCHEMA[spec.of], []
+    for i, item in enumerate(value):
+        name = item.get("name") if isinstance(item, dict) else None
+        where = f"{spec.of} {name!r}" if isinstance(name, str) else f"{spec.of}[{i}]"
+        where = _join(parent, where)
+        if spec.kind == "rows":
+            needed = sum(key.default == REQUIRED for key in table.values())
+            if not isinstance(item, list) or not needed <= len(item) <= len(table):
+                errors.append(
+                    f"{where} must be a list of {needed} to {len(table)} "
+                    f"numbers, got {item!r}"
+                )
+                continue
+            item = dict(zip(table, item))
+        items.append(_section(item, spec.of, where, errors, tag=False))
+    return items
+
+
+def _section(value, name: str, path: str, errors: list[str], tag: bool = True):
+    """The typed copy of one ``name`` section mapping, defaults filled in.
+
+    Every unknown key, missing required key and wrong value is appended
+    to ``errors``, named by its path: ``[tenant 'NAME' ]section[tag]
+    key``, where the root section is ``scenario``. A tagged section's
+    ``kind`` picks its table (a bare string is its kind alone); reached
+    through a key (``tag``), the section is named ``traffic[poisson]``.
+    A tenant's left-out key is left out (it inherits), and its null
+    stays null.
+    """
+    table, where = SCHEMA[name], path or "scenario"
+    tagged = all(isinstance(entry, dict) for entry in table.values())
+    if tagged and isinstance(value, str):
+        value = {"kind": value}
+    if not isinstance(value, dict):
+        errors.append(f"{where} must be a mapping, got {value!r}")
+        return value
+    fields, value = {}, dict(value)
+    if tagged:
+        if "kind" not in value:
+            errors.append(f"{where} needs 'kind'")
+            return value
+        kind = value.pop("kind")
+        if not isinstance(kind, str) or kind not in table:
+            known = ", ".join(sorted(table))
+            errors.append(f"unknown {_join(path, 'kind')} {kind!r} (known: {known})")
+            return value
+        fields["kind"], table = kind, table[kind]
+        if tag:
+            path = where = f"{path}[{kind}]"
+    unknown = sorted(set(value) - set(table), key=str)
+    if unknown:
+        allowed = ", ".join(table) or "none"
+        errors.append(f"unknown key(s) in {where}: {unknown} (allowed: {allowed})")
+    n_errors = len(errors)
+    for key, spec in table.items():
+        raw = value.get(key)
+        if raw is None and (key not in value or spec.null or spec.default is None):
+            if spec.default == REQUIRED:
+                errors.append(f"{where} needs {key!r}")
+            elif spec.default in (None, INHERIT):
+                if key in value or spec.default is None:
+                    fields[key] = None
+            else:
+                fields[key] = _value(spec.default, spec, _join(path, key), errors)
+            continue
+        fields[key] = _value(raw, spec, _join(path, key), errors, path)
+    if name in _TYPES and len(errors) == n_errors:
+        try:
+            return _TYPES[name](**fields)
+        except ValueError as exc:
+            errors.append(f"{where}: {exc}")
+    return fields
+
+
+def _rules(spec: dict) -> list[str]:
+    """The cross-field rules of a typed spec that no table row states."""
+    errors, tenants = [], spec["tenants"]
+    owners = [("", spec)] + [(f"tenant {t['name']!r} ", t) for t in tenants]
+    for prefix, owner in owners:
+        traffic = owner.get("traffic")
+        if traffic is None:
+            # A fleet needs traffic; a tenant needs its own or the scenario's.
+            if spec["traffic"] is None and (prefix or not tenants):
+                errors.append(f"{prefix or 'scenario '}needs 'traffic'")
+            continue
+        if traffic["kind"] != "replay":
+            continue
+        sources = [k for k in ("path", "arrivals", "trace") if traffic[k] is not None]
+        if len(sources) != 1:
+            errors.append(
+                f"{prefix}traffic[replay] needs exactly one of 'path', "
+                f"'arrivals' or 'trace', got {sources or 'none'}"
+            )
+        if traffic["llm"] is not None and traffic["trace"] is None:
+            errors.append(
+                f"{prefix}traffic[replay] llm only applies to a 'trace' source "
+                "(CSV/JSONL logs are already per-service)"
+            )
+    if tenants and not spec["capacity"]:
+        errors.append("a cluster scenario (tenants) needs a capacity map")
+    names = [t["name"] for t in tenants]
+    if len(set(names)) != len(names):
+        errors.append(f"duplicate tenant names: {names}")
+    if spec["cloud"] is not None and not tenants:
+        errors.append("a cloud section needs tenants: bursting is a cluster decision")
+    attainment = (spec["expectations"] or {}).get("slo_attainment_min")
+    has_slo = spec["slo_ttft_ms"] is not None or (
+        tenants and all(t.get("slo_ttft_ms") is not None for t in tenants)
+    )
+    if attainment is not None and not has_slo:
+        errors.append(
+            "expectations slo_attainment_min needs slo_ttft_ms on the "
+            "scenario (or on every tenant)"
+        )
+    return errors
 
 
 def fault_event_spec(event: dict, where: str) -> FaultSpec:
     """One validated :class:`FaultSpec` from a fault-event mapping.
 
-    The mapping is a scenario ``faults.events`` entry (or a compiled
-    ``--fault`` flag): a ``kind``, a ``time_s`` and the keys that kind
+    The mapping is a scenario ``faults.events`` entry or a compiled
+    ``--fault`` flag: a ``kind``, a ``time_s`` and the keys that kind
     accepts. Every error names ``where``.
     """
-    if not isinstance(event, dict) or "kind" not in event:
-        raise ValueError(f"{where} needs a mapping with a 'kind'")
-    kind = event["kind"]
-    if kind not in _FAULT_EVENT_KEYS:
-        raise ValueError(
-            f"unknown fault kind {kind!r} in {where}; "
-            f"known: {sorted(_FAULT_EVENT_KEYS)}"
-        )
-    if "time_s" not in event:
-        raise ValueError(f"{where} needs a time_s")
-    errors = _number_errors(_numbers(event, "fault event", f"{where} "))
+    errors: list[str] = []
+    spec = _section(event, "event", where, errors, tag=False)
     if errors:
         raise ValueError("; ".join(errors))
-
-    def optional(key, cast):
-        return None if event.get(key) is None else cast(event[key])
-
-    try:
-        # Field semantics (pod-vs-zone targeting, slowdown knobs,
-        # positive delays) are FaultSpec's own contract; its messages
-        # say why a key does not apply, so they come first.
-        spec = FaultSpec(
-            kind=str(kind),
-            time_s=float(event["time_s"]),
-            pod=optional("pod", int),
-            zone=optional("zone", str),
-            mode=str(event.get("mode", "requeue")),
-            restart_delay_s=optional("restart_delay_s", float),
-            duration_s=optional("duration_s", float),
-            factor=optional("factor", float),
-        )
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
-    _check_keys(
-        {k: v for k, v in event.items() if k != "kind"},
-        _FAULT_EVENT_KEYS[kind],
-        where,
-    )
     return spec
 
 
-@dataclass
 class ScenarioSpec:
     """One validated scenario, ready to build and run.
 
-    Construct via :meth:`from_dict` (which validates every section and
-    raises ``ValueError`` naming the offending key) or :meth:`load`
-    (JSON or, when PyYAML is available, YAML files). ``tenants`` being
-    non-empty makes this a cluster scenario (:attr:`is_cluster`), in
-    which case ``capacity`` must name the finite GPU inventory.
+    Construct via :meth:`from_dict` (which checks every section against
+    :data:`SCHEMA` and raises one ``ValueError`` naming each offending
+    key) or :meth:`load` (JSON or, when PyYAML is available, YAML
+    files). The attributes are the top-level keys with their defaults
+    filled in; each section is a typed mapping with its defaults filled
+    in, absent sections are ``None``, and a fault event is a
+    :class:`FaultSpec`. ``tenants`` being non-empty makes this a cluster
+    scenario (:attr:`is_cluster`), in which case ``capacity`` must name
+    the finite GPU inventory.
     """
 
-    name: str
-    duration_s: float
-    traffic: dict | None = None
-    seed: int = 0
-    warmup_s: float = 0.0
-    llm: str = "Llama-2-13b"
-    profile: str = "1xA100-40GB"
-    pods: int = 2
-    max_batch_weight: int = 12_000
-    workload: dict = field(default_factory=dict)
-    router: str | dict = "least-loaded"
-    admission: dict | None = None
-    autoscaler: dict | None = None
-    slo_ttft_ms: float | None = None
-    faults: dict | None = None
-    tenants: list[dict] = field(default_factory=list)
-    capacity: dict[str, int] = field(default_factory=dict)
-    cloud: dict | None = None
-    expectations: dict | None = None
+    def __init__(self, fields: dict) -> None:
+        self.__dict__.update(fields)
+
+    def __repr__(self) -> str:
+        return f"ScenarioSpec({vars(self)!r})"
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and vars(other) == vars(self)
 
     # ---- construction -----------------------------------------------------
 
     @classmethod
     def from_dict(cls, spec: dict) -> "ScenarioSpec":
-        """Validate a raw mapping into a :class:`ScenarioSpec`."""
-        if not isinstance(spec, dict):
-            raise ValueError(f"scenario spec must be a mapping, got {type(spec)}")
-        _check_keys(spec, _TOP_KEYS, "scenario")
-        if "duration_s" not in spec:
-            raise ValueError("scenario needs a duration_s")
-        out = cls(
-            name=str(spec.get("name", "scenario")),
-            duration_s=_number(spec["duration_s"], float),
-            traffic=spec.get("traffic"),
-            seed=_number(spec.get("seed", 0), int),
-            warmup_s=_number(spec.get("warmup_s", 0.0), float),
-            llm=str(spec.get("llm", cls.llm)),
-            profile=str(spec.get("profile", cls.profile)),
-            pods=_number(spec.get("pods", cls.pods), int),
-            max_batch_weight=_number(
-                spec.get("max_batch_weight", cls.max_batch_weight), int
-            ),
-            workload=dict(spec.get("workload") or {}),
-            router=spec.get("router", "least-loaded"),
-            admission=spec.get("admission"),
-            autoscaler=spec.get("autoscaler"),
-            slo_ttft_ms=_number(spec.get("slo_ttft_ms"), float),
-            faults=spec.get("faults"),
-            tenants=[dict(t) for t in spec.get("tenants") or []],
-            capacity={
-                str(k): _number(v, int) for k, v in (spec.get("capacity") or {}).items()
-            },
-            cloud=spec.get("cloud"),
-            expectations=spec.get("expectations"),
-        )
-        out._validate()
-        return out
+        """Validate a raw mapping into a :class:`ScenarioSpec`.
+
+        Every problem joins one ``ValueError`` (with ``"; "``): first all
+        of the schema's, then, on a spec that passes it, the cross-field
+        rules of :func:`_rules`.
+        """
+        errors: list[str] = []
+        fields = _section(spec, "scenario", "", errors)
+        if not errors:
+            errors = _rules(fields)
+        if errors:
+            raise ValueError("; ".join(errors))
+        return cls(fields)
 
     @classmethod
     def load(cls, path: str) -> "ScenarioSpec":
@@ -344,290 +547,19 @@ class ScenarioSpec:
             else:
                 raw = json.loads(text)
             return cls.from_dict(raw)
-        except (ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
-
-    def _validate(self) -> None:
-        """Check every section, collecting failures so a bad spec reports
-        all of its problems in one ``ValueError`` (joined with ``; ``)
-        instead of one per edit-run-fix round trip. A spec with a single
-        problem raises exactly the message that check always raised."""
-        errors: list[str] = []
-
-        def check(fn, *args) -> None:
-            try:
-                fn(*args)
-            except ValueError as exc:
-                errors.append(str(exc))
-
-        def require(ok: bool, message: str) -> None:
-            if not ok:
-                errors.append(message)
-
-        errors += _number_errors(self._number_fields())
-        # Range checks apply to numbers only; the rest failed above.
-        if _is_number(self.duration_s):
-            require(
-                self.duration_s > 0,
-                f"duration_s must be positive, got {self.duration_s}",
-            )
-        if _is_number(self.warmup_s):
-            require(self.warmup_s >= 0, f"warmup_s must be >= 0, got {self.warmup_s}")
-        if _is_number(self.pods):
-            require(self.pods >= 1, f"pods must be >= 1, got {self.pods}")
-        check(_check_keys, self.workload, _WORKLOAD_KEYS, "workload")
-        check(self._validate_faults, self.faults, "scenario faults")
-        check(self._validate_cloud)
-        check(self._validate_expectations)
-        if self.cloud is not None and not self.tenants:
-            errors.append(
-                "a cloud section needs tenants: bursting is a cluster decision"
-            )
-        if self.tenants:
-            require(
-                bool(self.capacity),
-                "a cluster scenario (tenants) needs a capacity map",
-            )
-            names = []
-            for tenant in self.tenants:
-                check(_check_keys, tenant, _TENANT_KEYS, "tenant")
-                if "name" not in tenant:
-                    errors.append("every tenant needs a name")
-                    continue
-                names.append(tenant["name"])
-                check(
-                    self._validate_traffic,
-                    tenant.get("traffic", self.traffic),
-                    f"tenant {tenant['name']!r}",
-                )
-                if "faults" in tenant:
-                    check(
-                        self._validate_faults,
-                        tenant["faults"],
-                        f"tenant {tenant['name']!r} faults",
-                    )
-            require(
-                len(set(names)) == len(names), f"duplicate tenant names: {names}"
-            )
-        else:
-            check(self._validate_traffic, self.traffic, "scenario")
-        for section in (self.admission, *(t.get("admission") for t in self.tenants)):
-            if section is not None:
-                check(_check_keys, section, _ADMISSION_KEYS, "admission")
-        for section in (self.autoscaler, *(t.get("autoscaler") for t in self.tenants)):
-            if section is not None:
-                check(_check_keys, section, _AUTOSCALER_KEYS, "autoscaler")
-                policy = section.get("policy", "threshold")
-                require(
-                    policy in AUTOSCALE_POLICIES,
-                    f"unknown autoscaler policy {policy!r}; "
-                    f"known: {sorted(AUTOSCALE_POLICIES)}",
-                )
-        for router in (self.router, *(t.get("router") for t in self.tenants)):
-            if router is None:
-                continue
-            kind = router.get("kind") if isinstance(router, dict) else router
-            if kind not in ROUTERS:
-                errors.append(f"unknown router {kind!r}; known: {sorted(ROUTERS)}")
-            elif isinstance(router, dict):
-                accepted = set(
-                    inspect.signature(ROUTERS[kind].__init__).parameters
-                ) - {"self"}
-                check(
-                    _check_keys,
-                    {k: v for k, v in router.items() if k != "kind"},
-                    accepted,
-                    f"router[{kind}]",
-                )
-        if errors:
-            raise ValueError("; ".join(errors))
-
-    def _number_fields(self):
-        """``(name, value)`` of every numeric field the spec sets.
-
-        The top level first, then each tenant's overrides, each named by
-        section, tenant and key; fault events are checked by
-        :func:`fault_event_spec`.
-        """
-        owners = [("", vars(self))] + [
-            (f"tenant {t['name']!r} " if "name" in t else f"tenant[{i}] ", t)
-            for i, t in enumerate(self.tenants)
-        ]
-        for prefix, owner in owners:
-            yield from _numbers(owner, "tenant" if prefix else "scenario", prefix)
-            if not prefix:
-                yield from ((f"capacity[{g}]", n) for g, n in self.capacity.items())
-            traffic = owner.get("traffic")
-            if isinstance(traffic, dict):
-                kind = traffic.get("kind")
-                where = f"{prefix}traffic[{kind}] "
-                yield from _numbers(
-                    traffic, "replay" if kind == "replay" else "traffic", where
-                )
-                yield from _numbers(
-                    traffic.get("bootstrap"), "bootstrap", f"{where}bootstrap "
-                )
-            for kind in ("router", "admission", "autoscaler", "workload", "faults"):
-                yield from _numbers(owner.get(kind), kind, f"{prefix}{kind} ")
-        cloud = self.cloud if isinstance(self.cloud, dict) else {}
-        yield from _numbers(cloud, "cloud", "cloud ")
-        quota = cloud.get("quota")
-        if isinstance(quota, dict):
-            yield from ((f"cloud quota[{g}]", n) for g, n in quota.items())
-        catalog = cloud.get("catalog")
-        if isinstance(catalog, dict):
-            for gpu, entry in catalog.items():
-                yield from _numbers(entry, "catalog", f"cloud catalog[{gpu}] ")
-        yield from _numbers(self.expectations, "expectations", "expectations ")
-
-    @staticmethod
-    def _validate_traffic(traffic: dict | None, where: str) -> None:
-        if not isinstance(traffic, dict) or "kind" not in traffic:
-            raise ValueError(f"{where} needs a traffic mapping with a 'kind'")
-        kind = traffic["kind"]
-        if kind not in _TRAFFIC_KEYS:
-            raise ValueError(
-                f"unknown traffic kind {kind!r} in {where}; "
-                f"known: {sorted(_TRAFFIC_KEYS)}"
-            )
-        _check_keys(
-            {k: v for k, v in traffic.items() if k != "kind"},
-            _TRAFFIC_KEYS[kind],
-            f"{where} traffic[{kind}]",
-        )
-        if kind == "closed" and "users" not in traffic:
-            raise ValueError(f"closed-loop traffic in {where} needs 'users'")
-        if kind != "closed" and kind != "replay" and "rate_per_s" not in traffic:
-            raise ValueError(f"{kind} traffic in {where} needs 'rate_per_s'")
-        if kind == "replay":
-            sources = [k for k in ("path", "arrivals", "trace") if k in traffic]
-            if len(sources) != 1:
-                raise ValueError(
-                    f"replay traffic in {where} needs exactly one of "
-                    f"'path', 'arrivals' or 'trace', got {sources or 'none'}"
-                )
-            if "llm" in traffic and "trace" not in traffic:
-                raise ValueError(
-                    f"replay 'llm' in {where} only applies to a 'trace' "
-                    "source (CSV/JSONL logs are already per-service)"
-                )
-            boot = traffic.get("bootstrap")
-            if boot is not None:
-                if not isinstance(boot, dict) or "n" not in boot:
-                    raise ValueError(
-                        f"replay bootstrap in {where} needs a mapping with an 'n'"
-                    )
-                _check_keys(boot, _BOOTSTRAP_KEYS, f"{where} replay bootstrap")
-
-    @staticmethod
-    def _validate_faults(section: dict | None, where: str) -> None:
-        if section is None:
-            return
-        if not isinstance(section, dict):
-            raise ValueError(f"{where} must be a mapping, got {type(section)}")
-        _check_keys(section, _FAULTS_KEYS, where)
-        zones = section.get("zones", 1)
-        if _is_number(zones) and zones < 1:
-            raise ValueError(f"{where} zones must be >= 1, got {zones}")
-        events = section.get("events", [])
-        if not isinstance(events, list):
-            raise ValueError(f"{where} events must be a list, got {type(events)}")
-        for i, event in enumerate(events):
-            fault_event_spec(event, f"{where} event[{i}]")
-
-    def _validate_expectations(self) -> None:
-        """The ``expectations`` section, when present, is a mapping of
-        known bound names to non-negative numbers (plus the boolean
-        ``fast_oracle_parity`` marker). Evaluation lives in
-        :mod:`repro.simulation.library`; only the shape is checked here
-        so a curated scenario file fails at load, not mid-matrix. That
-        each bound is a finite number is :data:`_NUMBER_KEYS`' check;
-        the range checks below skip the values it rejects."""
-        section = self.expectations
-        if section is None:
-            return
-        if not isinstance(section, dict):
-            raise ValueError(
-                f"expectations must be a mapping, got {type(section)}"
-            )
-        _check_keys(section, _EXPECTATION_KEYS, "expectations")
-        for key, value in section.items():
-            if key == "fast_oracle_parity":
-                if not isinstance(value, bool):
-                    raise ValueError(
-                        f"expectations fast_oracle_parity must be a "
-                        f"boolean, got {value!r}"
-                    )
-            elif _is_number(value) and value < 0:
-                raise ValueError(
-                    f"expectations {key} must be >= 0, got {value}"
-                )
-        attainment = section.get("slo_attainment_min")
-        if _is_number(attainment):
-            if attainment > 1.0:
-                raise ValueError(
-                    f"expectations slo_attainment_min is a fraction, "
-                    f"got {attainment}"
-                )
-            has_slo = self.slo_ttft_ms is not None or (
-                self.tenants
-                and all("slo_ttft_ms" in t for t in self.tenants)
-            )
-            if not has_slo:
-                raise ValueError(
-                    "expectations slo_attainment_min needs slo_ttft_ms "
-                    "on the scenario (or on every tenant)"
-                )
-
-    def _validate_cloud(self) -> None:
-        from repro.hardware.pricing import CLOUD_PRICING_MODES
-
-        section = self.cloud
-        if section is None:
-            return
-        if not isinstance(section, dict):
-            raise ValueError(f"cloud must be a mapping, got {type(section)}")
-        _check_keys(section, _CLOUD_KEYS, "cloud")
-        mode = section.get("mode", "on-demand")
-        if mode not in CLOUD_PRICING_MODES:
-            raise ValueError(
-                f"unknown cloud mode {mode!r}; "
-                f"known: {sorted(CLOUD_PRICING_MODES)}"
-            )
-        for key in ("max_cloud_pods", "price_cap_per_pod_hour"):
-            value = section.get(key)
-            if _is_number(value) and value < 0:
-                raise ValueError(f"cloud {key} must be >= 0, got {value}")
-        quota = section.get("quota") or {}
-        if not isinstance(quota, dict):
-            raise ValueError(f"cloud quota must be a mapping, got {type(quota)}")
-        for gpu, cap in quota.items():
-            if _is_number(cap) and cap < 0:
-                raise ValueError(f"cloud quota for {gpu} must be >= 0, got {cap}")
-        catalog = section.get("catalog")
-        if catalog is not None:
-            if not isinstance(catalog, dict) or not catalog:
-                raise ValueError("cloud catalog must be a non-empty mapping")
-            for gpu, entry in catalog.items():
-                if not isinstance(entry, dict):
-                    raise ValueError(
-                        f"cloud catalog entry for {gpu} must be a mapping"
-                    )
-                _check_keys(entry, _CLOUD_CATALOG_KEYS, f"cloud catalog[{gpu}]")
-                for mode_key in ("on_demand", "spot", "reserved"):
-                    if mode_key not in entry:
-                        raise ValueError(
-                            f"cloud catalog[{gpu}] needs a {mode_key} price"
-                        )
 
     def build_cloud(self) -> "tuple | None":
         """The (CloudLedger, BurstPolicy) pair of the ``cloud`` section.
 
         None when the scenario declares no cloud tier. The catalog is
         the AWS-like default unless the section supplies its own; the
-        ``quota`` mapping overlays account GPU caps either way, and the
-        ledger's seed (spot-preemption schedules) defaults to the
-        scenario seed.
+        ``quota`` mapping overlays account GPU caps either way. Left
+        out, the spot-interruption rate is the AWS-like catalog's 0.05
+        per hour, and a custom entry's is the section's rate or 0.0;
+        the ledger's seed (spot-preemption schedules) is the scenario
+        seed.
         """
         from repro.hardware.pricing import (
             CloudCatalog,
@@ -636,54 +568,35 @@ class ScenarioSpec:
         )
         from repro.simulation.cloud import BurstPolicy, CloudLedger
 
-        if self.cloud is None:
-            return None
         section = self.cloud
-        quota = {
-            str(gpu): int(cap) for gpu, cap in (section.get("quota") or {}).items()
-        }
-        rate = section.get("spot_interruptions_per_hour")
-        if section.get("catalog"):
-            instances = {}
-            for gpu, entry in section["catalog"].items():
-                entry_rate = entry.get(
-                    "spot_interruptions_per_hour",
-                    0.0 if rate is None else float(rate),
-                )
-                instances[str(gpu)] = CloudInstanceType(
-                    gpu=str(gpu),
-                    on_demand=float(entry["on_demand"]),
-                    spot=float(entry["spot"]),
-                    reserved=float(entry["reserved"]),
-                    quota_gpus=quota.get(
-                        str(gpu), entry.get("quota_gpus")
+        if section is None:
+            return None
+        quota, rate = section["quota"], section["spot_interruptions_per_hour"]
+        if section["catalog"]:
+            instances = {
+                gpu: CloudInstanceType(
+                    gpu=gpu,
+                    on_demand=entry["on_demand"],
+                    spot=entry["spot"],
+                    reserved=entry["reserved"],
+                    quota_gpus=quota.get(gpu, entry["quota_gpus"]),
+                    spot_interruptions_per_hour=_first(
+                        entry["spot_interruptions_per_hour"], rate, 0.0
                     ),
-                    spot_interruptions_per_hour=float(entry_rate),
                 )
+                for gpu, entry in section["catalog"].items()
+            }
             catalog = CloudCatalog(instances=instances)
         else:
             catalog = aws_like_cloud_catalog(
-                quota_gpus=quota,
-                spot_interruptions_per_hour=(
-                    0.05 if rate is None else float(rate)
-                ),
+                quota_gpus=quota, spot_interruptions_per_hour=_first(rate, 0.05)
             )
         policy = BurstPolicy(
-            mode=str(section.get("mode", "on-demand")),
-            max_cloud_pods=(
-                None
-                if section.get("max_cloud_pods") is None
-                else int(section["max_cloud_pods"])
-            ),
-            price_cap_per_pod_hour=(
-                None
-                if section.get("price_cap_per_pod_hour") is None
-                else float(section["price_cap_per_pod_hour"])
-            ),
+            mode=section["mode"],
+            max_cloud_pods=section["max_cloud_pods"],
+            price_cap_per_pod_hour=section["price_cap_per_pod_hour"],
         )
-        ledger = CloudLedger(
-            catalog=catalog, seed=int(section.get("seed", self.seed))
-        )
+        ledger = CloudLedger(catalog=catalog, seed=_first(section["seed"], self.seed))
         return ledger, policy
 
     @property
@@ -698,96 +611,70 @@ class ScenarioSpec:
 
         Fitted to the ``workload.traces`` ``.npz`` collection when given,
         else to a freshly synthesized trace of ``workload.requests``
-        (default 50k) rows under the scenario seed — so a spec file with
-        no side files is still fully self-contained.
+        rows under the scenario seed — so a spec file with no side files
+        is still fully self-contained.
         """
         from repro.traces import TraceConfig, TraceDataset, TraceSynthesizer
         from repro.workload.generator import WorkloadGenerator
 
-        if self.workload.get("traces"):
+        if self.workload["traces"]:
             traces = TraceDataset.load(self.workload["traces"])
         else:
-            config = TraceConfig(n_requests=int(self.workload.get("requests", 50_000)))
+            config = TraceConfig(n_requests=self.workload["requests"])
             traces = TraceSynthesizer(config=config, seed=self.seed).generate()
         return WorkloadGenerator.fit(traces)
 
     def build_traffic(
         self, traffic: dict | None = None, label: str = ""
     ) -> TrafficModel:
-        """One traffic model from a traffic mapping (seeded per label)."""
-        traffic = dict(self.traffic if traffic is None else traffic)
-        kind = traffic.pop("kind")
-        rng = derive_rng(self.seed, "scenario-traffic", label, kind)
+        """One traffic model from a typed traffic section (seeded per label)."""
+        args = dict(self.traffic if traffic is None else traffic)
+        kind = args.pop("kind")
         if kind == "closed":
-            return ClosedLoopTraffic(
-                int(traffic["users"]), sticky=bool(traffic.get("sticky", True))
-            )
-        if kind == "poisson":
-            return PoissonTraffic(float(traffic["rate_per_s"]), rng=rng)
-        if kind == "diurnal":
-            return DiurnalTraffic(
-                float(traffic["rate_per_s"]),
-                rng=rng,
-                amplitude=float(traffic.get("amplitude", 0.8)),
-                period_s=float(traffic.get("period_s", 600.0)),
-                phase_rad=float(traffic.get("phase_rad", 0.0)),
-            )
-        if kind == "bursty":
-            return BurstyTraffic(
-                float(traffic["rate_per_s"]),
-                rng=rng,
-                off_rate_per_s=float(traffic.get("off_rate_per_s", 0.0)),
-                mean_on_s=float(traffic.get("mean_on_s", 20.0)),
-                mean_off_s=float(traffic.get("mean_off_s", 40.0)),
-                start_on=bool(traffic.get("start_on", True)),
-            )
-        return self._build_replay(traffic, label)
+            return ClosedLoopTraffic(**args)
+        if kind == "replay":
+            return self._build_replay(args, label)
+        model = {"poisson": PoissonTraffic, "diurnal": DiurnalTraffic}.get(
+            kind, BurstyTraffic
+        )
+        rng = derive_rng(self.seed, "scenario-traffic", label, kind)
+        return model(args.pop("rate_per_s"), rng=rng, **args)
 
     def _build_replay(self, traffic: dict, label: str) -> ReplayTraffic:
         """Replay traffic: load the log, then apply the spec's transforms."""
-        if "path" in traffic:
+        if traffic["path"] is not None:
             log = ArrivalLog.load(traffic["path"])
-        elif "arrivals" in traffic:
+        elif traffic["arrivals"] is not None:
             rows = traffic["arrivals"]
             log = ArrivalLog.from_columns(
-                {
-                    "timestamp": [r[0] for r in rows],
-                    "input_tokens": [r[1] for r in rows],
-                    "output_tokens": [r[2] for r in rows],
-                    "batch_size": [r[3] if len(r) > 3 else 1 for r in rows],
-                }
+                {column: [row[column] for row in rows] for column in SCHEMA["arrival"]}
             )
         else:
             from repro.traces import TraceDataset
 
             log = ArrivalLog.from_trace(
-                TraceDataset.load(traffic["trace"]), llm=traffic.get("llm")
+                TraceDataset.load(traffic["trace"]), llm=traffic["llm"]
             )
-        if traffic.get("tenant") is not None:
+        if traffic["tenant"] is not None:
             log = log.for_tenant(traffic["tenant"])
-        if traffic.get("bootstrap") is not None:
-            boot = traffic["bootstrap"]
+        boot = traffic["bootstrap"]
+        if boot is not None:
+            seed = _first(boot["seed"], self.seed)
             log = log.bootstrap(
-                int(boot["n"]),
-                rng=derive_rng(
-                    int(boot.get("seed", self.seed)), "scenario-bootstrap", label
-                ),
-                rate_per_s=boot.get("rate_per_s"),
+                boot["n"],
+                rng=derive_rng(seed, "scenario-bootstrap", label),
+                rate_per_s=boot["rate_per_s"],
             )
-        if traffic.get("rate_per_s") is not None:
-            log = log.warp_to_rate(float(traffic["rate_per_s"]))
+        if traffic["rate_per_s"] is not None:
+            log = log.warp_to_rate(traffic["rate_per_s"])
         return ReplayTraffic(
-            log,
-            speedup=float(traffic.get("speedup", 1.0)),
-            horizon_s=traffic.get("horizon_s"),
+            log, speedup=traffic["speedup"], horizon_s=traffic["horizon_s"]
         )
 
-    def _build_router(self, router: str | dict | None) -> Router:
-        spec = self.router if router is None else router
-        if isinstance(spec, dict):
-            kwargs = {k: v for k, v in spec.items() if k != "kind"}
-            return ROUTERS[spec["kind"]](**kwargs)
-        return ROUTERS[spec]()
+    @staticmethod
+    def _build_router(router: dict) -> Router:
+        args = dict(router)
+        return ROUTERS[args.pop("kind")](**args)
 
     def _default_slo_ms(self) -> float:
         """SLO the admission/threshold sections fall back to.
@@ -796,49 +683,45 @@ class ScenarioSpec:
         threshold scaling too — one number, like the CLI's
         ``--slo-ttft-ms`` — so the fleet protects the SLO it reports on.
         """
-        return 2000.0 if self.slo_ttft_ms is None else float(self.slo_ttft_ms)
+        return _first(self.slo_ttft_ms, 2000.0)
 
     def _wrap_admission(self, router: Router, admission: dict | None) -> Router:
         if admission is None:
             return router
+        slo_ms = _first(admission["slo_ttft_ms"], self._default_slo_ms())
         return AdmissionController(
             router,
-            slo_p95_ttft_s=float(admission.get("slo_ttft_ms", self._default_slo_ms()))
-            / 1e3,
-            window_s=float(admission.get("window_s", 30.0)),
-            mode=admission.get("mode", "shed"),
-            retry_delay_s=float(admission.get("retry_delay_s", 5.0)),
-            max_defers=int(admission.get("max_defers", 3)),
+            slo_p95_ttft_s=slo_ms / 1e3,
+            window_s=admission["window_s"],
+            mode=admission["mode"],
+            retry_delay_s=admission["retry_delay_s"],
+            max_defers=admission["max_defers"],
         )
 
     def _build_autoscaler(self, section: dict | None) -> Autoscaler | None:
         if section is None:
             return None
-        policy_name = section.get("policy", "threshold")
+        policy_name = section["policy"]
         if policy_name == "threshold":
-            policy = ThresholdPolicy(
-                slo_p95_ttft_s=float(section.get("slo_ttft_ms", self._default_slo_ms()))
-                / 1e3
-            )
+            slo_ms = _first(section["slo_ttft_ms"], self._default_slo_ms())
+            policy = ThresholdPolicy(slo_p95_ttft_s=slo_ms / 1e3)
         elif policy_name == "target-utilization":
-            policy = TargetUtilizationPolicy(target=float(section.get("target", 0.6)))
+            policy = TargetUtilizationPolicy(target=section["target"])
         elif policy_name == "predictive":
             policy = PredictivePolicy(
-                requests_per_pod_per_s=float(
-                    section.get("requests_per_pod_per_s", 2.0)
-                ),
-                horizon_s=float(section.get("cold_start_s", 10.0)),
+                requests_per_pod_per_s=section["requests_per_pod_per_s"],
+                horizon_s=section["cold_start_s"],
             )
         else:
             policy = AUTOSCALE_POLICIES[policy_name]()
         return Autoscaler(
             policy,
             AutoscaleConfig(
-                decision_interval_s=float(section.get("interval_s", 15.0)),
-                min_pods=int(section.get("min_pods", 1)),
-                max_pods=int(section.get("max_pods", 16)),
-                cold_start_s=float(section.get("cold_start_s", 10.0)),
-                metrics_window_s=float(section.get("metrics_window_s", 30.0)),
+                decision_interval_s=section["interval_s"],
+                min_pods=section["min_pods"],
+                max_pods=section["max_pods"],
+                cold_start_s=section["cold_start_s"],
+                metrics_window_s=section["metrics_window_s"],
             ),
         )
 
@@ -851,22 +734,10 @@ class ScenarioSpec:
         tenants inheriting one top-level section draw independent
         victims while staying reproducible.
         """
-        if section is None or not section.get("events"):
+        if section is None or not section["events"]:
             return None
-        specs = [
-            fault_event_spec(event, f"{label} faults")
-            for event in section["events"]
-        ]
-        return FaultInjector(
-            specs,
-            seed=spawn_seed(
-                int(section.get("seed", self.seed)), "scenario-faults", label
-            ),
-        )
-
-    @staticmethod
-    def _zones(section: dict | None) -> int:
-        return int(section.get("zones", 1)) if section else 1
+        seed = spawn_seed(_first(section["seed"], self.seed), "scenario-faults", label)
+        return FaultInjector(section["events"], seed=seed)
 
     def _types(self) -> tuple[type, type]:
         """The ``(Deployment, ClusterSimulator)`` classes the builders use.
@@ -879,27 +750,34 @@ class ScenarioSpec:
 
         return Deployment, ClusterSimulator
 
-    def _deployment(
-        self,
-        generator,
-        llm: str,
-        profile: str,
-        pods: int,
-        max_batch_weight: int,
-        n_zones: int = 1,
-    ):
+    def _parts(self, generator, owner: dict, label: str) -> tuple:
+        """``(deployment, traffic, fleet keywords)`` of one fleet or tenant.
+
+        ``owner`` is the scenario's fields, or a tenant's over them.
+        """
         from repro.hardware.profile import parse_profile
         from repro.models import get_llm
 
         deployment_type, _ = self._types()
-        return deployment_type(
-            llm=get_llm(llm),
-            profile=parse_profile(profile),
-            n_pods=pods,
-            max_batch_weight=max_batch_weight,
+        faults = owner["faults"]
+        deployment = deployment_type(
+            llm=get_llm(owner["llm"]),
+            profile=parse_profile(owner["profile"]),
+            n_pods=owner["pods"],
+            max_batch_weight=owner["max_batch_weight"],
             generator=generator,
             seed=self.seed,
-            n_zones=n_zones,
+            n_zones=faults["zones"] if faults else 1,
+        )
+        router = self._build_router(owner["router"])
+        return (
+            deployment,
+            self.build_traffic(owner["traffic"], label=label),
+            {
+                "router": self._wrap_admission(router, owner["admission"]),
+                "autoscaler": self._build_autoscaler(owner["autoscaler"]),
+                "faults": self._build_faults(faults, label),
+            },
         )
 
     def build_fleet(self, generator=None) -> FleetSimulator:
@@ -910,22 +788,8 @@ class ScenarioSpec:
                 "is the entry point for cluster scenarios"
             )
         generator = generator or self.build_generator()
-        deployment = self._deployment(
-            generator,
-            self.llm,
-            self.profile,
-            self.pods,
-            self.max_batch_weight,
-            n_zones=self._zones(self.faults),
-        )
-        router = self._wrap_admission(self._build_router(None), self.admission)
-        return deployment.fleet(
-            self.build_traffic(label=self.name),
-            router=router,
-            stream_label=self.name,
-            autoscaler=self._build_autoscaler(self.autoscaler),
-            faults=self._build_faults(self.faults, self.name),
-        )
+        deployment, traffic, parts = self._parts(generator, vars(self), self.name)
+        return deployment.fleet(traffic, stream_label=self.name, **parts)
 
     def build_cluster(self, generator=None) -> "ClusterSimulator":
         """The multi-tenant form: tenants contending for one inventory.
@@ -942,32 +806,13 @@ class ScenarioSpec:
         generator = generator or self.build_generator()
         groups = []
         for tenant in self.tenants:
-            fault_section = tenant.get("faults", self.faults)
-            deployment = self._deployment(
-                generator,
-                tenant.get("llm", self.llm),
-                tenant.get("profile", self.profile),
-                int(tenant.get("pods", self.pods)),
-                int(tenant.get("max_batch_weight", self.max_batch_weight)),
-                n_zones=self._zones(fault_section),
-            )
-            router = self._wrap_admission(
-                self._build_router(tenant.get("router", self.router)),
-                tenant.get("admission", self.admission),
-            )
-            slo_ms = tenant.get("slo_ttft_ms", self.slo_ttft_ms)
+            owner = {**vars(self), **tenant}
+            deployment, traffic, parts = self._parts(generator, owner, tenant["name"])
+            slo_ms = owner["slo_ttft_ms"]
+            slo_s = None if slo_ms is None else slo_ms / 1e3
             groups.append(
                 deployment.tenant_group(
-                    tenant["name"],
-                    self.build_traffic(
-                        tenant.get("traffic", self.traffic), label=tenant["name"]
-                    ),
-                    router=router,
-                    autoscaler=self._build_autoscaler(
-                        tenant.get("autoscaler", self.autoscaler)
-                    ),
-                    slo_p95_ttft_s=None if slo_ms is None else float(slo_ms) / 1e3,
-                    faults=self._build_faults(fault_section, tenant["name"]),
+                    tenant["name"], traffic, slo_p95_ttft_s=slo_s, **parts
                 )
             )
         cloud = self.build_cloud()

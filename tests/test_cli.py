@@ -283,6 +283,8 @@ class TestCommands:
         assert "faults" in capsys.readouterr().err
 
 
+POISSON = "traffic: {kind: poisson, rate_per_s: 1.0}\n"
+
 CLUSTER_ARGS = [
     "cluster-sim",
     "--tenant", "chat:Llama-2-13b:1xA100-80GB:1:poisson:4.0",
@@ -560,7 +562,7 @@ class TestScenarioNameFlag:
             (
                 "traffic: {kind: poisson, rate_per_s: 1.0}\nduration_s: 10\n"
                 "router: {kind: weight-aware, heavy_pod_fraction: '0.5'}\n",
-                "router heavy_pod_fraction must be a number, got '0.5'",
+                "router[weight-aware] heavy_pod_fraction must be a number, got '0.5'",
             ),
         ],
         ids=["list-count", "infinite-duration", "string-router"],
@@ -574,6 +576,100 @@ class TestScenarioNameFlag:
         assert rc == 2
         err = capsys.readouterr().err
         assert err == f"error: {spec}: {error}\n"
+
+    @pytest.mark.parametrize(
+        "command, body, error",
+        [
+            # Each used to escape as a traceback (exit 1) or as an error
+            # naming no field.
+            (
+                "cluster-sim",
+                POISSON + "capacity: [1]\ntenants: [{name: a}]\n",
+                "capacity must be a mapping, got [1]",
+            ),
+            (
+                "simulate",
+                "traffic: {kind: replay, arrivals: abc}\n",
+                "traffic[replay] arrivals must be a list, got 'abc'",
+            ),
+            (
+                "simulate",
+                POISSON + "router: {kind: least-loaded, args: 1}\n",
+                "unknown key(s) in router[least-loaded]: ['args'] (allowed: none)",
+            ),
+            (
+                "simulate",
+                POISSON + "router: [x]\n",
+                "router must be a mapping, got ['x']",
+            ),
+            (
+                "simulate",
+                POISSON + "autoscaler: 5\n",
+                "autoscaler must be a mapping, got 5",
+            ),
+            (
+                "simulate",
+                "traffic: {kind: replay, arrivals: [[0.0, 16, 8], [1.0, x, 4]]}\n",
+                "traffic[replay] arrival[1] input_tokens must be a number, "
+                "got 'x'",
+            ),
+            (
+                "cluster-sim",
+                POISSON + "capacity: {A10-24GB: 2}\n"
+                "tenants: [{name: chat, autoscaler: {maxpods: 3}}]\n",
+                "unknown key(s) in tenant 'chat' autoscaler: ['maxpods'] "
+                "(allowed: policy, min_pods, max_pods, interval_s, "
+                "cold_start_s, metrics_window_s, slo_ttft_ms, target, "
+                "requests_per_pod_per_s)",
+            ),
+            # Each used to run silently changed: a string is not a
+            # boolean, and a pod count is an integer.
+            (
+                "simulate",
+                "traffic: {kind: closed, users: 2, sticky: 'false'}\n",
+                "traffic[closed] sticky must be a boolean, got 'false'",
+            ),
+            (
+                "simulate",
+                "traffic: {kind: bursty, rate_per_s: 1.0, start_on: 'false'}\n",
+                "traffic[bursty] start_on must be a boolean, got 'false'",
+            ),
+            ("simulate", POISSON + "pods: 2.5\n", "pods must be an integer, got 2.5"),
+        ],
+        ids=[
+            "capacity-list",
+            "arrivals-string",
+            "router-args",
+            "router-list",
+            "autoscaler-int",
+            "arrival-row",
+            "tenant-autoscaler-key",
+            "sticky-string",
+            "start-on-string",
+            "fractional-pods",
+        ],
+    )
+    def test_bad_input_exits_2_naming_file_and_field(
+        self, tmp_path, capsys, command, body, error
+    ):
+        spec = tmp_path / "bad-input.yaml"
+        spec.write_text(
+            "name: bad\nllm: Llama-2-7b\nprofile: 1xA10-24GB\nduration_s: 5\n"
+            "workload: {requests: 2000}\n" + body
+        )
+        rc = main([command, "--scenario", str(spec)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {spec}: {error}\n"
+
+    def test_integral_float_pod_count_runs(self, tmp_path, capsys):
+        spec = tmp_path / "float-pods.yaml"
+        spec.write_text(
+            "name: ok\nllm: Llama-2-7b\nprofile: 1xA10-24GB\nduration_s: 5\n"
+            "workload: {requests: 2000}\n" + POISSON + "pods: 2.0\n"
+        )
+        rc = main(["simulate", "--scenario", str(spec), "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["n_pods"] == 2
 
     def test_missing_scenario_file_error_names_the_file(self, capsys):
         rc = main(["simulate", "--scenario", "does-not-exist.yaml"])

@@ -44,6 +44,35 @@ def test_link_checker_catches_breakage(tmp_path):
     assert len(problems) == 1 and "no-such-file.md" in problems[0]
 
 
+def test_schema_checker_catches_breakage(tmp_path):
+    check_docs = _load_check_docs()
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "The `workload`:\n\n"
+        "| Key | Default | Meaning |\n"
+        "| --- | --- | --- |\n"
+        "| `traces` | absent | trace collection |\n"
+        "| `tokens` | `100` | not a workload key |\n"
+    )
+    problems = check_docs.schema_problems(doc)
+    assert len(problems) == 2
+    assert "lacks key 'requests'" in problems[0]
+    assert "unknown key 'tokens'" in problems[1]
+    # A stated default must be the schema's: the cloud spot rate has none
+    # of its own (it depends on the catalog).
+    doc.write_text(
+        "`cloud` keys:\n\n"
+        "| Key | Default | Meaning |\n"
+        "| --- | --- | --- |\n"
+        "| `spot_interruptions_per_hour` | `0.05` | spot rate |\n"
+    )
+    problems = check_docs.schema_problems(doc)
+    assert [p for p in problems if "default" in p] == [
+        f"{doc}: `cloud` table: spot_interruptions_per_hour default is "
+        "`0.05`, schema says None"
+    ]
+
+
 def test_scenario_snippets_execute():
     """Every ``>>>`` snippet in docs/scenarios.md runs and matches."""
     failures, tests = doctest.testfile(

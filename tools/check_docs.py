@@ -1,31 +1,51 @@
 #!/usr/bin/env python
-"""Docs gate: intra-repo markdown links must resolve.
+"""Docs gate: intra-repo links resolve, and the scenario key tables match
+the schema.
 
 Scans ``README.md`` and ``docs/*.md`` for markdown links and fails
 (exit 1, one line per problem) when a relative link points at a file
 that does not exist in the repo. External links (``http(s)://``,
 ``mailto:``) and pure in-page anchors (``#...``) are not checked.
 
+It also holds docs/scenarios.md's key tables to the scenario schema
+(``repro.simulation.scenario.SCHEMA``), in both directions: each
+``| Key | Default | Meaning |`` table lists exactly the keys of the
+section named by the last code span of the line above it (such as
+``traffic[diurnal]``), each stated default equals the schema's, and
+every section with keys has a table. A default is ``required``,
+``inherited``, a backticked JSON literal, or prose for a key whose
+schema default is none.
+
 Run from anywhere: paths resolve against the repo root (this file's
-parent's parent). The CI docs job runs this plus
-``python -m doctest docs/scenarios.md``; ``tests/test_docs.py`` runs
-both as part of the tier-1 suite.
+parent's parent), and ``src`` is put on the import path. The CI docs
+job runs this plus ``python -m doctest docs/scenarios.md``;
+``tests/test_docs.py`` runs both as part of the tier-1 suite.
 """
 
+import json
 import re
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from repro.simulation.scenario import INHERIT, REQUIRED, SCHEMA  # noqa: E402
 
 #: Inline markdown links: [text](target). Images share the syntax.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_KEY_TABLE = "| Key | Default | Meaning |"
+SCENARIOS_DOC = REPO_ROOT / "docs" / "scenarios.md"
 
 
 def doc_files() -> list[Path]:
     docs = [REPO_ROOT / "README.md"]
     docs.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
     return [d for d in docs if d.exists()]
+
+
+def _shown(path: Path):
+    return path.relative_to(REPO_ROOT) if path.is_relative_to(REPO_ROOT) else path
 
 
 def broken_links(path: Path) -> list[str]:
@@ -41,24 +61,95 @@ def broken_links(path: Path) -> list[str]:
             continue
         resolved = (path.parent / target).resolve()
         if not resolved.exists():
-            shown = (
-                path.relative_to(REPO_ROOT)
-                if path.is_relative_to(REPO_ROOT)
-                else path
-            )
-            problems.append(f"{shown}: broken link -> {target}")
+            problems.append(f"{_shown(path)}: broken link -> {target}")
     return problems
+
+
+def schema_sections() -> dict:
+    """Section name -> key table, one per variant of a tagged section
+    (``traffic[diurnal]``); sections without keys are left out."""
+    sections = {}
+    for name, table in SCHEMA.items():
+        if all(isinstance(variant, dict) for variant in table.values()):
+            sections.update({f"{name}[{kind}]": keys for kind, keys in table.items()})
+        else:
+            sections[name] = table
+    return {name: keys for name, keys in sections.items() if keys}
+
+
+def key_tables(path: Path) -> dict[str, dict[str, str]]:
+    """Section -> {key: default cell} of every key table in a doc."""
+    lines = path.read_text().splitlines()
+    tables = {}
+    for i, line in enumerate(lines):
+        if line.strip() != _KEY_TABLE:
+            continue
+        above = next(text for text in reversed(lines[:i]) if text.strip())
+        rows = {}
+        for row in lines[i + 2 :]:
+            if not row.startswith("|"):
+                break
+            cells = [cell.strip() for cell in row.strip("|").split("|")]
+            rows[cells[0].strip("`")] = cells[1]
+        tables[re.findall(r"`([^`]+)`", above)[-1]] = rows
+    return tables
+
+
+def _stated(cell: str):
+    """A default cell as a schema default: ``required``, ``inherited``,
+    a backticked JSON literal, or ``None`` for prose."""
+    if cell in (REQUIRED, INHERIT):
+        return cell
+    if cell.startswith("`") and cell.endswith("`"):
+        return json.loads(cell[1:-1])
+    return None
+
+
+def schema_problems(path: Path) -> list[str]:
+    """Every way the key tables of a doc disagree with the schema."""
+    sections, problems = schema_sections(), []
+    for section, rows in key_tables(path).items():
+        where = f"{_shown(path)}: `{section}` table"
+        if section not in sections:
+            problems.append(f"{where}: no such schema section")
+            continue
+        table = sections[section]
+        problems += [f"{where} lacks key {k!r}" for k in table if k not in rows]
+        problems += [f"{where} has unknown key {k!r}" for k in rows if k not in table]
+        for key, cell in rows.items():
+            if key not in table:
+                continue
+            stated, default = _stated(cell), table[key].default
+            if stated != default or type(stated) is not type(default):
+                problems.append(
+                    f"{where}: {key} default is {cell}, schema says {default!r}"
+                )
+    return problems
+
+
+def undocumented_sections(path: Path = SCENARIOS_DOC) -> list[str]:
+    """Schema sections with keys but no key table in ``path``."""
+    documented = key_tables(path)
+    return [
+        f"{_shown(path)}: no key table for `{section}`"
+        for section in schema_sections()
+        if section not in documented
+    ]
 
 
 def main() -> int:
     problems = []
     for doc in doc_files():
         problems.extend(broken_links(doc))
+    problems += schema_problems(SCENARIOS_DOC) + undocumented_sections()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         return 1
-    print(f"docs OK: {len(doc_files())} files, all intra-repo links resolve")
+    print(
+        f"docs OK: {len(doc_files())} files, all intra-repo links resolve, "
+        f"{len(schema_sections())} scenario key tables match the schema"
+    )
     return 0
 
 
