@@ -40,8 +40,8 @@ an elastic, priced cloud tier with seeded spot preemptions. See
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.hardware.pricing import CLOUD_PRICING_MODES
@@ -316,7 +316,7 @@ def _leaf(value, spec: Key, path: str, errors: list[str]):
         return value
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         problem = "a number"
-    elif not math.isfinite(value):
+    elif not abs(value) <= sys.float_info.max:  # nan, inf, or an int past float
         problem = "finite"
     elif spec.kind == "int" and value != int(value):
         problem = "an integer"

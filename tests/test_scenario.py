@@ -204,6 +204,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="duration_s must be a number"):
             ScenarioSpec.from_dict(fleet_spec(duration_s="abc"))
 
+    def test_int_too_large_for_a_float_is_not_finite(self):
+        with pytest.raises(ValueError, match="^duration_s must be finite, got 1000"):
+            ScenarioSpec.from_dict(fleet_spec(duration_s=10**400))
+
     def test_null_slo_means_no_slo(self):
         spec = ScenarioSpec.from_dict(fleet_spec(slo_ttft_ms=None))
         assert spec.slo_ttft_ms is None
