@@ -1,13 +1,14 @@
-"""Fast-core speed gate: heap frontier + vectorized stepping vs reference.
+"""Fast-core speed gate: heap frontier + finish-mark decoding vs reference.
 
 The fast simulation core (the heap-indexed event frontier in
-:class:`FleetSimulator` plus the vectorized decode kernel in
-:class:`ContinuousBatchingEngine`) is only allowed to exist because it
-is *bit-identical* to the straight-line reference simulator
-(:class:`ReferenceFleetSimulator` over :class:`ReferenceEngine` pods) —
-same floating-point expressions, same RNG draw sequence, same event
-order. This benchmark enforces both halves of that contract at fleet
-scale:
+:class:`FleetSimulator` plus the decode loop of
+:class:`ContinuousBatchingEngine`, which keeps finish marks and gap runs
+per row segment and draws its noise from a buffer) is only allowed to
+exist because it is *bit-identical* to the straight-line reference
+simulator (:class:`ReferenceFleetSimulator` over :class:`ReferenceEngine`
+pods) — same floating-point expressions, same RNG draw sequence, same
+event order. This benchmark enforces both halves of that contract at
+fleet scale:
 
 1. every scalar field and latency distribution of the fast run equals
    the oracle run exactly (no tolerance), and
@@ -53,8 +54,8 @@ REPEATS = smoke(3, 2)
 #: Hard floors. Full scale was measured at ~37k events/s and ~3.8x on a
 #: warm machine; the gates leave headroom for slower hardware while
 #: still catching an accidental return to the O(pods) scan or the
-#: scalar decode loop. Smoke floors only prove the fast path is not
-#: pathologically slower than the oracle.
+#: reference's per-request decode loop. Smoke floors only prove the fast
+#: path is not pathologically slower than the oracle.
 MIN_EVENTS_PER_S = smoke(10_000.0, 5_000.0)
 MIN_SPEEDUP = smoke(3.0, 1.3)
 

@@ -21,8 +21,6 @@ cross-GPU comparisons depend only on datasheet numbers.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.hardware.profile import GPUProfile
 from repro.models.llm import LLMSpec
 
@@ -127,15 +125,6 @@ class CostModel:
         """
         if n_seqs < 0 or kv_tokens < 0:
             raise ValueError("n_seqs and kv_tokens must be >= 0")
-        return self.decode_step_times(n_seqs, kv_tokens)
-
-    def decode_step_times(self, n_seqs: int, kv_tokens: np.ndarray) -> np.ndarray:
-        """:meth:`decode_step_time`, unchecked and element-wise over an
-        integer array of KV sizes (the steps of an engine's decode leap).
-
-        One expression serves both, so entry i is bit-identical to
-        ``decode_step_time(n_seqs, kv_tokens[i])``.
-        """
         kv_read = kv_tokens * self._decode_kv_bytes / self._effective_bandwidth
         compute = self._decode_flops * n_seqs / self._decode_compute_denom
         comm = (

@@ -18,24 +18,27 @@ request's previous token. Requests that share a last-token time share
 that gap, so the engine records the gaps as runs (see
 :class:`~repro.simulation.metrics.MetricsCollector`).
 
-The decode step is vectorized: the engine keeps the per-request decode
-state — generated count, output target, batch size — in parallel numpy
-arrays (last-token times per segment of rows that share one) and
-advances the whole batch in a handful of array operations. Its scalar
-counterpart, :class:`repro.simulation.reference.ReferenceEngine`, walks
-the active list one request at a time; both draw the same single noise
-sample per step and perform the same IEEE-754 double arithmetic, so
-their outputs are bit-identical on pinned seeds (see
-``tests/test_inference.py`` and the golden pins in
-``tests/test_simulation.py``); ``benchmarks/bench_core_speed.py``
-enforces the equality and the speedup.
+A decode step touches no per-request state. Every active request gains
+exactly one token per step, so each gets a *finish mark* at admission:
+the engine's decode-step count at which it completes. Last-token times
+are kept per segment of rows that share one, so a step records one gap
+run per segment. The jitter comes from a small per-engine buffer
+refilled by one ``lognormal(size=32)`` call, which yields the values of
+32 scalar draws. The plain counterpart,
+:class:`repro.simulation.reference.ReferenceEngine`, walks the active
+list one request at a time and draws each jitter value on its own; both
+perform the same IEEE-754 double arithmetic, so their outputs are
+bit-identical on pinned seeds (see ``tests/test_inference.py`` and the
+golden pins in ``tests/test_simulation.py``);
+``benchmarks/bench_core_speed.py`` enforces the equality and the
+speedup.
 
 Between an admission and a completion every decode step has the same
-batch, so its duration is a closed-form function of the KV size. When
-the caller promises (through :attr:`ContinuousBatchingEngine.horizon`)
-that nothing reaches the engine before some time, one ``step()`` call
-runs every decode step that starts before it as one vectorized *leap*,
-again bit-identical to the one-step-at-a-time reference.
+batch. When the caller promises (through
+:attr:`ContinuousBatchingEngine.horizon`) that nothing reaches the
+engine before some time, one ``step()`` call runs every decode step
+that starts before it, up to and including the next completion, in one
+scalar loop: again bit-identical to the one-step-at-a-time reference.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ __all__ = ["ContinuousBatchingEngine", "EngineStats"]
 MAX_BATCH_REQUESTS = 256
 #: Lognormal sigma of the per-step timing jitter.
 _STEP_NOISE_SIGMA = 0.03
+#: Jitter values one refill of an engine's noise buffer draws. 64 ran no
+#: faster and raised perfbench pilot-pipeline peak RSS by about 0.2 MB.
+_NOISE_BLOCK = 32
 #: How many queued requests admission examines past a blocked head.
 _ADMISSION_LOOKAHEAD = 32
 #: Head-of-line wait after which admission stops reordering (seconds).
@@ -108,12 +114,17 @@ class ContinuousBatchingEngine:
         self.max_batch_weight = int(max_batch_weight)
         self.cost = CostModel(llm, profile)
         self._rng = derive_rng(seed, "engine", llm.name, profile.name)
+        # Jitter buffer, spent until the first draw refills it. Refills
+        # copy into this one array: a new array per refill raised
+        # perfbench fleet-closed-96 peak RSS by about 0.3 MB.
+        self._noise_buf = np.empty(_NOISE_BLOCK)
+        self._noise_at = _NOISE_BLOCK
         # Fault layer: a transient slowdown multiplies every step's cost.
         # Exactly 1.0 outside fault windows, where ``x * 1.0 == x`` in
         # IEEE-754 keeps fault-free runs bit-identical to an engine that
         # never heard of faults.
         self.slow_factor = 1.0
-        # Decode leaps (see step()): the caller's promise that nothing
+        # Decode runs (see _decode()): the caller's promise that nothing
         # outside the engine — a submit, a slowdown, a metrics reset —
         # touches it before this virtual time. The default promises
         # nothing, so every step() call is one iteration.
@@ -131,19 +142,15 @@ class ContinuousBatchingEngine:
         # break warmup resets and cross-pod merging.
         self.metrics = MetricsCollector()
         self.stats = EngineStats()
-        # Decode core: structure-of-arrays mirror of self._active. Row i
-        # of each array belongs to self._active[i].
-        self._soa_cap = 64
-        self._soa_gen = np.zeros(self._soa_cap, dtype=np.int64)  # generated
-        self._soa_out = np.zeros(self._soa_cap, dtype=np.int64)  # output target
-        self._soa_batch = np.zeros(self._soa_cap, dtype=np.int64)  # batch size
-        # Incremental mirrors of two per-step reductions: the total
-        # sequence count of the active batch, and how many decode steps
-        # remain until the *next* completion (every active request gains
-        # exactly one token per step, so the countdown is exact). Both
-        # are bookkeeping only — they change no simulated quantity.
-        self._soa_seqs = 0
-        self._soa_min_left = 0
+        # Decode bookkeeping, none of it a simulated quantity. Finish
+        # marks: self._active[i] completes when the count of decode steps
+        # since the engine was built (stats reset at warmup; this does
+        # not) reaches _marks[i]. _next_mark is the smallest mark, and
+        # _seqs the total sequence count of the active batch.
+        self._decode_count = 0
+        self._marks: list[int] = []
+        self._next_mark = 0
+        self._seqs = 0
         # Last-token times by row segment: rows _seg_rows[j] up to the
         # next segment's first row all emitted their last token at
         # _seg_last[j]. A decode step leaves one segment; each prefill
@@ -219,11 +226,10 @@ class ContinuousBatchingEngine:
     def step(self) -> list[RequestResult]:
         """Run one scheduler iteration; returns requests completed in it.
 
-        A decode iteration that starts before :attr:`horizon` is a
-        *leap*: every further decode step that also starts before the
-        horizon runs in the same call, up to and including the step that
-        completes the next request (see :meth:`_leap`). ``stats`` counts
-        each step the call simulated.
+        A decode iteration runs on through every further decode step
+        that starts before :attr:`horizon`, up to and including the step
+        that completes the next request (see :meth:`_decode`). ``stats``
+        counts each step the call simulated.
         """
         if not (self._queue or self._active):
             return []
@@ -237,8 +243,6 @@ class ContinuousBatchingEngine:
             admitted = self._admit()
             if admitted:
                 return self._prefill(admitted)
-        if self._soa_min_left > 1 and self.horizon > self._time:
-            return self._leap()
         return self._decode()
 
     def itl_samples(self) -> np.ndarray:
@@ -269,7 +273,7 @@ class ContinuousBatchingEngine:
 
         Returns ``(queued, active)`` requests in FIFO/admission order so
         the fleet layer can requeue or count them lost. Scheduling state
-        (batch weight, KV residency, the decode mirrors) resets to
+        (batch weight, KV residency, the finish marks) resets to
         empty; virtual time and already-recorded metrics are untouched —
         tokens streamed before the crash were really delivered.
         """
@@ -280,8 +284,8 @@ class ContinuousBatchingEngine:
         self._batch_weight = 0
         self._pending_weight = 0
         self._kv_tokens = 0
-        self._soa_seqs = 0
-        self._soa_min_left = 0
+        self._marks = []
+        self._seqs = 0
         self._admit_blocked = False
         self._admit_scanned_all = False
         return queued, active
@@ -289,7 +293,15 @@ class ContinuousBatchingEngine:
     # ---- internals --------------------------------------------------------
 
     def _noise(self) -> float:
-        return float(self._rng.lognormal(0.0, _STEP_NOISE_SIGMA))
+        """The next step's timing jitter, from the buffer."""
+        i = self._noise_at
+        if i == _NOISE_BLOCK:
+            self._noise_buf[:] = self._rng.lognormal(
+                0.0, _STEP_NOISE_SIGMA, _NOISE_BLOCK
+            )
+            i = 0
+        self._noise_at = i + 1
+        return float(self._noise_buf[i])
 
     def _admit(self) -> list[_Active]:
         """Admission from the waiting queue under the batch-weight cap.
@@ -356,174 +368,99 @@ class ContinuousBatchingEngine:
                 completed.append(self._finish(a))
             else:
                 self._active.append(a)
-                self._soa_append(len(self._active) - 1, a)
+                self._mark(a)
         self.metrics.record_tokens(first_tokens, self._time)
         return completed
 
-    def _soa_append(self, row: int, a: _Active) -> None:
-        """Mirror a freshly admitted request into the decode arrays."""
-        if row >= self._soa_cap:
-            while self._soa_cap <= row:
-                self._soa_cap *= 2
-            for name in ("_soa_gen", "_soa_out", "_soa_batch"):
-                old = getattr(self, name)
-                grown = np.zeros(self._soa_cap, dtype=old.dtype)
-                grown[: old.size] = old
-                setattr(self, name, grown)
+    def _mark(self, a: _Active) -> None:
+        """Give a freshly admitted request, the newest active row, its
+        finish mark and last-token segment."""
+        row = len(self._marks)
+        mark = self._decode_count + a.request.output_tokens - a.generated
         if row == 0:
             self._seg_rows = [0]
             self._seg_last = [a.last_token_at]
-        elif a.last_token_at != self._seg_last[-1]:
-            self._seg_rows.append(row)
-            self._seg_last.append(a.last_token_at)
-        self._soa_gen[row] = a.generated
-        self._soa_out[row] = a.request.output_tokens
-        self._soa_batch[row] = a.request.batch_size
-        self._soa_seqs += a.request.batch_size
-        left = a.request.output_tokens - a.generated
-        if row == 0 or left < self._soa_min_left:
-            self._soa_min_left = left
+            self._next_mark = mark
+        else:
+            if a.last_token_at != self._seg_last[-1]:
+                self._seg_rows.append(row)
+                self._seg_last.append(a.last_token_at)
+            self._next_mark = min(self._next_mark, mark)
+        self._marks.append(mark)
+        self._seqs += a.request.batch_size
 
     def _decode(self) -> list[RequestResult]:
-        """One decode step: every active sequence gains one token.
+        """Decode steps, each giving every active sequence one token.
 
-        Vectorized over the structure-of-arrays mirror, and bit-identical
-        to the scalar loop of
-        :meth:`repro.simulation.reference.ReferenceEngine._decode` by
-        construction: one noise draw per step, ``n_seqs`` is the same
-        exact integer, and each row segment's gap is the same IEEE-754
-        double subtraction the scalar loop makes for each of its rows.
-        Completions are emitted in active-list order, exactly as the
-        scalar loop does. When extending this kernel, keep every float
-        operation an element-wise mirror of the scalar statement and
-        never reorder reductions — see docs/architecture.md ("Production
-        core vs reference").
+        The first step always runs. Until the next completion the batch
+        cannot change: no mark comes earlier, admission is blocked or
+        the queue empty, and :attr:`horizon` rules out a submit. So
+        further steps run in the same call while the clock is still
+        before the horizon, up to and including the completing step.
+
+        Each step is bit-identical to one of
+        :meth:`repro.simulation.reference.ReferenceEngine._decode`: one
+        noise draw, the same cost, the clock and busy time advanced with
+        ``+=``, and the same gaps. The first step's gap is ``t - last``
+        for each row segment, one run each in row order; every row's
+        last token is then the previous step's, so a later step's gaps
+        are one run of ``n``. Keep that recording order: ``mean_s`` sums
+        the samples in it (see docs/architecture.md, "Production core
+        vs reference").
         """
         stats = self.stats
-        stats.decode_steps += 1
-        n = len(self._active)
-        n_seqs = self._soa_seqs
-        dt = (
-            self.cost.decode_step_time(n_seqs, self._kv_tokens)
-            * self._noise()
-            * self.slow_factor
-        )
-        now = self._time + dt
-        self._time = now
-        stats.busy_time_s += dt
-
-        self._segment_gaps(now, n)
-        self._soa_gen[:n] += 1
-        self._kv_tokens += n_seqs
-        stats.tokens_generated += n_seqs
-        self.metrics.record_tokens(n_seqs, now)
-        # Every active request gains exactly one token per step, so the
-        # smallest remaining-output count drops by exactly one — the
-        # done-comparison only needs to run when that countdown hits 0.
-        self._soa_min_left -= 1
-        if self._soa_min_left > 0:
-            return []
-        return self._complete(n)
-
-    def _leap(self) -> list[RequestResult]:
-        """Every decode step that starts before :attr:`horizon`, up to and
-        including the next completion, as one vectorized pass.
-
-        Until that completion the batch cannot change: nothing completes
-        earlier (``_soa_min_left`` counts the steps to it), admission is
-        blocked or the queue empty, and the horizon rules out a submit.
-        So step ``i`` (from 0) has the same ``n_seqs`` and a KV size of
-        ``kv0 + i * n_seqs``, and the pass is bit-identical to one
-        :meth:`_decode` per step:
-
-        * the noise is one ``lognormal(size=k)`` draw, which yields the
-          values of k scalar draws;
-        * the step costs come from :meth:`CostModel.decode_step_times`,
-          the element-wise twin of the scalar cost;
-        * step times and busy time are sequential ``cumsum`` from the
-          engine's clock and busy time, the sums of repeated ``+=``;
-        * the first step's gaps are ``t1 - last`` per row segment, and
-          every later step's gap is the difference of two consecutive
-          step times, which is the per-request subtraction once every
-          request's last token is the previous step's; each later step
-          is one run of ``n`` samples.
-        """
-        stats = self.stats
-        n = len(self._active)
-        n_seqs = self._soa_seqs
-        k = self._soa_min_left
-        rng = self._rng
-        state = rng.bit_generator.state
-        noise = rng.lognormal(0.0, _STEP_NOISE_SIGMA, size=k)
-        kv = self._kv_tokens + n_seqs * np.arange(k)
-        dt = self.cost.decode_step_times(n_seqs, kv) * noise * self.slow_factor
-        times = np.cumsum(np.concatenate(([self._time], dt)))
-        # Step i starts at times[i]; the first starts before the horizon.
-        run = k
-        if times[k - 1] >= self.horizon:
-            run = int(np.searchsorted(times[:k], self.horizon))
-            # The horizon cut the run short: leave the noise stream
-            # exactly ``run`` draws on, as ``run`` scalar draws would.
-            rng.bit_generator.state = state
-            rng.lognormal(0.0, _STEP_NOISE_SIGMA, size=run)
-            dt = dt[:run]
-            times = times[: run + 1]
-        busy = np.cumsum(np.concatenate(([stats.busy_time_s], dt)))
+        gap, tokens = self.metrics.gap_sink, self.metrics.record_tokens
+        step_time, noise = self.cost.decode_step_time, self._noise
+        n, n_seqs, kv = len(self._active), self._seqs, self._kv_tokens
+        rows, lasts = self._seg_rows, self._seg_last
+        left, horizon = self._next_mark - self._decode_count, self.horizon
+        t, busy = self._time, stats.busy_time_s
+        run = 0
+        while True:
+            dt = step_time(n_seqs, kv) * noise() * self.slow_factor
+            last = t
+            t += dt
+            busy += dt
+            kv += n_seqs
+            run += 1
+            if run == 1:
+                for j in range(len(rows) - 1):
+                    gap(t - lasts[j], rows[j + 1] - rows[j])
+                gap(t - lasts[-1], n - rows[-1])
+            else:
+                gap(t - last, n)
+            tokens(n_seqs, t)
+            if run == left or t >= horizon:
+                break
+        self._time = t
+        stats.busy_time_s = busy
         stats.steps += run - 1
         stats.decode_steps += run
-        self._time = float(times[-1])
-        stats.busy_time_s = float(busy[-1])
-        self._segment_gaps(times[1], n)
-        if run > 1:
-            self.metrics.gap_sink(times[2:] - times[1:-1], n)
-        self._soa_gen[:n] += run
-        self._kv_tokens += run * n_seqs
         stats.tokens_generated += run * n_seqs
-        self.metrics.record_token_steps(n_seqs, times[1:])
-        self._soa_min_left -= run
-        if self._soa_min_left > 0:
-            return []
-        return self._complete(n)
-
-    def _segment_gaps(self, t: float, n: int) -> None:
-        """Record the gaps of the decode step ending at ``t`` over the
-        first ``n`` rows, one run per row segment.
-
-        The caller has moved the clock to the end of its last decode
-        step, so afterwards every row's last token is at the engine's
-        clock: one segment.
-        """
-        rows, lasts = self._seg_rows, self._seg_last
-        sink = self.metrics.gap_sink
-        for j in range(len(rows) - 1):
-            sink(t - lasts[j], rows[j + 1] - rows[j])
-        sink(t - lasts[-1], n - rows[-1])
+        self._kv_tokens = kv
+        self._decode_count += run
         self._seg_rows = [0]
-        self._seg_last = [self._time]
+        self._seg_last = [t]
+        if run < left:
+            return []
+        return self._complete()
 
-    def _complete(self, n: int) -> list[RequestResult]:
-        """Retire the requests among the ``n`` active ones that the step
-        ending at the engine's clock completed, in active-list order."""
-        now = self._time
+    def _complete(self) -> list[RequestResult]:
+        """Retire the active requests whose finish mark the decode count
+        has reached, in active-list order."""
+        count = self._decode_count
         completed: list[RequestResult] = []
-        done = self._soa_gen[:n] >= self._soa_out[:n]
-        for i in np.flatnonzero(done):
-            a = self._active[i]
-            # Copy the authoritative array state back before the
-            # result is assembled (still-active rows stay lazily
-            # mirrored — the arrays are the source of truth).
-            a.generated = int(self._soa_gen[i])
-            a.last_token_at = now
-            self._soa_seqs -= a.request.batch_size
-            completed.append(self._finish(a))
-        keep = ~done
-        self._active = [a for a, k in zip(self._active, keep) if k]
-        m = len(self._active)
-        for arr in (self._soa_gen, self._soa_out, self._soa_batch):
-            arr[:m] = arr[:n][keep]
-        self._soa_min_left = (
-            int((self._soa_out[:m] - self._soa_gen[:m]).min()) if m else 0
-        )
+        active: list[_Active] = []
+        marks: list[int] = []
+        for a, mark in zip(self._active, self._marks):
+            if mark == count:
+                self._seqs -= a.request.batch_size
+                completed.append(self._finish(a))
+            else:
+                active.append(a)
+                marks.append(mark)
+        self._active, self._marks = active, marks
+        self._next_mark = min(marks, default=0)
         return completed
 
     def _finish(self, a: _Active) -> RequestResult:

@@ -618,9 +618,9 @@ class FleetSimulator:
         self._warmed_up = True
         self._warmup_s = 0.0
         self._t_end = float("inf")
-        # Whether pods may leap through runs of decode steps (see
-        # _reindex); decided when the in-service pods change.
-        self._leap = False
+        # Whether pods learn a horizon, so a step may leap through a run of
+        # decode steps (see _reindex); decided when the in-service pods change.
+        self._horizons = False
         self._next_decision = float("inf")
         # Fault layer (simulation.faults): a seeded injector feeds the
         # run loop crash / slowdown / zone-outage events on the shared
@@ -891,7 +891,7 @@ class FleetSimulator:
             for pod in self._all_pods:
                 pod.reset_metrics()
             self._warmed_up = True
-        if self._leap:
+        if self._horizons:
             stepping.horizon = self._horizon(next_control)
             steps = stepping.stats.steps
             finished = stepping.step()
@@ -955,14 +955,14 @@ class FleetSimulator:
         """
         in_service = self._in_service()
         self._frontier.rebuild(in_service)
-        leap = not self._draining and (
+        horizons = not self._draining and (
             len(self.pods) <= 1
             or type(self.traffic).on_complete is TrafficModel.on_complete
         )
-        if self._leap and not leap:
+        if self._horizons and not horizons:
             for pod in in_service:
                 pod.horizon = float("-inf")
-        self._leap = leap
+        self._horizons = horizons
 
     def _horizon(self, next_control: float) -> float:
         """The earliest time an event outside the pods can reach them.

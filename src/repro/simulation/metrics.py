@@ -310,10 +310,9 @@ class MetricsCollector:
         """Record ``count`` ITL samples equal to ``gaps`` (a float), or
         ``count`` samples equal to each element of ``gaps`` (a 1-D array).
 
-        The engine's decode kernel emits its gaps as runs through this
+        The engine's decode loop emits its gaps as runs through this
         sink: one decode step gives every request of a row segment (rows
-        sharing a last-token time) the same gap, and each later step of
-        a decode leap gives every request the same gap.
+        sharing a last-token time) the same gap.
         """
         self._itl.add(gaps, count)
 
@@ -321,24 +320,6 @@ class MetricsCollector:
         self.tokens_recorded += n_tokens
         window = int(now / self.window_s)
         self._window_tokens[window] = self._window_tokens.get(window, 0) + n_tokens
-
-    def record_token_steps(self, n_tokens: int, times: np.ndarray) -> None:
-        """:meth:`record_tokens` of ``n_tokens`` at every one of ``times``.
-
-        One call for a run of engine steps (a decode leap); ``times`` is
-        non-decreasing, so a run inside one window is one dict update.
-        """
-        self.tokens_recorded += n_tokens * times.size
-        counts = self._window_tokens
-        first = int(times[0] / self.window_s)
-        if first == int(times[-1] / self.window_s):
-            counts[first] = counts.get(first, 0) + n_tokens * times.size
-            return
-        windows, steps = np.unique(
-            (times / self.window_s).astype(np.int64), return_counts=True
-        )
-        for window, k in zip(windows.tolist(), steps.tolist()):
-            counts[window] = counts.get(window, 0) + n_tokens * k
 
     def record_completion(self, result: "RequestResult") -> None:
         self.completed.append(result)

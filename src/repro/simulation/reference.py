@@ -4,9 +4,10 @@ Every speed-up in the production simulator is bit-identical to a
 plainer implementation of the same semantics. Those implementations
 live here, each a subclass that overrides exactly the optimized piece:
 
-* :class:`ReferenceEngine` decodes one request at a time and rescans
-  the queue on every step; it never reads the structure-of-arrays
-  mirrors or the admission memo;
+* :class:`ReferenceEngine` decodes one request at a time, one step per
+  call, draws each step's jitter on its own and rescans the queue on
+  every step; it never reads the finish marks, the last-token segments,
+  the noise buffer or the admission memo;
 * :class:`ReferenceFleetSimulator` finds the next pod to step with an
   O(pods) scan of the fleet's live in-service list instead of the
   :class:`~repro.simulation.frontier.EventFrontier` heap;
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.deployment import Deployment
-from repro.inference.engine import ContinuousBatchingEngine
+from repro.inference.engine import _STEP_NOISE_SIGMA, ContinuousBatchingEngine
 from repro.inference.request import RequestResult
 from repro.simulation.cluster import ClusterSimulator, TenantGroup
 from repro.simulation.fleet import FleetSimulator
@@ -41,7 +42,8 @@ __all__ = [
 
 
 class ReferenceEngine(ContinuousBatchingEngine):
-    """The engine with a scalar decode loop and no admission memo."""
+    """The engine with a per-request decode loop, one scalar noise draw
+    per step and no admission memo."""
 
     def step(self) -> list[RequestResult]:
         if not (self._queue or self._active):
@@ -53,8 +55,12 @@ class ReferenceEngine(ContinuousBatchingEngine):
                 return self._prefill(admitted)
         return self._decode()
 
-    def _soa_append(self, row, a) -> None:
-        """Keep no structure-of-arrays mirror."""
+    def _noise(self) -> float:
+        """One plain draw per step, with no buffer."""
+        return float(self._rng.lognormal(0.0, _STEP_NOISE_SIGMA))
+
+    def _mark(self, a) -> None:
+        """Keep no finish marks or segments."""
 
     def _decode(self) -> list[RequestResult]:
         """One decode step: every active sequence gains one token."""

@@ -73,6 +73,28 @@ def test_schema_checker_catches_breakage(tmp_path):
     ]
 
 
+def test_reference_checker_catches_breakage(tmp_path):
+    check_docs = _load_check_docs()
+    doc = tmp_path / "doc.md"
+    doc.write_text(
+        "`CostModel.decode_step_time` `CostModel.decode_step_times`\n"
+        "`repro.simulation.reference.run_scenario(spec)` `np.median`\n"
+        "`LatencyStats.median_s` (a dataclass field) `repro.no_such_module`\n"
+        "```\n`FleetResult.no_such_field` inside a fence is not a span\n```\n"
+        "`FleetResult.sim_events` and `ClusterSimulator.run(\n    t_end)`\n"
+        "`ContinuousBatchingEngine._leap`\n"
+    )
+    problems = check_docs.broken_references(doc, check_docs.repro_classes())
+    assert problems == [
+        f"{doc}: unresolved code reference `{name}`"
+        for name in (
+            "CostModel.decode_step_times",
+            "repro.no_such_module",
+            "ContinuousBatchingEngine._leap",
+        )
+    ]
+
+
 def test_scenario_snippets_execute():
     """Every ``>>>`` snippet in docs/scenarios.md runs and matches."""
     failures, tests = doctest.testfile(

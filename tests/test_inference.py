@@ -265,7 +265,8 @@ class TestEngine:
 
 
 class TestFastOracleParity:
-    """The vectorized decode kernel must be bit-identical to the scalar
+    """The production decode loop (finish marks, gap runs per row
+    segment, buffered noise) must be bit-identical to the per-request
     loop of :class:`ReferenceEngine`: same step times, same completion
     timestamps, same counters."""
 
@@ -324,3 +325,41 @@ class TestFastOracleParity:
             fast_engine.metrics.itl_samples(),
             oracle_engine.metrics.itl_samples(),
         )
+
+
+class TestDecodeHorizon:
+    """A decode step that starts at or after :attr:`horizon` does not run.
+
+    A caller sets the horizon to the time of its next outside event (an
+    arrival, a control tick), which must reach the engine before any
+    step that starts at that time."""
+
+    def _prefilled(self, engine_type):
+        engine = engine_type(
+            get_llm("Llama-2-13b"), parse_profile("1xA100-40GB"),
+            max_batch_weight=6_000, seed=3,
+        )
+        for i in range(2):
+            engine.submit(
+                InferenceRequest(request_id=i, input_tokens=100, output_tokens=40)
+            )
+        engine.step()  # admission + prefill
+        assert engine.stats.decode_steps == 0
+        return engine
+
+    def test_step_starting_at_the_horizon_does_not_run(self):
+        reference = self._prefilled(ReferenceEngine)
+        for _ in range(3):
+            reference.step()
+        horizon = reference.time
+        engine = self._prefilled(ContinuousBatchingEngine)
+        engine.horizon = horizon
+        assert engine.step() == []
+        assert engine.stats.decode_steps == 3
+        assert engine.time == horizon
+
+    def test_horizon_at_the_clock_runs_one_step(self):
+        engine = self._prefilled(ContinuousBatchingEngine)
+        engine.horizon = engine.time
+        engine.step()
+        assert engine.stats.decode_steps == 1

@@ -213,11 +213,11 @@ def _result_fields(result) -> str:
 
 
 class TestReferenceParity:
-    """The production fleet (heap frontier, vectorized decode, decode
-    leaps, admission memo) and the reference fleet are one simulation:
-    whatever the draw, they agree field for field and sample for
-    sample. The drawn pod count and warmup make leaps run and get cut
-    short by arrivals, control events and the warmup boundary."""
+    """The production fleet (heap frontier, finish-mark decoding, decode
+    leaps, buffered noise, admission memo) and the reference fleet are
+    one simulation: whatever the draw, they agree field for field and
+    sample for sample. The drawn pod count and warmup make leaps run and
+    get cut short by arrivals, control events and the warmup boundary."""
 
     @SETTINGS
     @given(seed=seeds, kind=traffic_kinds, rate=rates,

@@ -371,7 +371,7 @@ class TestMetricsCollector:
         values, counts = runs
         collector = MetricsCollector()
         if vector:
-            # The leap's path: an array of gaps, one run of ``count`` each.
+            # The array path: one run of ``count`` per element.
             for value, count in zip(values, counts):
                 collector.gap_sink(np.array([value]), count)
         else:
@@ -471,9 +471,9 @@ class TestMetricsCollector:
 
 
 class TestFastOracleParity:
-    """The production core (heap frontier + vectorized decode) must be
-    bit-identical to the reference simulator (O(pods) frontier scan +
-    scalar decode, ``repro.simulation.reference``) — same floats, same
+    """The production core (heap frontier + finish-mark decode loop) must
+    be bit-identical to the reference simulator (O(pods) frontier scan +
+    per-request decode, ``repro.simulation.reference``) — same floats, same
     RNG draws, same event order. This is the contract that lets the
     golden pins above keep guarding both implementations at once."""
 

@@ -1,11 +1,17 @@
 #!/usr/bin/env python
-"""Docs gate: intra-repo links resolve, and the scenario key tables match
-the schema.
+"""Docs gate: intra-repo links and code references resolve, and the
+scenario key tables match the schema.
 
 Scans ``README.md`` and ``docs/*.md`` for markdown links and fails
 (exit 1, one line per problem) when a relative link points at a file
 that does not exist in the repo. External links (``http(s)://``,
 ``mailto:``) and pure in-page anchors (``#...``) are not checked.
+
+It also resolves every code span outside fenced blocks that is a dotted
+name, optionally called (such as ``CostModel.decode_step_time`` or
+``repro.simulation.reference.run_scenario(spec)``), and whose first name
+is ``repro`` or a class defined in ``repro``: each further name must be
+an attribute of the one before it, or a field of a dataclass.
 
 It also holds docs/scenarios.md's key tables to the scenario schema
 (``repro.simulation.scenario.SCHEMA``), in both directions: each
@@ -22,7 +28,11 @@ job runs this plus ``python -m doctest docs/scenarios.md``;
 ``tests/test_docs.py`` runs both as part of the tier-1 suite.
 """
 
+import dataclasses
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -35,6 +45,9 @@ from repro.simulation.scenario import INHERIT, REQUIRED, SCHEMA  # noqa: E402
 #: Inline markdown links: [text](target). Images share the syntax.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _KEY_TABLE = "| Key | Default | Meaning |"
+_FENCE = re.compile(r"^```.*?^```", re.S | re.M)
+_CODE_SPAN = re.compile(r"`([^`]+)`")
+_DOTTED_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?")
 SCENARIOS_DOC = REPO_ROOT / "docs" / "scenarios.md"
 
 
@@ -62,6 +75,62 @@ def broken_links(path: Path) -> list[str]:
         resolved = (path.parent / target).resolve()
         if not resolved.exists():
             problems.append(f"{_shown(path)}: broken link -> {target}")
+    return problems
+
+
+def repro_classes() -> dict[str, list[type]]:
+    """Every class defined in a ``repro`` module, by name."""
+    import repro
+
+    classes: dict[str, list[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for name, obj in vars(module).items():
+            if inspect.isclass(obj) and obj.__module__ == info.name:
+                classes.setdefault(name, []).append(obj)
+    return classes
+
+
+def _has_path(owner, names: list[str]) -> bool:
+    """Whether ``owner.names[0].names[1]...`` names something."""
+    for name in names:
+        if hasattr(owner, name):
+            owner = getattr(owner, name)
+        elif dataclasses.is_dataclass(owner) and name in {
+            f.name for f in dataclasses.fields(owner)
+        }:
+            owner = None  # a field without a class default: nothing below
+        else:
+            return False
+    return True
+
+
+def _resolves(dotted: str, classes: dict[str, list[type]]) -> bool:
+    names = dotted.split(".")
+    if names[0] != "repro":
+        return any(_has_path(cls, names[1:]) for cls in classes[names[0]])
+    for split in range(len(names), 0, -1):
+        try:
+            module = importlib.import_module(".".join(names[:split]))
+        except ImportError:
+            continue
+        return _has_path(module, names[split:])
+    return False
+
+
+def broken_references(path: Path, classes: dict[str, list[type]]) -> list[str]:
+    """Code references in one markdown file that name nothing in
+    ``repro`` (see the module docstring); ``classes`` is
+    :func:`repro_classes`."""
+    problems = []
+    for span in _CODE_SPAN.finditer(_FENCE.sub("", path.read_text())):
+        match = _DOTTED_NAME.fullmatch(" ".join(span.group(1).split()))
+        if match is None:
+            continue
+        dotted = match.group(1)
+        head = dotted.split(".", 1)[0]
+        if (head == "repro" or head in classes) and not _resolves(dotted, classes):
+            problems.append(f"{_shown(path)}: unresolved code reference `{dotted}`")
     return problems
 
 
@@ -138,16 +207,18 @@ def undocumented_sections(path: Path = SCENARIOS_DOC) -> list[str]:
 
 
 def main() -> int:
-    problems = []
+    problems, classes = [], repro_classes()
     for doc in doc_files():
         problems.extend(broken_links(doc))
+        problems.extend(broken_references(doc, classes))
     problems += schema_problems(SCENARIOS_DOC) + undocumented_sections()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
         return 1
     print(
-        f"docs OK: {len(doc_files())} files, all intra-repo links resolve, "
+        f"docs OK: {len(doc_files())} files, all intra-repo links and code "
+        "references resolve, "
         f"{len(schema_sections())} scenario key tables match the schema"
     )
     return 0
