@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
+from repro.simulation.faults import DISRUPTIVE_FAULT_KINDS
+
 from .charts import MAX_SERIES, PALETTE, EventMark, Series, line_chart
 
 __all__ = ["render_report"]
@@ -186,9 +188,9 @@ def _fault_section(fault_events: list[dict], *, tenant_col: bool) -> str:
         headers.insert(1, "tenant")
     rows = []
     for e in fault_events:
-        disruptive = (e.get("lost") or 0) > 0 or (e.get("requeued") or 0) > 0
+        disruptive = e["kind"] in DISRUPTIVE_FAULT_KINDS
         effect = []
-        if e.get("factor") is not None:
+        if e["kind"] == "slowdown-start":
             effect.append(f"×{e['factor']:g} slowdown")
         if e.get("restart_s") is not None:
             effect.append(f"restart {e['restart_s']:g}s")
@@ -359,13 +361,12 @@ def _render_fleet_body(payload: dict) -> str:
         )
         rows = []
         for e in payload["scale_events"]:
-            clipped = e["to_pods"] != e["requested"]
             rows.append(
                 [
                     _td(e["time_s"], digits=1),
                     _td(e["from_pods"]),
                     _td(e["requested"]),
-                    _td(e["to_pods"], bad=clipped),
+                    _td(e["to_pods"], bad=bool(e["constraint"])),
                     f"<td>{escape(e['reason'])}</td>",
                     f"<td>{escape(e['constraint'] or '—')}</td>",
                 ]

@@ -36,13 +36,25 @@ from typing import Iterable, Sequence
 
 from repro.utils.rng import derive_rng
 
-__all__ = ["FAULT_KINDS", "FaultSpec", "FaultEvent", "FaultInjector"]
+__all__ = [
+    "DISRUPTIVE_FAULT_KINDS",
+    "FAULT_KINDS",
+    "FaultSpec",
+    "FaultEvent",
+    "FaultInjector",
+]
 
 #: The fault kinds a spec may declare. ``spot-preempt`` is the cloud
 #: tier's reclamation event: it crashes a pod like ``crash`` does, but
 #: only cloud-burst pods are eligible victims and the instance is
 #: reclaimed by the provider, so no in-place restart is possible.
 FAULT_KINDS = ("crash", "slowdown", "zone-outage", "spot-preempt")
+
+#: The :class:`FaultEvent` kinds that degrade service: recovery is
+#: measured from them, and run reports mark them.
+DISRUPTIVE_FAULT_KINDS = frozenset(
+    ("crash", "zone-outage", "spot-preempt", "slowdown-start")
+)
 
 #: What happens to a crashed pod's in-flight requests.
 FAULT_MODES = ("requeue", "lose")
@@ -149,12 +161,7 @@ class FaultEvent:
     @property
     def disruptive(self) -> bool:
         """Did this event degrade service (recovery is measured from it)?"""
-        return self.kind in (
-            "crash",
-            "zone-outage",
-            "spot-preempt",
-            "slowdown-start",
-        )
+        return self.kind in DISRUPTIVE_FAULT_KINDS
 
 
 class FaultInjector:

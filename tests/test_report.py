@@ -119,6 +119,70 @@ class TestClusterReport:
             render_report({"kind": "mystery"})
 
 
+def _section(html, anchor, next_anchor):
+    start = html.index(f'id="{anchor}"')
+    return html[start : html.index(f'id="{next_anchor}"', start)]
+
+
+def _table_rows(section):
+    """Body rows of the section's table, one string of cells per row."""
+    body = section[section.index("<tbody>") : section.index("</tbody>")]
+    return body.split("<tr>")[1:]
+
+
+class TestEventFlags:
+    """A cell is marked bad, and a fault row gets ⚠, by the same rule
+    the result types state: ``ScaleEvent.constraint`` and
+    ``FaultEvent.disruptive``."""
+
+    def test_unconstrained_scale_events_not_flagged(self):
+        result = load_by_name("diurnal-retail").run()
+        assert result.scale_events
+        assert not any(e.constraint for e in result.scale_events)
+        html = render_report(result.to_dict())
+        assert 'class="bad"' not in _section(html, "scale-events", "faults")
+
+    def test_constrained_scale_events_flagged(self):
+        cluster = load_by_name("contended-elastic-cluster").run()
+        fleet = cluster.results["search"]
+        constrained = sum(1 for e in fleet.scale_events if e.constraint)
+        assert 0 < constrained < len(fleet.scale_events)
+        html = render_report(fleet.to_dict())
+        section = _section(html, "scale-events", "faults")
+        assert section.count('class="bad"') == constrained
+
+    def test_factor_only_on_slowdown_start(self, fleet_fault_result):
+        _, result = fleet_fault_result
+        html = render_report(result.to_dict())
+        rows = _table_rows(_section(html, "faults", "pods"))
+        kinds = [e.kind for e in result.fault_events]
+        assert kinds == ["crash", "slowdown-start", "slowdown-end"]
+        crash, start, end = rows
+        assert "<td>⚠ crash</td>" in crash
+        assert "slowdown" not in crash
+        assert "restart 37s" in crash
+        assert "<td>⚠ slowdown-start</td>" in start
+        assert "×3 slowdown" in start
+        assert "<td>slowdown-end</td>" in end
+        assert "×" not in end
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["crash", "zone-outage", "spot-preempt", "slowdown-start", "slowdown-end"],
+    )
+    def test_warning_marker_follows_fault_event(self, fleet_fault_result, kind):
+        from repro.simulation.faults import FaultEvent
+        from repro.simulation.results import fault_event_dict
+
+        _, result = fleet_fault_result
+        payload = result.to_dict()
+        event = FaultEvent(time_s=1.0, kind=kind, zone="zone-0")
+        payload["fault_events"] = [fault_event_dict(event)]
+        html = render_report(payload)
+        (row,) = _table_rows(_section(html, "faults", "pods"))
+        assert (f"<td>⚠ {kind}</td>" in row) is event.disruptive
+
+
 class TestReportCommand:
     def test_roundtrip_from_json_file(self, tmp_path, capsys):
         # simulate --json | report must render the same document the
