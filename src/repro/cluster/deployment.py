@@ -171,7 +171,7 @@ class Deployment:
         contends with other tenants for one inventory on one clock.
         """
         label = name if stream_label is None else stream_label
-        fleet = self._make_fleet(traffic, router, label, autoscaler, faults)
+        fleet = self.fleet(traffic, router, label, autoscaler, faults)
         return TenantGroup(
             name=name,
             fleet=fleet,
@@ -202,7 +202,7 @@ class Deployment:
     def workload_source(self, stream_label: object = "deployment") -> RequestSource:
         """The seeded workload stream a fleet under ``stream_label`` draws from.
 
-        Exactly the :class:`RequestSource` :meth:`_make_fleet` builds —
+        Exactly the :class:`RequestSource` :meth:`fleet` builds —
         same generator, same derived RNG, same weight cap — exposed so
         sweep layers (the elastic recommender's recorded arrival stream)
         can materialize the stream once and replay it bit-identically.
@@ -214,27 +214,6 @@ class Deployment:
             self.generator,
             derive_rng(self.seed, "deployment-workload", stream_label),
             self.max_batch_weight,
-        )
-
-    def _make_fleet(
-        self,
-        traffic: TrafficModel,
-        router: Router | None,
-        stream_label: object,
-        autoscaler: Autoscaler | None = None,
-        faults: FaultInjector | None = None,
-    ) -> FleetSimulator:
-        """A fresh fleet over fresh pods and a seeded workload stream."""
-        source = self.workload_source(stream_label)
-        return self.fleet_type(
-            self._pods(),
-            traffic,
-            router or LeastLoadedRouter(),
-            source,
-            autoscaler=autoscaler,
-            pod_factory=self.pod_factory,
-            faults=faults,
-            zone_of=self.zone_of,
         )
 
     def fleet(
@@ -253,7 +232,16 @@ class Deployment:
         simulator (fresh pods, seeded workload stream, router and
         optional autoscaler) without running it.
         """
-        return self._make_fleet(traffic, router, stream_label, autoscaler, faults)
+        return self.fleet_type(
+            self._pods(),
+            traffic,
+            router or LeastLoadedRouter(),
+            self.workload_source(stream_label),
+            autoscaler=autoscaler,
+            pod_factory=self.pod_factory,
+            faults=faults,
+            zone_of=self.zone_of,
+        )
 
     def simulate(
         self,
@@ -277,52 +265,34 @@ class Deployment:
         work and retire), and the result carries the scale-event log,
         provisioned pod-seconds and shed/admitted counts.
         """
-        return self._make_fleet(traffic, router, stream_label, autoscaler, faults).run(
+        return self.fleet(traffic, router, stream_label, autoscaler, faults).run(
             duration_s=duration_s, warmup_s=warmup_s, keep_samples=keep_samples
         )
 
     def run_load_test(
-        self,
-        total_users: int,
-        duration_s: float = 120.0,
-        router: Router | None = None,
-        autoscaler: Autoscaler | None = None,
+        self, total_users: int, duration_s: float = 120.0
     ) -> DeploymentLoadTestResult:
         """Drive ``total_users`` closed-loop users against the deployment.
 
-        All pods share one virtual clock; every request (including each
-        user's follow-up after a completion) is routed by ``router``
-        (least-loaded by default), reproducing what the cluster's front
-        end does. Per-pod metrics get independent measurement noise, the
-        run-to-run spread that Table I quantifies with the relative
-        standard deviation. Pods the router never sent work to are
-        omitted from ``per_pod`` (a single user saturates nothing).
-
-        With ``autoscaler`` set the pod count follows the policy instead
-        of staying at ``n_pods``; ``result.fleet`` then carries the
-        scale-event log and pod-second bill.
+        All pods share one virtual clock. The initial users are dealt
+        round-robin across the pods and their follow-ups stay with their
+        pod: the paper's static per-pod user split. Per-pod metrics get
+        independent measurement noise, the run-to-run spread that Table I
+        quantifies with the relative standard deviation. Pods that never
+        got work are omitted from ``per_pod`` (a single user saturates
+        nothing).
         """
         if total_users < 1:
             raise ValueError(f"total_users must be >= 1, got {total_users}")
-        fleet = self._make_fleet(
-            ClosedLoopTraffic(total_users),
-            # Round-robin of the *initial* user population = the paper's
-            # static per-pod user split (follow-ups are sticky).
-            router or RoundRobinRouter(),
-            total_users,
-            autoscaler,
+        fleet = self.fleet(
+            ClosedLoopTraffic(total_users), RoundRobinRouter(), total_users
         )
         # Retained results carry aggregates only, mirroring the
         # single-pod keep_results=False default.
         fleet_result = fleet.run(duration_s=duration_s, keep_samples=False)
         pods = fleet.all_pods
-        # Actual per-pod user placement (== an even split for the default
-        # round-robin router; custom routers may place users unevenly).
-        # Pods the autoscaler added after t=0 held none of the initial
-        # population.
-        shares = fleet.initial_routed_counts + [0] * (
-            len(pods) - len(fleet.initial_routed_counts)
-        )
+        # Users placed on each pod at t=0 (an even split, give or take one).
+        shares = fleet.initial_routed_counts
         out = DeploymentLoadTestResult(
             n_pods=self.n_pods, total_users=total_users, fleet=fleet_result
         )

@@ -24,7 +24,7 @@ multi-tenancy is a packing problem over GPU counts.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
@@ -38,7 +38,6 @@ from repro.simulation.cluster import (
     ClusterResult,
     ClusterSimulator,
 )
-from repro.utils.parallel import fork_map
 
 if TYPE_CHECKING:
     from repro.cluster.deployment import Deployment
@@ -418,53 +417,6 @@ class FeedbackScheduler:
                 # co-simulation would be identical — stop here.
                 break
         return FeedbackOutcome(iterations=iterations, converged=converged)
-
-    def sweep_capacities(
-        self,
-        capacities: Sequence[dict[str, int]],
-        requests: list[TenantRequest],
-        deployments: dict[str, "Deployment"],
-        traffic_factories: dict[str, Callable[[], "TrafficModel"]],
-        routers: dict[str, "Router"] | None = None,
-        autoscalers: dict[str, Autoscaler] | None = None,
-        slos: dict[str, float] | None = None,
-        jobs: int = 1,
-    ) -> list[FeedbackOutcome]:
-        """Run the full feedback loop once per candidate capacity map.
-
-        The *iterations* of one loop are inherently sequential (each
-        re-schedules from the previous co-simulation), but candidate
-        capacities are embarrassingly parallel: every candidate replays
-        identically seeded traffic against its own inventory, sharing no
-        state with its neighbors. ``jobs > 1`` fans the candidates
-        across worker processes via
-        :func:`~repro.utils.parallel.fork_map`; outcomes come back
-        ordered by candidate index and byte-identical to the serial
-        sweep. ``self.capacity`` is ignored; each candidate supplies its
-        own.
-        """
-
-        def run_one(capacity: dict[str, int]) -> FeedbackOutcome:
-            scheduler = FeedbackScheduler(
-                capacity,
-                duration_s=self.duration_s,
-                warmup_s=self.warmup_s,
-                max_iterations=self.max_iterations,
-                cloud=self.cloud,
-                burst=self.burst,
-                pricing=self.pricing,
-                cloud_seed=self.cloud_seed,
-            )
-            return scheduler.run(
-                requests,
-                deployments,
-                traffic_factories,
-                routers=routers,
-                autoscalers=autoscalers,
-                slos=slos,
-            )
-
-        return fork_map(run_one, capacities, jobs)
 
     # ---- internals --------------------------------------------------------
 

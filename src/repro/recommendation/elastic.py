@@ -190,23 +190,9 @@ class CostObjective:
         """Pod-second bill of the run on ``profile``, in dollars.
 
         Splits into on-prem and cloud tiers when the run burst to the
-        cloud; a purely on-prem run bills exactly as before.
+        cloud (see :meth:`~repro.simulation.fleet.FleetResult.bill`).
         """
-        cloud_s = getattr(result, "cloud_pod_seconds", 0.0)
-        if cloud_s <= 0:
-            return result.pod_hours * self.pricing.pod_cost(profile)
-        if self.cloud is None:
-            raise ValueError(
-                f"run billed {cloud_s:.0f} cloud pod-seconds but this "
-                "objective has no cloud catalog to price them; construct "
-                "CostObjective(cloud=...) with the catalog the fleet "
-                "burst into"
-            )
-        on_prem_hours = result.on_prem_pod_seconds / 3600.0
-        cloud_hours = cloud_s / 3600.0
-        return on_prem_hours * self.pricing.pod_cost(
-            profile
-        ) + cloud_hours * self.cloud.pod_cost(profile, self.cloud_mode)
+        return result.bill(profile, self.pricing, self.cloud, self.cloud_mode)["total"]
 
     def slo_penalty(self, result: FleetResult) -> float:
         """The penalty function's charge for the run, in dollars."""
@@ -384,38 +370,32 @@ class ElasticRecommendation:
         }
 
 
-#: The standard sweep's floor, and the utilization its
-#: target-utilization policy holds.
+#: The standard sweep's floor, the utilization its target-utilization
+#: policy holds, and the fraction of the SLO its threshold policy holds.
 _SWEEP_MIN_PODS = 1
 _SWEEP_TARGET_UTILIZATION = 0.5
+_SWEEP_SLO_FRACTION = 0.25
 
 
 def default_candidates(
-    slo_p95_ttft_s: float,
-    max_pods: int,
-    requests_per_pod_per_s: float,
-    policy_slo_fraction: float = 0.25,
+    slo_p95_ttft_s: float, max_pods: int, requests_per_pod_per_s: float
 ) -> list[ElasticCandidate]:
     """The standard sweep: all three adaptive policies from one pod up to
     ``max_pods``.
 
-    The threshold policy reacts at ``policy_slo_fraction`` of the
-    end-to-end SLO: the run's p95 includes every scale-up transient, so
-    a policy that only moves once the *windowed* tail breaches the full
-    SLO has already lost it for the run. Reacting early keeps the
-    end-to-end tail inside the target.
+    The threshold policy reacts at a quarter of the end-to-end SLO: the
+    run's p95 includes every scale-up transient, so a policy that only
+    moves once the *windowed* tail breaches the full SLO has already
+    lost it for the run. Reacting early keeps the end-to-end tail inside
+    the target.
     """
-    if not 0.0 < policy_slo_fraction <= 1.0:
-        raise ValueError(
-            f"policy_slo_fraction must be in (0, 1], got {policy_slo_fraction}"
-        )
     return [
         ElasticCandidate(
             "threshold",
             _SWEEP_MIN_PODS,
             max_pods,
             lambda: ThresholdPolicy(
-                slo_p95_ttft_s=policy_slo_fraction * slo_p95_ttft_s
+                slo_p95_ttft_s=_SWEEP_SLO_FRACTION * slo_p95_ttft_s
             ),
         ),
         ElasticCandidate(
@@ -442,7 +422,8 @@ class ElasticOptions:
     generator and seeded traffic factory to simulate under, the cost
     objective, and the sweep's knobs. ``max_batch_weight`` is tuned for
     the recommended profile when left ``None`` (the per-profile tuning
-    the characterization tool performs).
+    the characterization tool performs). The sweep runs the default
+    candidates behind the default router, with no warmup.
     """
 
     generator: "WorkloadGenerator"
@@ -450,15 +431,11 @@ class ElasticOptions:
     objective: CostObjective
     slo_p95_ttft_s: float
     duration_s: float
-    warmup_s: float = 0.0
-    candidates: Sequence[ElasticCandidate] | None = None
-    headroom: int = 2
     max_batch_weight: int | None = None
     seed: int = 0
     decision_interval_s: float = 15.0
     cold_start_s: float = 10.0
     metrics_window_s: float = 30.0
-    router_factory: Callable[[], Router] | None = None
 
 
 class ElasticRecommender:
@@ -673,37 +650,14 @@ class ElasticRecommender:
         with ``jobs > 1`` fans the same calls across worker processes
         and returns the byte-identical list the serial loop produces.
 
-        Identical candidates (same policy closure and pod bounds — e.g.
-        a static rung appearing both in the ladder and in a caller's
-        list) are simulated once; duplicate positions share the single
-        :class:`TradePoint` object. The arrival stream is materialized
-        *before* the fork so workers inherit the recorded arrays instead
-        of regenerating them per process.
+        The arrival stream is materialized *before* the fork so workers
+        inherit the recorded arrays instead of regenerating them per
+        process.
         """
         candidates = list(candidates)
         if self._recorded is None and candidates:
             self._traffic()
-
-        def key(candidate: ElasticCandidate):
-            # Candidate equality ignores ``make_policy`` (closures do not
-            # compare), so two same-shaped candidates with *different*
-            # policy factories must not merge: include the closure's
-            # identity in the key.
-            return (
-                candidate.policy,
-                candidate.min_pods,
-                candidate.max_pods,
-                None if candidate.make_policy is None else id(candidate.make_policy),
-            )
-
-        slots: dict[object, int] = {}
-        unique: list[ElasticCandidate] = []
-        for candidate in candidates:
-            if key(candidate) not in slots:
-                slots[key(candidate)] = len(unique)
-                unique.append(candidate)
-        points = fork_map(self.evaluate, unique, jobs)
-        return [points[slots[key(candidate)]] for candidate in candidates]
+        return fork_map(self.evaluate, candidates, jobs)
 
     def peak_static_pods(self, search_max: int = 8) -> tuple[int, list[TradePoint]]:
         """Autoscaler-in-the-loop sizing of the *static* baseline.

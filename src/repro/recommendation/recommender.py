@@ -239,16 +239,10 @@ class GPURecommendationTool:
             opts.objective,
             slo_p95_ttft_s=opts.slo_p95_ttft_s,
             duration_s=opts.duration_s,
-            warmup_s=opts.warmup_s,
             decision_interval_s=opts.decision_interval_s,
             cold_start_s=opts.cold_start_s,
             metrics_window_s=opts.metrics_window_s,
-            router_factory=opts.router_factory,
         )
-        out = recommender.recommend(
-            candidates=opts.candidates,
-            static_pods=rec.n_pods,
-            headroom=opts.headroom,
-        )
+        out = recommender.recommend(static_pods=rec.n_pods)
         out.static_recommendation = rec
         return out

@@ -77,7 +77,7 @@ from repro.simulation.cluster import (
     InventoryEvent,
     TenantGroup,
 )
-from repro.simulation.scenario import ScenarioSpec, load_scenario
+from repro.simulation.scenario import ScenarioSpec
 from repro.simulation.library import (
     DEFAULT_SCENARIO_DIR,
     Expectations,
@@ -104,7 +104,6 @@ __all__ = [
     "RecordedTraffic",
     "ReplayTraffic",
     "ScenarioSpec",
-    "load_scenario",
     "DEFAULT_SCENARIO_DIR",
     "Expectations",
     "ExpectationCheck",

@@ -123,31 +123,26 @@ class NoOpPolicy(AutoscalePolicy):
         return view.provisioned
 
 
+#: The threshold policy's low-water mark, as a fraction of its SLO.
+_LOW_FRACTION = 0.5
+#: Pods the threshold policy adds or removes per decision.
+_STEP = 1
+
+
 class ThresholdPolicy(AutoscalePolicy):
     """Reactive threshold on the trailing-window p95 TTFT.
 
-    Scale up by ``step`` while the windowed tail breaches the SLO; scale
-    down by ``step`` once it sits below ``low_fraction`` of the SLO *and*
-    no work is queued (queued work means the tail is about to rise).
+    Scale up by one pod while the windowed tail breaches the SLO; scale
+    down by one once it sits below half the SLO *and* no work is queued
+    (queued work means the tail is about to rise).
     """
 
     name = "threshold"
 
-    def __init__(
-        self,
-        slo_p95_ttft_s: float,
-        low_fraction: float = 0.5,
-        step: int = 1,
-    ) -> None:
+    def __init__(self, slo_p95_ttft_s: float) -> None:
         if slo_p95_ttft_s <= 0:
             raise ValueError(f"slo_p95_ttft_s must be positive, got {slo_p95_ttft_s}")
-        if not 0.0 < low_fraction < 1.0:
-            raise ValueError(f"low_fraction must be in (0, 1), got {low_fraction}")
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
         self.slo_p95_ttft_s = float(slo_p95_ttft_s)
-        self.low_fraction = float(low_fraction)
-        self.step = int(step)
 
     def desired_pods(self, view: FleetView) -> int:
         if math.isnan(view.p95_ttft_s):
@@ -155,41 +150,42 @@ class ThresholdPolicy(AutoscalePolicy):
             # queued or decoding either) is over-provisioned; anything
             # else is a warm-up transient — hold.
             if view.queue_depth == 0 and view.active_requests == 0:
-                return view.provisioned - self.step
+                return view.provisioned - _STEP
             return view.provisioned
         if view.p95_ttft_s > self.slo_p95_ttft_s:
-            return view.provisioned + self.step
+            return view.provisioned + _STEP
         if (
-            view.p95_ttft_s < self.low_fraction * self.slo_p95_ttft_s
+            view.p95_ttft_s < _LOW_FRACTION * self.slo_p95_ttft_s
             and view.queue_depth == 0
         ):
-            return view.provisioned - self.step
+            return view.provisioned - _STEP
         return view.provisioned
+
+
+#: The target-utilization policy's dead band around its target ratio.
+_TOLERANCE = 0.1
 
 
 class TargetUtilizationPolicy(AutoscalePolicy):
     """HPA-style step scaling toward a target batch-weight utilization.
 
     ``desired = ceil(pods * utilization / target)`` — the classic
-    horizontal-pod-autoscaler formula — with a dead band of
-    ``tolerance`` around the target to prevent flapping.
+    horizontal-pod-autoscaler formula — with a dead band of 10% around
+    the target to prevent flapping.
     """
 
     name = "target-utilization"
 
-    def __init__(self, target: float = 0.6, tolerance: float = 0.1) -> None:
+    def __init__(self, target: float = 0.6) -> None:
         if not 0.0 < target <= 1.0:
             raise ValueError(f"target must be in (0, 1], got {target}")
-        if tolerance < 0:
-            raise ValueError(f"tolerance must be >= 0, got {tolerance}")
         self.target = float(target)
-        self.tolerance = float(tolerance)
 
     def desired_pods(self, view: FleetView) -> int:
         if view.pods == 0 or math.isnan(view.utilization):
             return view.provisioned
         ratio = view.utilization / self.target
-        if abs(ratio - 1.0) <= self.tolerance:
+        if abs(ratio - 1.0) <= _TOLERANCE:
             return view.provisioned
         desired = math.ceil(view.pods * ratio)
         if desired >= view.pods:
@@ -199,6 +195,10 @@ class TargetUtilizationPolicy(AutoscalePolicy):
         return desired
 
 
+#: The predictive policy's head-room factor over its forecast.
+_SAFETY = 1.2
+
+
 class PredictivePolicy(AutoscalePolicy):
     """Extrapolates the windowed arrival-rate series past the cold start.
 
@@ -206,7 +206,7 @@ class PredictivePolicy(AutoscalePolicy):
     arrival-rate series is evaluated ``horizon_s`` ahead (so capacity is
     ready *when the cold start completes*, not when the breach shows up);
     the forecast is converted to pods via the per-pod service capacity
-    ``requests_per_pod_per_s`` with a ``safety`` head-room factor.
+    ``requests_per_pod_per_s`` with 20% head-room.
     """
 
     name = "predictive"
@@ -216,7 +216,6 @@ class PredictivePolicy(AutoscalePolicy):
         requests_per_pod_per_s: float,
         horizon_s: float = 30.0,
         fit_windows: int = 6,
-        safety: float = 1.2,
     ) -> None:
         if requests_per_pod_per_s <= 0:
             raise ValueError(
@@ -226,12 +225,9 @@ class PredictivePolicy(AutoscalePolicy):
             raise ValueError(f"horizon_s must be >= 0, got {horizon_s}")
         if fit_windows < 2:
             raise ValueError(f"fit_windows must be >= 2, got {fit_windows}")
-        if safety <= 0:
-            raise ValueError(f"safety must be positive, got {safety}")
         self.requests_per_pod_per_s = float(requests_per_pod_per_s)
         self.horizon_s = float(horizon_s)
         self.fit_windows = int(fit_windows)
-        self.safety = float(safety)
 
     def forecast_rate(self, view: FleetView) -> float:
         """Arrival rate predicted ``horizon_s`` past the decision time."""
@@ -251,7 +247,7 @@ class PredictivePolicy(AutoscalePolicy):
             # than mistake missing data for zero traffic.
             return view.provisioned
         rate = max(self.forecast_rate(view), 0.0)
-        return math.ceil(self.safety * rate / self.requests_per_pod_per_s)
+        return math.ceil(_SAFETY * rate / self.requests_per_pod_per_s)
 
 
 #: Policy registry for CLIs and benchmarks (constructors take the
@@ -312,6 +308,13 @@ class Autoscaler:
         self.policy.reset()
 
 
+#: First tokens the admission controller needs inside its window
+#: before it trusts the tail estimate.
+_MIN_SAMPLES = 8
+#: Virtual seconds the admission controller reuses one tail estimate.
+_REFRESH_S = 1.0
+
+
 class AdmissionController(Router):
     """SLO-aware admission control wrapped around any router.
 
@@ -322,12 +325,12 @@ class AdmissionController(Router):
     backoff. Sticky closed-loop follow-ups and routing itself are
     delegated to the wrapped router untouched.
 
-    The controller needs ``min_samples`` first tokens inside the window
-    before it trusts the tail estimate; an idle or freshly started fleet
-    admits everything. The tail is re-estimated at most once per
-    ``refresh_s`` of virtual time (the estimate cannot move much faster
-    than the window it is computed over), keeping admission O(1) per
-    arrival instead of O(window samples).
+    The controller needs 8 first tokens inside the window before it
+    trusts the tail estimate; an idle or freshly started fleet admits
+    everything. The tail is re-estimated at most once per second of
+    virtual time (the estimate cannot move much faster than the window
+    it is computed over), keeping admission O(1) per arrival instead of
+    O(window samples).
     """
 
     def __init__(
@@ -338,8 +341,6 @@ class AdmissionController(Router):
         mode: str = "shed",
         retry_delay_s: float = 5.0,
         max_defers: int = 3,
-        min_samples: int = 8,
-        refresh_s: float = 1.0,
     ) -> None:
         if slo_p95_ttft_s <= 0:
             raise ValueError(f"slo_p95_ttft_s must be positive, got {slo_p95_ttft_s}")
@@ -351,16 +352,12 @@ class AdmissionController(Router):
             raise ValueError(f"retry_delay_s must be positive, got {retry_delay_s}")
         if max_defers < 0:
             raise ValueError(f"max_defers must be >= 0, got {max_defers}")
-        if refresh_s < 0:
-            raise ValueError(f"refresh_s must be >= 0, got {refresh_s}")
         self.inner = inner
         self.slo_p95_ttft_s = float(slo_p95_ttft_s)
         self.window_s = float(window_s)
         self.mode = mode
         self.retry_delay_s = float(retry_delay_s)
         self.max_defers = int(max_defers)
-        self.min_samples = int(min_samples)
-        self.refresh_s = float(refresh_s)
         self.admitted = 0
         self.shed = 0
         self.deferred = 0
@@ -385,15 +382,15 @@ class AdmissionController(Router):
     def windowed_p95_ttft(
         self, now: float, pods: list[ContinuousBatchingEngine]
     ) -> float:
-        """Fleet p95 TTFT over the trailing window (NaN below min_samples).
+        """Fleet p95 TTFT over the trailing window (NaN below 8 samples).
 
-        Cached per ``refresh_s`` of virtual time; arrivals inside the
-        same refresh quantum reuse the previous estimate.
+        Cached per second of virtual time; arrivals inside the same
+        refresh quantum reuse the previous estimate.
         """
-        if now - self._p95_at < self.refresh_s:
+        if now - self._p95_at < _REFRESH_S:
             return self._p95_cache
         samples = recent_ttft_samples(pods, now, self.window_s)
-        if samples.size < self.min_samples:
+        if samples.size < _MIN_SAMPLES:
             p95 = float("nan")
         else:
             p95 = float(np.percentile(samples, 95.0))

@@ -137,12 +137,13 @@ class CloudLedger:
         self.rented = ClusterInventory(capacity=self.catalog.quotas())
 
 
+#: What a spot preemption does with the reclaimed pod's in-flight
+#: requests: re-offer them to the front end, like a crash's default.
+_SPOT_PREEMPT_MODE = "requeue"
+
+
 def spot_preemption_specs(
-    rate_per_hour: float,
-    horizon_s: float,
-    seed: int,
-    *labels: str,
-    mode: str = "requeue",
+    rate_per_hour: float, horizon_s: float, seed: int, *labels: str
 ) -> list[FaultSpec]:
     """A seeded Poisson schedule of untargeted ``"spot-preempt"`` faults.
 
@@ -154,7 +155,7 @@ def spot_preemption_specs(
     Victims resolve at fire time to the tenant's cloud pods only; a
     preemption that fires while no cloud pod is held is recorded as an
     ineffective fault event, exactly like a crash with no in-service
-    victim.
+    victim. A preempted pod's in-flight requests are requeued.
     """
     if rate_per_hour < 0:
         raise ValueError(f"rate_per_hour must be >= 0, got {rate_per_hour}")
@@ -167,7 +168,7 @@ def spot_preemption_specs(
     specs: list[FaultSpec] = []
     t = float(rng.exponential(1.0 / rate_per_s))
     while t < horizon_s:
-        specs.append(FaultSpec(kind="spot-preempt", time_s=t, mode=mode))
+        specs.append(FaultSpec("spot-preempt", t, mode=_SPOT_PREEMPT_MODE))
         t += float(rng.exponential(1.0 / rate_per_s))
     return specs
 

@@ -274,39 +274,15 @@ class ClusterResult:
         ``total``. Tenants that never burst carry ``cloud: None``, so a
         pure on-prem bill reads exactly as before the cloud tier existed.
         """
-        out: dict[str, dict] = {}
-        for tenant in self.tenants:
-            result = self.results[tenant]
-            profile = parse_profile(self.profiles[tenant])
-            on_prem_hourly = pricing.pod_cost(profile)
-            on_prem_cost = result.on_prem_pod_seconds / 3600.0 * on_prem_hourly
-            line = {
-                "on_prem": {
-                    "pod_seconds": result.on_prem_pod_seconds,
-                    "hourly_per_pod": on_prem_hourly,
-                    "cost": on_prem_cost,
-                },
-                "cloud": None,
-                "total": on_prem_cost,
-            }
-            if result.cloud_pod_seconds > 0:
-                if self.cloud_catalog is None:
-                    raise ValueError(
-                        f"tenant {tenant!r} has cloud pod-seconds but the "
-                        f"result carries no cloud catalog to price them"
-                    )
-                mode = self.cloud_modes.get(tenant, "on-demand")
-                cloud_hourly = self.cloud_catalog.pod_cost(profile, mode)
-                cloud_cost = result.cloud_pod_seconds / 3600.0 * cloud_hourly
-                line["cloud"] = {
-                    "pod_seconds": result.cloud_pod_seconds,
-                    "mode": mode,
-                    "hourly_per_pod": cloud_hourly,
-                    "cost": cloud_cost,
-                }
-                line["total"] = on_prem_cost + cloud_cost
-            out[tenant] = line
-        return out
+        return {
+            tenant: self.results[tenant].bill(
+                parse_profile(self.profiles[tenant]),
+                pricing,
+                self.cloud_catalog,
+                self.cloud_modes.get(tenant, "on-demand"),
+            )
+            for tenant in self.tenants
+        }
 
     def cost(self, pricing: PricingTable) -> dict[str, float]:
         """Each tenant's bill: per-tier pod-seconds priced at that tier.

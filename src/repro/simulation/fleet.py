@@ -53,6 +53,8 @@ from repro.simulation.results import (
 from repro.simulation.traffic import RequestSource, TrafficModel
 
 if TYPE_CHECKING:  # import cycle: the engine itself imports this package
+    from repro.hardware.pricing import CloudCatalog, PricingTable
+    from repro.hardware.profile import GPUProfile
     from repro.inference.engine import ContinuousBatchingEngine
     from repro.inference.request import InferenceRequest
     from repro.simulation.autoscale import Autoscaler, FleetView
@@ -343,6 +345,49 @@ class FleetResult:
     def on_prem_pod_seconds(self) -> float:
         """Pod-seconds billed on owned hardware (total minus cloud-burst)."""
         return max(0.0, self.pod_seconds - self.cloud_pod_seconds)
+
+    def bill(
+        self,
+        profile: GPUProfile,
+        pricing: PricingTable,
+        cloud: CloudCatalog | None = None,
+        mode: str = "on-demand",
+    ) -> dict:
+        """The run's pod-second bill on ``profile``, per capacity tier.
+
+        Owned pod-seconds are priced at the profile's c(G) from the
+        ``pricing`` table, rented ones at the ``cloud`` catalog's pod-hour
+        price under ``mode``. Returns ``{"on_prem": line, "cloud": line or
+        None, "total": dollars}``; a line holds ``pod_seconds``,
+        ``hourly_per_pod`` and ``cost`` (the cloud line its ``mode`` too).
+        A run that rented nothing has no cloud line and a total equal to
+        its on-prem cost. Rented pod-seconds without a catalog to price
+        them are an error, not an on-prem-priced bill.
+        """
+        hourly = pricing.pod_cost(profile)
+        cost = self.on_prem_pod_seconds / 3600.0 * hourly
+        on_prem = {
+            "pod_seconds": self.on_prem_pod_seconds,
+            "hourly_per_pod": hourly,
+            "cost": cost,
+        }
+        bill = {"on_prem": on_prem, "cloud": None, "total": cost}
+        if self.cloud_pod_seconds > 0:
+            if cloud is None:
+                raise ValueError(
+                    f"run billed {self.cloud_pod_seconds:.0f} cloud "
+                    "pod-seconds but no cloud catalog was given to price them"
+                )
+            hourly = cloud.pod_cost(profile, mode)
+            cloud_cost = self.cloud_pod_seconds / 3600.0 * hourly
+            bill["cloud"] = {
+                "pod_seconds": self.cloud_pod_seconds,
+                "mode": mode,
+                "hourly_per_pod": hourly,
+                "cost": cloud_cost,
+            }
+            bill["total"] = cost + cloud_cost
+        return bill
 
     @property
     def events_per_second(self) -> float:

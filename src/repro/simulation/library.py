@@ -28,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.hardware.pricing import aws_like_pricing
+from repro.hardware.profile import parse_profile
 from repro.simulation.scenario import ScenarioSpec
 
 __all__ = [
@@ -45,6 +47,9 @@ __all__ = [
 DEFAULT_SCENARIO_DIR = Path(__file__).resolve().parents[3] / "scenarios"
 
 _SUFFIXES = (".yaml", ".yml", ".json")
+
+#: The on-prem table every scenario's cost expectation is priced with.
+_PRICING = aws_like_pricing()
 
 
 def _scenario_files(directory: str | Path | None = None) -> dict[str, Path]:
@@ -167,23 +172,20 @@ def _ttft_attainment(result, slo_s: float) -> float | None:
     return float((samples <= slo_s).mean())
 
 
-def _fleet_observations(spec: ScenarioSpec, result, pricing) -> dict:
-    from repro.hardware.profile import parse_profile
-
-    hourly = pricing.pod_cost(parse_profile(spec.profile))
+def _fleet_observations(spec: ScenarioSpec, result) -> dict:
     slo_s = None if spec.slo_ttft_ms is None else float(spec.slo_ttft_ms) / 1e3
     return {
         "p95_ttft_ms": float(result.ttft.p95_s) * 1e3,
         "slo_attainment": (
             None if slo_s is None else _ttft_attainment(result, slo_s)
         ),
-        "cost_usd": result.pod_seconds / 3600.0 * hourly,
+        "cost_usd": result.bill(parse_profile(spec.profile), _PRICING)["total"],
         "completed": int(result.completed_total),
         "lost": int(result.lost),
     }
 
 
-def _cluster_observations(spec: ScenarioSpec, result, pricing) -> dict:
+def _cluster_observations(spec: ScenarioSpec, result) -> dict:
     worst_p95 = max(
         float(result.results[t].ttft.p95_s) for t in result.tenants
     )
@@ -203,7 +205,7 @@ def _cluster_observations(spec: ScenarioSpec, result, pricing) -> dict:
     return {
         "p95_ttft_ms": worst_p95 * 1e3,
         "slo_attainment": attainment,
-        "cost_usd": float(result.total_cost(pricing)),
+        "cost_usd": float(result.total_cost(_PRICING)),
         "completed": sum(
             int(result.results[t].completed_total) for t in result.tenants
         ),
@@ -211,26 +213,21 @@ def _cluster_observations(spec: ScenarioSpec, result, pricing) -> dict:
     }
 
 
-def evaluate_expectations(
-    spec: ScenarioSpec, result, pricing=None
-) -> ExpectationReport:
+def evaluate_expectations(spec: ScenarioSpec, result) -> ExpectationReport:
     """Score a finished run against its spec's ``expectations:`` block.
 
     ``result`` is the :class:`~repro.simulation.fleet.FleetResult` or
     :class:`~repro.simulation.cluster.ClusterResult` of running *this*
-    spec; cluster costs (and fleet pod-seconds) are priced with
-    ``pricing`` (default: the AWS-like on-prem table). Latency bounds
-    evaluate against the *worst* tenant of a cluster run — a curated
-    scenario is only healthy if every tenant is.
+    spec; its pod-seconds are priced with the AWS-like on-prem table
+    (and a cluster's rented ones with its own cloud catalog). Latency
+    bounds evaluate against the *worst* tenant of a cluster run — a
+    curated scenario is only healthy if every tenant is.
     """
-    from repro.hardware.pricing import aws_like_pricing
-
-    pricing = pricing or aws_like_pricing()
     expectations = Expectations.from_spec(spec)
     observed = (
-        _cluster_observations(spec, result, pricing)
+        _cluster_observations(spec, result)
         if result.kind == "cluster"
-        else _fleet_observations(spec, result, pricing)
+        else _fleet_observations(spec, result)
     )
     report = ExpectationReport(scenario=spec.name)
 

@@ -92,6 +92,9 @@ class _GrowableArray:
 #: computes them from its percent arguments.
 _QUANTILES = np.true_divide((50.0, 95.0, 99.0), 100)
 
+#: Width of the windows the token throughput series bins by (seconds).
+_WINDOW_S = 10.0
+
 #: Most samples one pairwise-sum leaf expands at a time. Any size gives
 #: the same sum; this one bounds the transient array at 512 KiB.
 _SUM_LEAF = 1 << 16
@@ -270,10 +273,7 @@ class MetricsCollector:
     produced by :meth:`merged` over the per-pod collectors.
     """
 
-    def __init__(self, window_s: float = 10.0) -> None:
-        if window_s <= 0:
-            raise ValueError(f"window_s must be positive, got {window_s}")
-        self.window_s = float(window_s)
+    def __init__(self) -> None:
         self._itl = _Runs()
         self._ttft = _GrowableArray()
         self._ttft_inputs = _GrowableArray(dtype=np.int64)
@@ -318,7 +318,7 @@ class MetricsCollector:
 
     def record_tokens(self, n_tokens: int, now: float) -> None:
         self.tokens_recorded += n_tokens
-        window = int(now / self.window_s)
+        window = int(now / _WINDOW_S)
         self._window_tokens[window] = self._window_tokens.get(window, 0) + n_tokens
 
     def record_completion(self, result: "RequestResult") -> None:
@@ -411,13 +411,12 @@ class MetricsCollector:
         hi = max(self._window_tokens)
         windows = np.arange(lo, hi + 1)
         tokens = np.array([self._window_tokens.get(int(w), 0) for w in windows])
-        return windows * self.window_s, tokens / self.window_s
+        return windows * _WINDOW_S, tokens / _WINDOW_S
 
     @classmethod
     def merged(cls, collectors: list["MetricsCollector"]) -> "MetricsCollector":
         """Pool the samples of several per-pod collectors into one."""
-        window_s = collectors[0].window_s if collectors else 10.0
-        out = cls(window_s=window_s)
+        out = cls()
         out._ttft_times_sorted = len(collectors) <= 1
         for c in collectors:
             out._itl.add(*c._itl.runs())

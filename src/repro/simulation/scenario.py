@@ -71,7 +71,7 @@ if TYPE_CHECKING:
     from repro.simulation.cluster import ClusterResult, ClusterSimulator
     from repro.workload.generator import WorkloadGenerator
 
-__all__ = ["ScenarioSpec", "fault_event_spec", "load_scenario"]
+__all__ = ["ScenarioSpec", "fault_event_spec"]
 
 
 class Key(NamedTuple):
@@ -850,7 +850,3 @@ class ScenarioSpec:
         result.verify_conservation()
         return result
 
-
-def load_scenario(path: str) -> ScenarioSpec:
-    """Module-level alias for :meth:`ScenarioSpec.load` (CLI entry)."""
-    return ScenarioSpec.load(path)

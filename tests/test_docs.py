@@ -95,6 +95,24 @@ def test_reference_checker_catches_breakage(tmp_path):
     ]
 
 
+def test_cli_flag_checker_catches_breakage(tmp_path):
+    check_docs = _load_check_docs()
+    doc = tmp_path / "cli.md"
+    flags = check_docs.parser_flags()
+    listed = sorted(set(flags) - {"--jobs"})
+    doc.write_text(
+        "".join(f"- `{flag}` does something\n" for flag in listed)
+        + "`simulate --no-such-flag 3`\n"
+        + "```\nrepro-pilot simulate --jobs 2 (a fence documents nothing)\n```\n"
+    )
+    problems = check_docs.cli_flag_problems(doc)
+    assert problems == [
+        f"{doc}: `--jobs` ({', '.join(flags['--jobs'])}) is not documented",
+        f"{doc}: `--no-such-flag` names no parser flag",
+    ]
+    assert check_docs.cli_flag_problems() == []
+
+
 def test_scenario_snippets_execute():
     """Every ``>>>`` snippet in docs/scenarios.md runs and matches."""
     failures, tests = doctest.testfile(

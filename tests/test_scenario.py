@@ -16,7 +16,6 @@ from repro.simulation import (
     PoissonTraffic,
     ReplayTraffic,
     ScenarioSpec,
-    load_scenario,
 )
 
 REPLAY_ARRIVALS = [[0.0, 16, 8], [0.5, 64, 32], [1.0, 2048, 256], [2.0, 32, 8]]
@@ -681,7 +680,7 @@ class TestLoad:
     def test_load_json(self, tmp_path):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(fleet_spec()))
-        spec = load_scenario(str(path))
+        spec = ScenarioSpec.load(str(path))
         assert spec.name == "fleet-test"
         assert not spec.is_cluster
 

@@ -438,7 +438,7 @@ class TestMetricsCollector:
         assert np.isnan(empty.median_s)
 
     def test_windowed_timeseries(self):
-        collector = MetricsCollector(window_s=10.0)
+        collector = MetricsCollector()  # 10 s throughput windows
         collector.record_tokens(5, now=1.0)
         collector.record_tokens(5, now=9.0)
         collector.record_tokens(20, now=25.0)
@@ -466,7 +466,7 @@ class TestMetricsCollector:
         # driven engines (no FleetSimulator) get them too.
         assert len(engine.metrics.completed) == engine.stats.requests_completed
         times, rates = engine.metrics.throughput_timeseries()
-        total_window_tokens = float(np.sum(rates)) * engine.metrics.window_s
+        total_window_tokens = float(np.sum(rates)) * 10.0  # window width
         assert total_window_tokens == engine.stats.tokens_generated
 
 

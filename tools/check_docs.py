@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Docs gate: intra-repo links and code references resolve, and the
-scenario key tables match the schema.
+scenario key tables and CLI flags match the code.
 
 Scans ``README.md`` and ``docs/*.md`` for markdown links and fails
 (exit 1, one line per problem) when a relative link points at a file
@@ -22,12 +22,18 @@ every section with keys has a table. A default is ``required``,
 ``inherited``, a backticked JSON literal, or prose for a key whose
 schema default is none.
 
+It also holds docs/cli.md to the argument parser
+(``repro.cli.build_parser()``), in both directions: every long flag of
+every subcommand appears in a code span of the doc, and every ``--flag``
+in a code span is a flag of some subcommand.
+
 Run from anywhere: paths resolve against the repo root (this file's
 parent's parent), and ``src`` is put on the import path. The CI docs
 job runs this plus ``python -m doctest docs/scenarios.md``;
 ``tests/test_docs.py`` runs both as part of the tier-1 suite.
 """
 
+import argparse
 import dataclasses
 import importlib
 import inspect
@@ -48,7 +54,9 @@ _KEY_TABLE = "| Key | Default | Meaning |"
 _FENCE = re.compile(r"^```.*?^```", re.S | re.M)
 _CODE_SPAN = re.compile(r"`([^`]+)`")
 _DOTTED_NAME = re.compile(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(.*\))?")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 SCENARIOS_DOC = REPO_ROOT / "docs" / "scenarios.md"
+CLI_DOC = REPO_ROOT / "docs" / "cli.md"
 
 
 def doc_files() -> list[Path]:
@@ -206,12 +214,49 @@ def undocumented_sections(path: Path = SCENARIOS_DOC) -> list[str]:
     ]
 
 
+def parser_flags() -> dict[str, list[str]]:
+    """Long flag -> the subcommands of ``repro.cli.build_parser()`` that
+    take it (``--help`` left out)."""
+    from repro.cli import build_parser
+
+    flags: dict[str, list[str]] = {}
+    for action in build_parser()._actions:
+        if not isinstance(action, argparse._SubParsersAction):
+            continue
+        for command, parser in action.choices.items():
+            for option in parser._actions:
+                for flag in option.option_strings:
+                    if flag.startswith("--") and flag != "--help":
+                        flags.setdefault(flag, []).append(command)
+    return flags
+
+
+def cli_flag_problems(path: Path = CLI_DOC) -> list[str]:
+    """Parser flags no code span of ``path`` names, and ``--flags`` in
+    its code spans that no subcommand takes."""
+    flags, documented = parser_flags(), set()
+    for span in _CODE_SPAN.finditer(_FENCE.sub("", path.read_text())):
+        documented.update(_FLAG.findall(span.group(1)))
+    shown = _shown(path)
+    problems = [
+        f"{shown}: `{flag}` ({', '.join(commands)}) is not documented"
+        for flag, commands in sorted(flags.items())
+        if flag not in documented
+    ]
+    problems += [
+        f"{shown}: `{flag}` names no parser flag"
+        for flag in sorted(documented - flags.keys())
+    ]
+    return problems
+
+
 def main() -> int:
     problems, classes = [], repro_classes()
     for doc in doc_files():
         problems.extend(broken_links(doc))
         problems.extend(broken_references(doc, classes))
     problems += schema_problems(SCENARIOS_DOC) + undocumented_sections()
+    problems += cli_flag_problems()
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
@@ -219,7 +264,8 @@ def main() -> int:
     print(
         f"docs OK: {len(doc_files())} files, all intra-repo links and code "
         "references resolve, "
-        f"{len(schema_sections())} scenario key tables match the schema"
+        f"{len(schema_sections())} scenario key tables match the schema, "
+        f"{len(parser_flags())} CLI flags match docs/cli.md"
     )
     return 0
 
