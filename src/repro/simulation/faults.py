@@ -52,9 +52,7 @@ FAULT_KINDS = ("crash", "slowdown", "zone-outage", "spot-preempt")
 
 #: The :class:`FaultEvent` kinds that degrade service: recovery is
 #: measured from them, and run reports mark them.
-DISRUPTIVE_FAULT_KINDS = frozenset(
-    ("crash", "zone-outage", "spot-preempt", "slowdown-start")
-)
+DISRUPTIVE_FAULT_KINDS = ("crash", "zone-outage", "spot-preempt", "slowdown-start")
 
 #: What happens to a crashed pod's in-flight requests.
 FAULT_MODES = ("requeue", "lose")
