@@ -21,7 +21,10 @@ as ``bench_core_speed.py`` does for the fleet core:
    and reported — no silently dropped candidates.
 
 Timings use min-of-N interleaved repeats so a background hiccup on the
-CI machine hits both paths equally. The speedup widens with tenant
+CI machine hits both paths equally, and each timed run has garbage
+collection quiesced: one gen-2 collection costs 45-90 ms on a 2-core
+runner, as long as a whole smoke-mode run, so a collection landing in
+one path's window would decide the ratio on its own. The speedup widens with tenant
 count (the oracle's scans are O(tenants) per event), so the gate runs a
 deliberately wide cluster. Smoke mode keeps every bit-identity and
 accounting assertion at full strength and only relaxes the timing
@@ -30,6 +33,7 @@ floors — a 2-core CI runner proves correctness, not throughput.
 Emits ``BENCH_cluster_speed.json`` with the measured rates and config.
 """
 
+import gc
 import json
 import os
 import time
@@ -239,19 +243,29 @@ def _sweep_candidates():
     return rungs + adaptive
 
 
+def _timed_run(sim, duration_s):
+    """``sim.run(duration_s)`` and its wall time, with no collection inside."""
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        result = sim.run(duration_s=duration_s)
+        return result, time.perf_counter() - t0
+    finally:
+        gc.enable()
+
+
 def test_cluster_speed_gate(generator, results_dir, caplog):
     # --- many-tenant contended cluster: speed + parity ----------------------
     wall_fast = wall_oracle = float("inf")
     res_fast = res_oracle = None
     for _ in range(REPEATS):
         sim = _build_cluster(generator, True, TENANTS)
-        t0 = time.perf_counter()
-        res_fast = sim.run(duration_s=DURATION_S)
-        wall_fast = min(wall_fast, time.perf_counter() - t0)
+        res_fast, wall = _timed_run(sim, DURATION_S)
+        wall_fast = min(wall_fast, wall)
         sim = _build_cluster(generator, False, TENANTS)
-        t0 = time.perf_counter()
-        res_oracle = sim.run(duration_s=DURATION_S)
-        wall_oracle = min(wall_oracle, time.perf_counter() - t0)
+        res_oracle, wall = _timed_run(sim, DURATION_S)
+        wall_oracle = min(wall_oracle, wall)
     _assert_cluster_parity(res_fast, res_oracle, "contended")
     res_fast.verify_conservation()
 

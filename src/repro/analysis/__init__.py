@@ -8,7 +8,7 @@ from repro.analysis.importance import (
     KnobStudyResult,
     deployment_knob_study,
 )
-from repro.analysis.cdf import CDFComparison, empirical_cdf, compare_marginals
+from repro.analysis.cdf import CDFComparison, compare_marginals
 
 __all__ = [
     "spearman_matrix",
@@ -18,6 +18,5 @@ __all__ = [
     "KnobStudyResult",
     "deployment_knob_study",
     "CDFComparison",
-    "empirical_cdf",
     "compare_marginals",
 ]

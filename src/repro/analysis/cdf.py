@@ -15,16 +15,7 @@ import numpy as np
 from repro.traces.schema import TraceDataset
 from repro.workload.generator import WorkloadGenerator
 
-__all__ = ["CDFComparison", "empirical_cdf", "compare_marginals"]
-
-
-def empirical_cdf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sorted values, cumulative probabilities) of an empirical CDF."""
-    values = np.sort(np.asarray(values, dtype=float))
-    if values.size == 0:
-        raise ValueError("empty sample")
-    probs = np.arange(1, len(values) + 1) / len(values)
-    return values, probs
+__all__ = ["CDFComparison", "compare_marginals"]
 
 
 def _cdf_at(sample: np.ndarray, points: np.ndarray) -> np.ndarray:

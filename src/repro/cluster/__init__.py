@@ -2,7 +2,6 @@
 multi-tenant cluster scheduling and shared-clock multi-tenant
 co-simulation (the paper's declared next step)."""
 
-from repro.simulation.traffic import split_users, round_robin_assignment
 from repro.cluster.deployment import Deployment, DeploymentLoadTestResult
 from repro.cluster.scheduler import (
     ClusterInventory,
@@ -22,8 +21,6 @@ from repro.simulation.cluster import (
 )
 
 __all__ = [
-    "split_users",
-    "round_robin_assignment",
     "Deployment",
     "DeploymentLoadTestResult",
     "ClusterInventory",
@@ -39,14 +36,3 @@ __all__ = [
     "InventoryEvent",
     "TenantGroup",
 ]
-
-
-def __getattr__(name):
-    # The repro.cluster.balancer deprecation shim is retired; keep the
-    # old import path failing with a pointer instead of a bare miss.
-    if name == "balancer":
-        raise ModuleNotFoundError(
-            "repro.cluster.balancer was removed; import split_users and "
-            "round_robin_assignment from repro.simulation.traffic"
-        )
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

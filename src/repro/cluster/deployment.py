@@ -34,7 +34,6 @@ from repro.simulation.autoscale import Autoscaler
 from repro.simulation.cluster import TenantGroup
 from repro.simulation.traffic import ClosedLoopTraffic, RequestSource, TrafficModel
 from repro.utils.rng import derive_rng, spawn_seed
-from repro.utils.stats import relative_std
 from repro.workload.generator import WorkloadGenerator
 
 __all__ = ["Deployment", "DeploymentLoadTestResult"]
@@ -61,11 +60,6 @@ class DeploymentLoadTestResult:
     @property
     def total_throughput(self) -> float:
         return float(self.throughput_per_pod.sum())
-
-    @property
-    def throughput_rsd(self) -> float:
-        """Relative standard deviation of per-pod throughput."""
-        return relative_std(self.throughput_per_pod)
 
     def ttft_median_s(self) -> float:
         vals = [p.ttft_median_s for p in self.per_pod if np.isfinite(p.ttft_median_s)]

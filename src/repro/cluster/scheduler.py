@@ -275,10 +275,6 @@ class FeedbackOutcome:
     converged: bool
 
     @property
-    def final(self) -> ClusterResult:
-        return self.iterations[-1].result
-
-    @property
     def placements(self) -> list[Placement]:
         return self.iterations[-1].placements
 

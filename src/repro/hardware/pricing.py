@@ -65,18 +65,6 @@ class PricingTable:
         """Hourly cost of a single pod running on ``profile`` — c(G)."""
         return self.gpu_price(profile.gpu.name) * profile.count
 
-    def deployment_cost(self, profile: GPUProfile, pods: int) -> float:
-        """Hourly cost of ``pods`` replicas on ``profile`` — n * c(G)."""
-        if pods < 0:
-            raise ValueError(f"pod count must be >= 0, got {pods}")
-        return self.pod_cost(profile) * pods
-
-    def with_override(self, gpu_name: str, price: float) -> "PricingTable":
-        """A copy of the table with one price replaced (custom user tables)."""
-        table = dict(self.per_gpu_hourly)
-        table[gpu_name] = price
-        return PricingTable(per_gpu_hourly=table)
-
 
 def aws_like_pricing() -> PricingTable:
     """The default AWS-like pricing table used throughout the evaluation."""

@@ -115,15 +115,6 @@ class MemoryModel:
     def would_oom(self, batch: CornerCaseBatch) -> bool:
         return self.batch_usage_bytes(batch) > self.capacity_bytes
 
-    # ---- derived limits ----------------------------------------------------------
-
-    def kv_token_capacity(self) -> int:
-        """Upper bound on KV-resident tokens (ignoring activations)."""
-        free = self.free_after_weights_bytes
-        if free <= 0:
-            return 0
-        return int(free / self.llm.kv_bytes_per_token)
-
 
 def corner_case_batches(max_batch_weight: int) -> list[CornerCaseBatch]:
     """Worst-case batch compositions for a candidate batch weight.

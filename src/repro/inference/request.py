@@ -23,7 +23,6 @@ class InferenceRequest:
     output_tokens: int
     batch_size: int = 1
     params: dict[str, float] = field(default_factory=dict)
-    input_text: str | None = None
 
     def __post_init__(self) -> None:
         if self.input_tokens < 1:

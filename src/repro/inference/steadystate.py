@@ -115,6 +115,3 @@ class SteadyStateEstimator:
             ttft_s=ttft,
             saturated=saturated,
         )
-
-    def sweep(self, user_counts: list[int]) -> list[SteadyStateEstimate]:
-        return [self.estimate(u) for u in user_counts]

@@ -1,23 +1,16 @@
 """From-scratch ML stack (numpy only): histogram trees, random forest with
 MDI importances, monotone-constrained gradient boosting (XGBoost stand-in),
-MLP with Adam, matrix-factorization collaborative filtering, metrics and CV."""
+MLP with Adam, matrix-factorization collaborative filtering, input
+standardization, the R^2 and weighted-MAPE metrics and CV."""
 
 from repro.ml.tree import DecisionTreeRegressor, FeatureBinner, TreeNode
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.mlp import MLPRegressor
 from repro.ml.cf import MatrixFactorization
-from repro.ml.preprocessing import OneHotEncoder, StandardScaler
-from repro.ml.metrics import mae, rmse, r2_score, mape, weighted_mape
+from repro.ml.preprocessing import StandardScaler
+from repro.ml.metrics import r2_score, weighted_mape
 from repro.ml.cv import leave_one_group_out, grid_iter, GridSearch
-from repro.ml.serialize import (
-    tree_to_dict,
-    tree_from_dict,
-    gbm_to_dict,
-    gbm_from_dict,
-    save_gbm,
-    load_gbm,
-)
 
 __all__ = [
     "DecisionTreeRegressor",
@@ -27,20 +20,10 @@ __all__ = [
     "GradientBoostingRegressor",
     "MLPRegressor",
     "MatrixFactorization",
-    "OneHotEncoder",
     "StandardScaler",
-    "mae",
-    "rmse",
     "r2_score",
-    "mape",
     "weighted_mape",
     "leave_one_group_out",
     "grid_iter",
     "GridSearch",
-    "tree_to_dict",
-    "tree_from_dict",
-    "gbm_to_dict",
-    "gbm_from_dict",
-    "save_gbm",
-    "load_gbm",
 ]

@@ -17,9 +17,9 @@ __all__ = ["RandomForestRegressor"]
 class RandomForestRegressor:
     """Bagged ensemble of histogram regression trees.
 
-    ``max_features`` follows sklearn semantics: ``None`` (all features,
-    the modern sklearn regression default — decorrelation comes from
-    bagging alone), an int, or a float fraction.
+    Every tree fits a bootstrap resample of the rows and scans every
+    feature at each split (the modern sklearn regression default:
+    decorrelation comes from bagging alone).
     """
 
     def __init__(
@@ -27,8 +27,6 @@ class RandomForestRegressor:
         n_estimators: int = 100,
         max_depth: int = 12,
         min_samples_leaf: int = 1,
-        max_features: int | float | None = None,
-        bootstrap: bool = True,
         max_bins: int = 64,
         random_state: int = 0,
     ) -> None:
@@ -37,21 +35,11 @@ class RandomForestRegressor:
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
-        self.max_features = max_features
-        self.bootstrap = bootstrap
         self.max_bins = max_bins
         self.random_state = random_state
         self.trees_: list[DecisionTreeRegressor] = []
         self.feature_importances_: np.ndarray | None = None
         self.n_features_: int = 0
-
-    def _resolve_max_features(self, n_features: int) -> int | None:
-        mf = self.max_features
-        if mf is None:
-            return None
-        if isinstance(mf, float):
-            return max(1, int(round(mf * n_features)))
-        return max(1, min(int(mf), n_features))
 
     def fit(
         self,
@@ -75,21 +63,15 @@ class RandomForestRegressor:
         rng = np.random.default_rng(self.random_state)
         binner = FeatureBinner(max_bins=self.max_bins).fit(X)
         codes = binner.transform(X)
-        mf = self._resolve_max_features(self.n_features_)
 
         self.trees_ = []
         importances = np.zeros(self.n_features_)
         for _ in range(self.n_estimators):
-            if self.bootstrap:
-                idx = rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
+            idx = rng.integers(0, n, size=n)
             tree = DecisionTreeRegressor(
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
-                max_features=mf,
                 max_bins=self.max_bins,
-                random_state=rng,
             )
             tree.fit(
                 X[idx], y[idx], sample_weight=w[idx], binner=binner, codes=codes[idx]

@@ -2,9 +2,10 @@
 
 Supports the features the paper's regressor relies on (§IV-B2/3):
 sample weights, per-feature monotonicity constraints, learning rate,
-row/column subsampling, histogram split finding with a configurable bin
-count, and the hyperparameters tuned in §IV-B3 (number of boosted trees,
-maximum depth, learning rate, subsampling rates, number of bins).
+row subsampling, histogram split finding over every feature with a
+configurable bin count, and the hyperparameters tuned in §IV-B3 (number
+of boosted trees, maximum depth, learning rate, subsampling rate, number
+of bins).
 
 Squared-error boosting: each stage fits a weighted tree to the current
 residuals. Because every stage tree individually satisfies the monotone
@@ -30,7 +31,6 @@ class GradientBoostingRegressor:
         max_depth: int = 4,
         learning_rate: float = 0.1,
         subsample: float = 1.0,
-        colsample: float = 1.0,
         min_samples_leaf: int = 1,
         min_child_weight: float = 1e-6,
         max_bins: int = 64,
@@ -43,13 +43,10 @@ class GradientBoostingRegressor:
             raise ValueError("learning_rate must be in (0, 1]")
         if not 0.0 < subsample <= 1.0:
             raise ValueError("subsample must be in (0, 1]")
-        if not 0.0 < colsample <= 1.0:
-            raise ValueError("colsample must be in (0, 1]")
         self.n_estimators = n_estimators
         self.max_depth = max_depth
         self.learning_rate = learning_rate
         self.subsample = subsample
-        self.colsample = colsample
         self.min_samples_leaf = min_samples_leaf
         self.min_child_weight = min_child_weight
         self.max_bins = max_bins
@@ -98,7 +95,6 @@ class GradientBoostingRegressor:
         self.trees_ = []
         importances = np.zeros(self.n_features_)
 
-        n_cols = max(1, int(round(self.colsample * self.n_features_)))
         n_rows = max(1, int(round(self.subsample * n)))
 
         for _ in range(self.n_estimators):
@@ -111,10 +107,8 @@ class GradientBoostingRegressor:
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 min_child_weight=self.min_child_weight,
-                max_features=n_cols if self.colsample < 1.0 else None,
                 monotone_constraints=self.monotone_constraints,
                 max_bins=self.max_bins,
-                random_state=rng,
             )
             tree.fit(
                 X[idx],
@@ -141,12 +135,3 @@ class GradientBoostingRegressor:
         for tree in self.trees_:
             out += self.learning_rate * tree.predict(X)
         return out
-
-    def staged_predict(self, X: np.ndarray, every: int = 1):
-        """Yield predictions after each ``every`` boosting stages."""
-        X = np.asarray(X, dtype=float)
-        out = np.full(len(X), self.base_prediction_)
-        for i, tree in enumerate(self.trees_):
-            out = out + self.learning_rate * tree.predict(X)
-            if (i + 1) % every == 0:
-                yield out.copy()

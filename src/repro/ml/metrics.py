@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mae", "rmse", "r2_score", "mape", "weighted_mape"]
+__all__ = ["r2_score", "weighted_mape"]
 
 
 def _check(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -17,16 +17,6 @@ def _check(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return y_true, y_pred
 
 
-def mae(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _check(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred)))
-
-
-def rmse(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    y_true, y_pred = _check(y_true, y_pred)
-    return float(np.sqrt(np.mean((y_true - y_pred) ** 2)))
-
-
 def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     """Coefficient of determination (1 - SS_res / SS_tot)."""
     y_true, y_pred = _check(y_true, y_pred)
@@ -35,12 +25,6 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if ss_tot == 0:
         return 1.0 if ss_res == 0 else 0.0
     return float(1.0 - ss_res / ss_tot)
-
-
-def mape(y_true: np.ndarray, y_pred: np.ndarray, eps: float = 1e-12) -> float:
-    """Mean absolute percentage error (fraction, not percent)."""
-    y_true, y_pred = _check(y_true, y_pred)
-    return float(np.mean(np.abs(y_true - y_pred) / np.maximum(np.abs(y_true), eps)))
 
 
 def weighted_mape(

@@ -1,66 +1,14 @@
-"""Feature preprocessing: one-hot encoding and standardization.
+"""Feature preprocessing: standardization.
 
-Minimal, numpy-only equivalents of the sklearn transformers the paper's
-pipelines use (categorical LLM/GPU identity features need one-hot
-encoding for the neural baselines; the MLPs want standardized inputs).
+A minimal, numpy-only equivalent of the sklearn transformer the neural
+baselines use (the MLPs want standardized inputs).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["OneHotEncoder", "StandardScaler"]
-
-
-class OneHotEncoder:
-    """One-hot encoding of string/object categorical columns.
-
-    Unknown categories at transform time map to the all-zeros vector
-    (``handle_unknown='ignore'`` semantics), which is exactly what the
-    recommendation tool needs for *unseen* LLM types.
-    """
-
-    def __init__(self) -> None:
-        self.categories_: list[np.ndarray] | None = None
-
-    def fit(self, X: np.ndarray) -> "OneHotEncoder":
-        X = np.asarray(X, dtype=object)
-        if X.ndim == 1:
-            X = X[:, None]
-        self.categories_ = [np.unique(X[:, j].astype(str)) for j in range(X.shape[1])]
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        if self.categories_ is None:
-            raise RuntimeError("OneHotEncoder must be fit before transform")
-        X = np.asarray(X, dtype=object)
-        if X.ndim == 1:
-            X = X[:, None]
-        if X.shape[1] != len(self.categories_):
-            raise ValueError(
-                f"expected {len(self.categories_)} columns, got {X.shape[1]}"
-            )
-        blocks = []
-        for j, cats in enumerate(self.categories_):
-            col = X[:, j].astype(str)
-            block = np.zeros((len(col), len(cats)))
-            idx = np.searchsorted(cats, col)
-            idx_clipped = np.clip(idx, 0, len(cats) - 1)
-            known = cats[idx_clipped] == col
-            block[np.nonzero(known)[0], idx_clipped[known]] = 1.0
-            blocks.append(block)
-        return np.hstack(blocks) if blocks else np.empty((len(X), 0))
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    def feature_names(self, input_names: list[str]) -> list[str]:
-        if self.categories_ is None:
-            raise RuntimeError("OneHotEncoder must be fit first")
-        names = []
-        for name, cats in zip(input_names, self.categories_):
-            names.extend(f"{name}={c}" for c in cats)
-        return names
+__all__ = ["StandardScaler"]
 
 
 class StandardScaler:
@@ -81,11 +29,3 @@ class StandardScaler:
         if self.mean_ is None or self.scale_ is None:
             raise RuntimeError("StandardScaler must be fit before transform")
         return (np.asarray(X, dtype=float) - self.mean_) / self.scale_
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
-    def inverse_transform(self, X: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("StandardScaler must be fit before inverse_transform")
-        return np.asarray(X, dtype=float) * self.scale_ + self.mean_

@@ -3,8 +3,9 @@ monotonicity constraints.
 
 This is the tree engine under both the RandomForest baseline and the
 gradient-boosting regressor (the paper's XGBoost stand-in). Features are
-pre-binned to at most ``max_bins`` quantile bins; split search scans
-per-bin weighted histograms. Monotone constraints follow the
+pre-binned to at most ``max_bins`` quantile bins; every split scans the
+per-bin weighted histograms of every feature, so a tree draws nothing at
+random (the ensembles resample rows). Monotone constraints follow the
 LightGBM/XGBoost scheme: a split on a constrained feature is rejected
 when the child means violate the direction, and child value bounds
 propagate down the tree (mid-point clamping), which guarantees *global*
@@ -13,18 +14,13 @@ monotonicity of the fitted function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["FeatureBinner", "DecisionTreeRegressor", "TreeNode"]
 
 _EPS = 1e-12
-
-
-def features_offsets(features: np.ndarray, max_bins: int) -> np.ndarray:
-    """Row vector of flat-histogram offsets, one per scanned feature."""
-    return (np.arange(len(features)) * max_bins)[None, :]
 
 
 class FeatureBinner:
@@ -95,13 +91,10 @@ class _Workspace:
     codes: np.ndarray
     y: np.ndarray
     w: np.ndarray
-    features: np.ndarray
-    monotone: dict[int, int]
     binner: FeatureBinner
-    rng: np.random.Generator
-    importances: np.ndarray = field(default=None)  # type: ignore[assignment]
-    n_bins: np.ndarray = field(default=None)  # type: ignore[assignment]
-    directions: np.ndarray = field(default=None)  # type: ignore[assignment]
+    importances: np.ndarray
+    n_bins: np.ndarray
+    directions: np.ndarray
 
 
 class DecisionTreeRegressor:
@@ -113,9 +106,6 @@ class DecisionTreeRegressor:
         Maximum tree depth (root = depth 0).
     min_samples_leaf / min_child_weight:
         Minimum row count / weight mass per leaf.
-    max_features:
-        Number of features considered per split (``None`` = all); used by
-        the random forest for decorrelation.
     monotone_constraints:
         Map of feature index to direction (+1 increasing, -1 decreasing).
     max_bins:
@@ -127,10 +117,8 @@ class DecisionTreeRegressor:
         max_depth: int = 6,
         min_samples_leaf: int = 1,
         min_child_weight: float = 1e-6,
-        max_features: int | None = None,
         monotone_constraints: dict[int, int] | None = None,
         max_bins: int = 64,
-        random_state: int | np.random.Generator = 0,
     ) -> None:
         if max_depth < 0:
             raise ValueError("max_depth must be >= 0")
@@ -139,17 +127,14 @@ class DecisionTreeRegressor:
         self.max_depth = max_depth
         self.min_samples_leaf = min_samples_leaf
         self.min_child_weight = min_child_weight
-        self.max_features = max_features
         self.monotone_constraints = dict(monotone_constraints or {})
         for j, d in self.monotone_constraints.items():
             if d not in (-1, 1):
                 raise ValueError(f"monotone direction must be +-1, got {d} for {j}")
         self.max_bins = max_bins
-        self.random_state = random_state
         self.root_: TreeNode | None = None
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
-        self._binner: FeatureBinner | None = None
 
     # ---- fitting ------------------------------------------------------------
 
@@ -187,13 +172,7 @@ class DecisionTreeRegressor:
             codes = binner.transform(X)
         elif codes is None:
             codes = binner.transform(X)
-        self._binner = binner
 
-        rng = (
-            self.random_state
-            if isinstance(self.random_state, np.random.Generator)
-            else np.random.default_rng(self.random_state)
-        )
         directions = np.zeros(self.n_features_, dtype=np.int64)
         for j, d in self.monotone_constraints.items():
             if not 0 <= j < self.n_features_:
@@ -203,10 +182,7 @@ class DecisionTreeRegressor:
             codes=codes,
             y=y,
             w=w,
-            features=np.arange(self.n_features_),
-            monotone=self.monotone_constraints,
             binner=binner,
-            rng=rng,
             importances=np.zeros(self.n_features_),
             n_bins=np.array([binner.n_bins(j) for j in range(self.n_features_)]),
             directions=directions,
@@ -244,7 +220,7 @@ class DecisionTreeRegressor:
         node.threshold = ws.binner.threshold_value(feature, bin_thr)
         node.gain = gain
 
-        direction = ws.monotone.get(feature, 0)
+        direction = ws.directions[feature]
         if direction == 0:
             l_lo, l_hi, r_lo, r_hi = lo, hi, lo, hi
         else:
@@ -267,10 +243,10 @@ class DecisionTreeRegressor:
     ):
         """Find the best (feature, bin) split via weighted histograms.
 
-        All candidate features are scanned at once: per-feature bin codes
-        are offset into a single flat index so one ``bincount`` builds
-        every histogram, and the gain/validity logic runs on
-        (feature, bin) matrices.
+        Every feature is scanned at once: per-feature bin codes are
+        offset into a single flat index so one ``bincount`` builds every
+        histogram, and the gain/validity logic runs on (feature, bin)
+        matrices.
         """
         y = ws.y[idx]
         w = ws.w[idx]
@@ -280,21 +256,13 @@ class DecisionTreeRegressor:
         n = len(idx)
         parent_score = swy * swy / (sw + _EPS)
 
-        features = ws.features
-        if self.max_features is not None and self.max_features < len(features):
-            features = np.sort(
-                ws.rng.choice(features, size=self.max_features, replace=False)
-            )
-        f = len(features)
-        if f == 0:
-            return None
-
-        bins = ws.n_bins[features]
-        max_bins = int(bins.max())
+        bins = ws.n_bins
+        max_bins = int(bins.max(initial=0))
         if max_bins < 2:
             return None
-        sub = ws.codes[idx][:, features].astype(np.int64)
-        flat = (sub + features_offsets(features, max_bins)).ravel(order="F")
+        f = len(bins)
+        sub = ws.codes[idx].astype(np.int64)
+        flat = (sub + (np.arange(f) * max_bins)[None, :]).ravel(order="F")
         size = f * max_bins
         hist_w = np.bincount(flat, weights=np.tile(w, f), minlength=size)
         hist_wy = np.bincount(flat, weights=np.tile(wy, f), minlength=size)
@@ -321,7 +289,7 @@ class DecisionTreeRegressor:
         )
         vl = cwy / (cw + _EPS)
         vr = rwy / (rw + _EPS)
-        directions = ws.directions[features][:, None]
+        directions = ws.directions[:, None]
         increasing = directions > 0
         decreasing = directions < 0
         valid &= ~(increasing & (vl > vr))
@@ -343,10 +311,9 @@ class DecisionTreeRegressor:
         best_gain = float(gains[fi, k])
         if best_gain <= 1e-9:
             return None
-        j = int(features[fi])
         left_mask = sub[:, fi] <= k
         return (
-            j,
+            int(fi),
             int(k),
             best_gain,
             left_mask,
@@ -390,15 +357,3 @@ class DecisionTreeRegressor:
         if self.root_ is None:
             raise RuntimeError("tree must be fit first")
         return _d(self.root_)
-
-    def n_leaves(self) -> int:
-        def _n(node: TreeNode | None) -> int:
-            if node is None:
-                return 0
-            if node.is_leaf:
-                return 1
-            return _n(node.left) + _n(node.right)
-
-        if self.root_ is None:
-            raise RuntimeError("tree must be fit first")
-        return _n(self.root_)

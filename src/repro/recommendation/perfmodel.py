@@ -33,7 +33,6 @@ class PerfModelHyperparams:
     max_depth: int = 4
     learning_rate: float = 0.1
     subsample: float = 1.0
-    colsample: float = 1.0
     max_bins: int = 64
 
 
@@ -74,7 +73,6 @@ class PerformanceModel:
             max_depth=hp.max_depth,
             learning_rate=hp.learning_rate,
             subsample=hp.subsample,
-            colsample=hp.colsample,
             max_bins=hp.max_bins,
             monotone_constraints=monotone,
             random_state=self.random_state,

@@ -30,8 +30,6 @@ from repro.simulation.traffic import (
     PoissonTraffic,
     DiurnalTraffic,
     BurstyTraffic,
-    split_users,
-    round_robin_assignment,
 )
 from repro.simulation.frontier import (
     ClusterFrontier,
@@ -122,8 +120,6 @@ __all__ = [
     "ClusterSimulator",
     "InventoryEvent",
     "TenantGroup",
-    "split_users",
-    "round_robin_assignment",
     "LatencyStats",
     "MetricsCollector",
     "RequestSource",

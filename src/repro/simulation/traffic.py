@@ -33,32 +33,7 @@ __all__ = [
     "PoissonTraffic",
     "DiurnalTraffic",
     "BurstyTraffic",
-    "split_users",
-    "round_robin_assignment",
 ]
-
-
-def split_users(n_users: int, n_pods: int) -> list[int]:
-    """Users per pod under round-robin balancing (sums to ``n_users``).
-
-    This is the static form of what a sticky closed-loop run produces
-    dynamically: round-robin routing of the t=0 population with
-    follow-ups pinned to their pod (``ClosedLoopTraffic.sticky``) leaves
-    exactly these per-pod user counts.
-    """
-    if n_pods < 1:
-        raise ValueError(f"n_pods must be >= 1, got {n_pods}")
-    if n_users < 0:
-        raise ValueError(f"n_users must be >= 0, got {n_users}")
-    base, extra = divmod(n_users, n_pods)
-    return [base + (1 if i < extra else 0) for i in range(n_pods)]
-
-
-def round_robin_assignment(n_users: int, n_pods: int) -> list[int]:
-    """Pod index for each user id under round-robin assignment."""
-    if n_pods < 1:
-        raise ValueError(f"n_pods must be >= 1, got {n_pods}")
-    return [u % n_pods for u in range(n_users)]
 
 
 class RequestSource:

@@ -6,7 +6,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["median", "percentile", "relative_std", "geometric_mean", "harmonic_mean"]
+__all__ = ["median", "percentile", "relative_std", "harmonic_mean"]
 
 
 def median(values: Sequence[float] | np.ndarray) -> float:
@@ -36,13 +36,6 @@ def relative_std(values: Sequence[float] | np.ndarray) -> float:
     if m == 0:
         return float("nan")
     return float(arr.std() / abs(m))
-
-
-def geometric_mean(values: Sequence[float] | np.ndarray) -> float:
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0 or np.any(arr <= 0):
-        return float("nan")
-    return float(np.exp(np.mean(np.log(arr))))
 
 
 def harmonic_mean(a: float, b: float) -> float:

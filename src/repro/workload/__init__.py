@@ -1,9 +1,9 @@
-"""Workload generator (paper §III-B): joint binned request model, corpus
-and request sampling, plus the trace-replay comparator."""
+"""Workload generator (paper §III-B): joint binned request model and
+request sampling (token counts and request parameters, no input text),
+plus the trace-replay comparator."""
 
 from repro.workload.binning import ParameterBinning, fit_binning, DEFAULT_N_BINS
 from repro.workload.model import RequestModel
-from repro.workload.corpus import Corpus, default_corpus
 from repro.workload.generator import WorkloadGenerator, TraceReplaySampler
 
 __all__ = [
@@ -11,8 +11,6 @@ __all__ = [
     "fit_binning",
     "DEFAULT_N_BINS",
     "RequestModel",
-    "Corpus",
-    "default_corpus",
     "WorkloadGenerator",
     "TraceReplaySampler",
 ]

@@ -19,7 +19,6 @@ from repro.inference.request import InferenceRequest
 from repro.traces.schema import TraceDataset
 from repro.utils.rng import as_rng
 from repro.workload.binning import DEFAULT_N_BINS
-from repro.workload.corpus import Corpus, default_corpus
 from repro.workload.model import RequestModel
 
 __all__ = ["WorkloadGenerator", "TraceReplaySampler"]
@@ -33,13 +32,9 @@ class WorkloadGenerator:
     def __init__(
         self,
         model: RequestModel,
-        corpus: Corpus | None = None,
-        attach_text: bool = False,
         independent: bool = False,
     ) -> None:
         self.model = model
-        self.corpus = corpus or default_corpus()
-        self.attach_text = attach_text
         #: When True, parameters are sampled from independent marginals —
         #: the §V-A ablation that loses cross-parameter correlation.
         self.independent = independent
@@ -53,12 +48,11 @@ class WorkloadGenerator:
         traces: TraceDataset,
         params: list[str] | None = None,
         n_bins: int = DEFAULT_N_BINS,
-        attach_text: bool = False,
         independent: bool = False,
     ) -> "WorkloadGenerator":
         """Fit the internal request model to a trace collection."""
         model = RequestModel.fit(traces, params=params, n_bins=n_bins)
-        return cls(model, attach_text=attach_text, independent=independent)
+        return cls(model, independent=independent)
 
     # ---- batch sampling --------------------------------------------------
 
@@ -106,11 +100,6 @@ class WorkloadGenerator:
         requests = []
         for i in range(n):
             params = {p: float(cols[p][i]) for p in extra_params}
-            text = (
-                self.corpus.text_for_tokens(int(inp[i]), rng=rng)
-                if self.attach_text
-                else None
-            )
             requests.append(
                 InferenceRequest(
                     request_id=first_id + i,
@@ -118,7 +107,6 @@ class WorkloadGenerator:
                     output_tokens=int(out[i]),
                     batch_size=int(batch[i]),
                     params=params,
-                    input_text=text,
                 )
             )
         return requests

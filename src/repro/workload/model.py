@@ -135,11 +135,6 @@ class RequestModel:
         batch = col("batch_size", 1.0)
         return int(np.ceil(np.max((inp + out) * batch)))
 
-    def marginal(self, param: str) -> tuple[np.ndarray, np.ndarray]:
-        """(bin centers, probabilities) marginal of one parameter."""
-        bins, probs = self._marginals[param]
-        return self.binnings[param].decode(bins).astype(float), probs
-
     # ---- sampling -------------------------------------------------------------
 
     def sample(

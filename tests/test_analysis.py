@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import (
     compare_marginals,
     deployment_knob_study,
-    empirical_cdf,
     latency_importance_study,
     spearman_matrix,
 )
@@ -102,15 +101,6 @@ class TestKnobStudy:
 
 
 class TestCDF:
-    def test_empirical_cdf_monotone(self):
-        values, probs = empirical_cdf(np.array([3.0, 1.0, 2.0]))
-        assert values.tolist() == [1.0, 2.0, 3.0]
-        assert probs.tolist() == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            empirical_cdf(np.array([]))
-
     def test_fig6_marginal_fidelity(self, traces, generator):
         """Fig 6: generator marginals track the empirical CDFs closely."""
         out = compare_marginals(

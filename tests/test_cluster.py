@@ -1,46 +1,11 @@
 """Tests for the deployment layer: load balancing and pod scaling."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.cluster import Deployment, round_robin_assignment, split_users
+from repro.cluster import Deployment
 from repro.hardware import parse_profile
 from repro.models import get_llm
-
-
-class TestBalancer:
-    def test_even_split(self):
-        assert split_users(8, 4) == [2, 2, 2, 2]
-
-    def test_remainder_goes_to_first_pods(self):
-        assert split_users(10, 4) == [3, 3, 2, 2]
-
-    def test_more_pods_than_users(self):
-        assert split_users(2, 5) == [1, 1, 0, 0, 0]
-
-    @given(st.integers(0, 500), st.integers(1, 32))
-    def test_split_conserves_users(self, users, pods):
-        shares = split_users(users, pods)
-        assert sum(shares) == users
-        assert max(shares) - min(shares) <= 1
-
-    def test_round_robin(self):
-        assert round_robin_assignment(5, 2) == [0, 1, 0, 1, 0]
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            split_users(1, 0)
-        with pytest.raises(ValueError):
-            split_users(-1, 2)
-        with pytest.raises(ValueError):
-            round_robin_assignment(1, 0)
-
-    def test_balancer_module_is_retired_with_pointer(self):
-        # The repro.cluster.balancer deprecation shim is gone for good;
-        # the old import path must fail loudly and say where the names
-        # live now, not resurface as a silent re-export.
-        with pytest.raises(ImportError, match="repro.simulation.traffic"):
-            from repro.cluster import balancer  # noqa: F401
+from repro.utils.stats import relative_std
 
 
 class TestDeployment:
@@ -92,7 +57,7 @@ class TestDeployment:
             seed=13,
         )
         res = dep.run_load_test(total_users=32, duration_s=20.0)
-        assert res.throughput_rsd < 0.15
+        assert relative_std(res.throughput_per_pod) < 0.15
 
     def test_zero_user_pods_skipped(self, deployment):
         res = deployment.run_load_test(total_users=1, duration_s=5.0)

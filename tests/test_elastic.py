@@ -709,7 +709,8 @@ class TestArrivalCache:
 
     def test_evaluate_many_keeps_distinct_policy_closures(self, generator):
         """Same label and bounds, different policy factories: candidate
-        equality ignores the closure, yet each candidate is simulated."""
+        equality ignores the closure, yet each candidate runs its own
+        policy."""
         recommender = self._recommender(generator)
         a = ElasticCandidate(
             "threshold", 1, 2, lambda: ThresholdPolicy(slo_p95_ttft_s=0.5)
@@ -718,8 +719,11 @@ class TestArrivalCache:
             "threshold", 1, 2, lambda: ThresholdPolicy(slo_p95_ttft_s=10.0)
         )
         assert a == b  # dataclass equality is blind to the closure
-        points = recommender.evaluate_many([a, b])
-        assert points[0] is not points[1]
+        tight, loose = recommender.evaluate_many([a, b])
+        # The 0.5 s threshold scales out early: more pod-hours buy a
+        # shorter tail than the 10 s threshold gets.
+        assert tight.pod_hours > loose.pod_hours
+        assert tight.p95_ttft_s < loose.p95_ttft_s
 
 
 class TestCostPruning:

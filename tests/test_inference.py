@@ -125,9 +125,6 @@ class TestMemoryModel:
         assert not mm.would_oom(small)
         assert mm.would_oom(huge)
 
-    def test_kv_token_capacity_positive_when_fits(self, llama13, a100):
-        assert MemoryModel(llama13, a100).kv_token_capacity() > 0
-
     def test_corner_cases_cover_weight(self):
         cases = corner_case_batches(10_000)
         names = {c.name for c in cases}

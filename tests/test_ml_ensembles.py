@@ -56,13 +56,6 @@ class TestRandomForest:
         imp = f.feature_importances_
         assert imp[0] > 10 * max(imp[1:])
 
-    def test_max_features_fraction_resolution(self):
-        f = RandomForestRegressor(max_features=0.5)
-        assert f._resolve_max_features(10) == 5
-        assert RandomForestRegressor(max_features=None)._resolve_max_features(10) is None
-        assert RandomForestRegressor(max_features=3)._resolve_max_features(10) == 3
-        assert RandomForestRegressor(max_features=100)._resolve_max_features(10) == 10
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomForestRegressor(n_estimators=0)
@@ -82,13 +75,6 @@ class TestGBM:
         slow = GradientBoostingRegressor(n_estimators=10, learning_rate=0.01).fit(X, y)
         assert r2_score(y, fast.predict(X)) > r2_score(y, slow.predict(X))
 
-    def test_staged_predict_improves(self):
-        X, y = _toy()
-        g = GradientBoostingRegressor(n_estimators=60, learning_rate=0.2).fit(X, y)
-        stages = list(g.staged_predict(X, every=20))
-        errs = [np.mean((y - s) ** 2) for s in stages]
-        assert errs[-1] < errs[0]
-
     def test_base_prediction_weighted_mean(self):
         X, y = _toy(100)
         w = np.random.default_rng(0).uniform(size=100)
@@ -98,7 +84,7 @@ class TestGBM:
     def test_subsample_and_colsample(self):
         X, y = _toy()
         g = GradientBoostingRegressor(
-            n_estimators=80, subsample=0.7, colsample=0.5, random_state=1
+            n_estimators=80, subsample=0.7, random_state=1
         ).fit(X, y)
         assert r2_score(y, g.predict(X)) > 0.9
 
@@ -119,7 +105,6 @@ class TestGBM:
             dict(learning_rate=0.0),
             dict(learning_rate=1.5),
             dict(subsample=0.0),
-            dict(colsample=1.5),
         ):
             with pytest.raises(ValueError):
                 GradientBoostingRegressor(**kwargs)
@@ -156,7 +141,7 @@ class TestGBMMonotone:
     def test_monotone_with_subsampling(self):
         X, y = _toy(600, seed=5)
         g = GradientBoostingRegressor(
-            n_estimators=60, subsample=0.6, colsample=0.7,
+            n_estimators=60, subsample=0.6,
             monotone_constraints={0: 1}, random_state=2,
         ).fit(X, y)
         self._check(g, 6, 0, np.random.default_rng(1))

@@ -14,6 +14,12 @@ def _toy(n=400, seed=0, d=4):
     return X, y
 
 
+def _leaves(node):
+    if node.is_leaf:
+        return 1
+    return _leaves(node.left) + _leaves(node.right)
+
+
 class TestFeatureBinner:
     def test_low_cardinality_thresholds(self):
         X = np.array([[0.0], [1.0], [1.0], [3.0]])
@@ -66,12 +72,12 @@ class TestDecisionTree:
         X, y = _toy()
         t = DecisionTreeRegressor(max_depth=3).fit(X, y)
         assert t.depth() <= 3
-        assert t.n_leaves() <= 8
+        assert _leaves(t.root_) <= 8
 
     def test_min_samples_leaf(self):
         X, y = _toy(100)
         t = DecisionTreeRegressor(max_depth=10, min_samples_leaf=40).fit(X, y)
-        assert t.n_leaves() <= 100 // 40 + 1
+        assert _leaves(t.root_) <= 100 // 40 + 1
 
     def test_sample_weight_zero_ignores_points(self):
         X, y = _toy(300)
@@ -121,7 +127,7 @@ class TestDecisionTree:
     def test_constant_target_single_leaf(self):
         X, _ = _toy(100)
         t = DecisionTreeRegressor(max_depth=5).fit(X, np.full(100, 3.3))
-        assert t.n_leaves() == 1
+        assert _leaves(t.root_) == 1
         np.testing.assert_allclose(t.predict(X[:5]), 3.3, rtol=1e-9)
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from repro.utils.rng import as_rng, derive_rng, spawn_seed
 from repro.utils.stats import (
-    geometric_mean,
     harmonic_mean,
     median,
     percentile,
@@ -84,12 +83,6 @@ class TestStats:
     def test_relative_std_scale_invariant(self):
         a = np.array([1.0, 2.0, 3.0])
         assert relative_std(a) == pytest.approx(relative_std(10 * a))
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 100.0]) == pytest.approx(10.0)
-
-    def test_geometric_mean_nonpositive_nan(self):
-        assert np.isnan(geometric_mean([1.0, 0.0]))
 
     def test_harmonic_mean_symmetric(self):
         assert harmonic_mean(0.5, 0.8) == pytest.approx(harmonic_mean(0.8, 0.5))

@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from repro.workload import (
-    Corpus,
     RequestModel,
     TraceReplaySampler,
     WorkloadGenerator,
-    default_corpus,
     fit_binning,
 )
 
@@ -151,27 +149,6 @@ class TestRequestModel:
             assert set(np.unique(s[p]).tolist()) <= centers
 
 
-class TestCorpus:
-    def test_exact_token_count(self):
-        corpus = default_corpus()
-        for k in (0, 1, 5, 100, 1000):
-            text = corpus.text_for_tokens(k, rng=0)
-            assert Corpus.count_tokens(text) == k
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            default_corpus().text_for_tokens(-1)
-
-    def test_randomized_offsets(self):
-        corpus = default_corpus()
-        texts = {corpus.text_for_tokens(10, rng=i) for i in range(20)}
-        assert len(texts) > 1
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
-            Corpus(sentences=())
-
-
 class TestWorkloadGenerator:
     def test_requests_valid(self, generator):
         reqs = generator.sample_requests(500, rng=3)
@@ -195,12 +172,6 @@ class TestWorkloadGenerator:
         for _ in range(300):
             a, b = next(s1), next(s2)
             assert (a.input_tokens, a.output_tokens) == (b.input_tokens, b.output_tokens)
-
-    def test_attach_text(self, traces):
-        gen = WorkloadGenerator.fit(traces, attach_text=True)
-        req = gen.sample_requests(3, rng=0)[0]
-        assert req.input_text is not None
-        assert Corpus.count_tokens(req.input_text) == req.input_tokens
 
     def test_requires_token_params(self, traces):
         with pytest.raises(ValueError, match="input_tokens"):
