@@ -561,6 +561,53 @@ class TestFeedbackScheduler:
             )
             assert held <= 3
 
+    def test_feedback_loop_pinned(self, generator):
+        # The contended loop end to end, recorded at the session
+        # fixtures' seeds: a change to scheduling, adjustment or the
+        # co-simulation that moves any of these is a behaviour change.
+        requests, deployments, factories, autoscalers = self._inputs(generator)
+        outcome = FeedbackScheduler(
+            capacity={PROFILE.gpu.name: 3}, duration_s=90.0, max_iterations=3
+        ).run(requests, deployments, factories, autoscalers=autoscalers)
+        assert outcome.contended_totals() == [9, 0]
+        assert outcome.converged
+        assert [
+            [(p.tenant, p.profile, p.n_pods, p.total_cost) for p in it.placements]
+            for it in outcome.iterations
+        ] == [
+            [
+                ("quiet", "1xA100-80GB", 1, 5.12),
+                ("noisy", "1xA100-80GB", 1, 5.12),
+            ],
+            [
+                ("quiet", "1xA100-80GB", 1, 5.12),
+                ("noisy", "1xA100-80GB", 2, 10.24),
+            ],
+        ]
+        assert [it.adjustments for it in outcome.iterations] == [
+            {
+                "noisy": "right-sized 1 -> 2 capped max_pods at 2",
+                "quiet": "capped max_pods at 1",
+            },
+            {},
+        ]
+        assert [
+            {
+                t: (r.pod_seconds, r.ttft.p95_s)
+                for t, r in it.result.results.items()
+            }
+            for it in outcome.iterations
+        ] == [
+            {
+                "quiet": (90.0091902244786, 0.6779407028144656),
+                "noisy": (170.0454172570432, 23.52525963501295),
+            },
+            {
+                "quiet": (90.0091902244786, 0.6779407028144656),
+                "noisy": (180.21382658238346, 16.93779291094719),
+            },
+        ]
+
     def test_uncontended_cluster_converges_immediately(self, generator):
         requests, deployments, factories, autoscalers = self._inputs(generator)
         scheduler = FeedbackScheduler(
