@@ -24,11 +24,14 @@ Timings use min-of-N interleaved repeats so a background hiccup on the
 CI machine hits both paths equally, and each timed run has garbage
 collection quiesced: one gen-2 collection costs 45-90 ms on a 2-core
 runner, as long as a whole smoke-mode run, so a collection landing in
-one path's window would decide the ratio on its own. The speedup widens with tenant
-count (the oracle's scans are O(tenants) per event), so the gate runs a
-deliberately wide cluster. Smoke mode keeps every bit-identity and
-accounting assertion at full strength and only relaxes the timing
-floors — a 2-core CI runner proves correctness, not throughput.
+one path's window would decide the ratio on its own. The speedup widens
+with tenant count (the oracle's scans are O(tenants) per event), so the
+gate runs a deliberately wide cluster, in smoke mode too: at 16 tenants
+the smoke ratio is near 1.3x, close enough to the 1.1x floor for host
+noise to cross it, while at 32 tenants it is near 1.7x. Smoke mode
+keeps every bit-identity and accounting assertion at full strength and
+only relaxes the timing floors — a 2-core CI runner proves correctness,
+not throughput.
 
 Emits ``BENCH_cluster_speed.json`` with the measured rates and config.
 """
@@ -70,7 +73,7 @@ LLM = get_llm("Llama-2-13b")
 PROFILE = parse_profile("1xA100-40GB")
 WEIGHT = 20_000
 
-TENANTS = smoke(96, 16)
+TENANTS = smoke(96, 32)
 DURATION_S = smoke(45.0, 20.0)
 CHAOS_TENANTS = smoke(32, 8)
 CHAOS_DURATION_S = smoke(30.0, 15.0)

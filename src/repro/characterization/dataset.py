@@ -87,18 +87,6 @@ class PerfDataset:
         """All rows except one LLM's — used by leave-one-LLM-out CV."""
         return PerfDataset(records=[r for r in self.records if r.llm != llm])
 
-    def lookup(
-        self, llm: str, profile: str, concurrent_users: int
-    ) -> PerfRecord | None:
-        for r in self.records:
-            if (
-                r.llm == llm
-                and r.profile == profile
-                and r.concurrent_users == concurrent_users
-            ):
-                return r
-        return None
-
     def series(
         self, llm: str, profile: str, metric: str
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,13 @@ implements that extension over the reproduction's machinery:
 * a bridge from the static answer to the dynamic one:
   :meth:`ScheduleResult.to_cluster_sim` turns the placements into the
   initial tenant allocations of a shared-clock
-  :class:`~repro.simulation.cluster.ClusterSimulator`.
+  :class:`~repro.simulation.cluster.ClusterSimulator`;
+* a :class:`FeedbackScheduler` that co-simulates the placement and
+  right-sizes or moves the tenants the inventory keeps rejecting.
+
+Scheduling works on the owned inventory alone: the cloud-burst tier
+belongs to the co-simulation, which takes one burst policy per cluster
+run, and nothing here rents.
 
 Pods keep exclusive GPU access (no co-location, matching §II-C), so
 multi-tenancy is a packing problem over GPU counts.
@@ -28,11 +34,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
-from repro.hardware.pricing import CloudCatalog, PricingTable
 from repro.hardware.profile import parse_profile
 from repro.recommendation.recommender import ProfileAssessment, Recommendation
 from repro.simulation.autoscale import Autoscaler
-from repro.simulation.cloud import BurstPolicy, CloudLedger
 from repro.simulation.cluster import (
     ClusterInventory,
     ClusterResult,
@@ -108,8 +112,6 @@ class ScheduleResult:
         routers: dict[str, "Router"] | None = None,
         autoscalers: dict[str, "Autoscaler"] | None = None,
         slos: dict[str, float] | None = None,
-        cloud: CloudLedger | None = None,
-        burst: BurstPolicy | dict[str, BurstPolicy] | None = None,
     ) -> ClusterSimulator:
         """Turn the static packing answer into a shared-clock co-simulation.
 
@@ -123,20 +125,12 @@ class ScheduleResult:
         fresh :class:`~repro.simulation.cluster.ClusterInventory` of
         ``capacity``. Per-tenant traffic is required; routers (possibly
         admission controllers), autoscalers and reporting SLOs are
-        optional. With ``cloud`` (and optionally ``burst``) set, the
-        cluster gets the elastic capacity tier: scale-ups the on-prem
-        inventory denies or clips overflow into the rented ledger; a
-        per-tenant ``burst`` dict is filtered to the tenants actually
-        placed (the simulator rejects unknown names, and unplaced
-        tenants cannot burst). Unplaced tenants are simply absent from
-        the cluster, exactly as the scheduler left them.
+        optional. Unplaced tenants are simply absent from the cluster,
+        exactly as the scheduler left them.
         """
         routers = routers or {}
         autoscalers = autoscalers or {}
         slos = slos or {}
-        if isinstance(burst, dict):
-            placed = {p.tenant for p in self.placements}
-            burst = {t: b for t, b in burst.items() if t in placed} or None
         groups = []
         for placement in self.placements:
             template = deployments[placement.tenant]
@@ -153,12 +147,7 @@ class ScheduleResult:
                     slo_p95_ttft_s=slos.get(placement.tenant),
                 )
             )
-        return ClusterSimulator(
-            groups,
-            ClusterInventory(capacity=dict(capacity)),
-            cloud=cloud,
-            burst=burst,
-        )
+        return ClusterSimulator(groups, ClusterInventory(capacity=dict(capacity)))
 
 
 class MultiTenantScheduler:
@@ -311,52 +300,23 @@ class FeedbackScheduler:
     ``max_iterations`` is reached. Traffic is supplied as factories —
     each iteration replays a fresh, identically seeded arrival process,
     so the trajectory is deterministic and iterations are comparable.
-
-    With ``cloud`` set, every co-simulation runs with the elastic
-    capacity tier (a fresh :class:`~repro.simulation.cloud.CloudLedger`
-    per iteration keeps iterations comparable), and the adjustment step
-    gains a third move:
-
-    * **burst-to-cloud** — a contended tenant that nevertheless met its
-      SLO, on hardware the catalog rents at or below the on-prem rate
-      (``pricing`` must be supplied for the comparison), keeps its
-      reservation: renting its overflow is no more expensive than
-      pre-reserving owned capacity, and the owned slack stays free for
-      tenants the cloud cannot help. When *every* adjustment of a pass
-      is burst-to-cloud nothing material changed, so the loop stops
-      instead of re-simulating an identical cluster.
+    Every co-simulation is on-prem only: the loop moves and caps
+    reservations on the owned inventory and never rents.
     """
 
     def __init__(
         self,
         capacity: dict[str, int],
         duration_s: float,
-        warmup_s: float = 0.0,
         max_iterations: int = 4,
-        cloud: CloudCatalog | None = None,
-        burst: BurstPolicy | None = None,
-        pricing: PricingTable | None = None,
-        cloud_seed: int = 0,
     ) -> None:
         if duration_s <= 0:
             raise ValueError(f"duration_s must be positive, got {duration_s}")
         if max_iterations < 1:
             raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-        if burst is not None and cloud is None:
-            raise ValueError(
-                "a burst policy without a cloud catalog has nothing to "
-                "rent from; pass cloud= alongside burst="
-            )
         self.capacity = dict(capacity)
         self.duration_s = float(duration_s)
-        self.warmup_s = float(warmup_s)
         self.max_iterations = int(max_iterations)
-        self.cloud = cloud
-        self.burst = (
-            burst if burst is not None or cloud is None else BurstPolicy()
-        )
-        self.pricing = pricing
-        self.cloud_seed = int(cloud_seed)
 
     def run(
         self,
@@ -407,11 +367,6 @@ class FeedbackScheduler:
             if not adjustments:
                 break
             iterations[-1].adjustments = adjustments
-            if all(a.startswith("burst-to-cloud") for a in adjustments.values()):
-                # Nothing material changed: every contended tenant keeps
-                # its reservation and rents overflow instead. The next
-                # co-simulation would be identical — stop here.
-                break
         return FeedbackOutcome(iterations=iterations, converged=converged)
 
     # ---- internals --------------------------------------------------------
@@ -427,11 +382,6 @@ class FeedbackScheduler:
         slos,
     ) -> ClusterResult:
         traffics = {p.tenant: traffic_factories[p.tenant]() for p in placements}
-        ledger = (
-            None
-            if self.cloud is None
-            else CloudLedger(self.cloud, seed=self.cloud_seed)
-        )
         sim = ScheduleResult(
             placements=list(placements), unplaced=list(unplaced)
         ).to_cluster_sim(
@@ -441,10 +391,8 @@ class FeedbackScheduler:
             routers=routers,
             autoscalers=autoscalers,
             slos=slos,
-            cloud=ledger,
-            burst=self.burst if ledger is not None else None,
         )
-        result = sim.run(self.duration_s, warmup_s=self.warmup_s)
+        result = sim.run(self.duration_s)
         result.verify_conservation()
         return result
 
@@ -464,38 +412,10 @@ class FeedbackScheduler:
             inventory.allocate(p.profile, p.n_pods)
         adjustments: dict[str, str] = {}
         autoscalers = dict(autoscalers)
-        bursting: set[str] = set()
         # Most-rejected tenants claim slack first (ties: tenant order).
         order = sorted(contended, key=lambda t: -contended[t])
         for tenant in order:
             p = by_tenant[tenant]
-            # Burst instead of right-size: a tenant still meeting its SLO
-            # on hardware the cloud rents at or below the on-prem rate
-            # keeps its reservation — renting the overflow costs no more
-            # than pre-reserving it, and the owned slack stays free for
-            # tenants the cloud cannot help.
-            if (
-                self.cloud is not None
-                and self.pricing is not None
-                and self.burst is not None
-                and result.meets_slo(tenant) is not False
-            ):
-                profile = parse_profile(p.profile)
-                if self.cloud.offers(profile.gpu.name):
-                    cloud_rate = self.cloud.pod_cost(profile, self.burst.mode)
-                    on_prem_rate = self.pricing.pod_cost(profile)
-                    if (
-                        cloud_rate <= on_prem_rate
-                        and self.burst.burst_pods(1, 0, cloud_rate) > 0
-                    ):
-                        bursting.add(tenant)
-                        adjustments[tenant] = (
-                            f"burst-to-cloud: kept {p.n_pods}-pod "
-                            f"reservation, overflow rents at "
-                            f"${cloud_rate:.2f}/h <= ${on_prem_rate:.2f}/h "
-                            f"on-prem"
-                        )
-                        continue
             target = max(p.n_pods, peak.get(tenant, 0))
             extra = min(target - p.n_pods, inventory.fillable_pods(p.profile))
             if extra > 0:
@@ -531,11 +451,7 @@ class FeedbackScheduler:
                     )
         # Cap every rejected tenant's ask at its reservation plus a fair
         # share of what is left — asks beyond that can never be granted.
-        # Bursting tenants are exempt: their overflow *is* grantable,
-        # from the cloud.
         for tenant in order:
-            if tenant in bursting:
-                continue
             scaler = autoscalers.get(tenant)
             if scaler is None:
                 continue

@@ -182,11 +182,6 @@ class ContinuousBatchingEngine:
     def batch_weight_in_use(self) -> int:
         return self._batch_weight
 
-    @property
-    def pending_weight(self) -> int:
-        """Total weight of queued (not yet admitted) requests."""
-        return self._pending_weight
-
     def submit(self, request: InferenceRequest, arrival_time: float | None = None) -> None:
         """Enqueue ``request``.
 

@@ -81,10 +81,6 @@ class MemoryModel:
     def weights_fit(self) -> bool:
         return self.llm.weights_bytes <= self.capacity_bytes
 
-    @property
-    def free_after_weights_bytes(self) -> float:
-        return self.capacity_bytes - self.llm.weights_bytes
-
     # ---- usage -----------------------------------------------------------------
 
     def activation_bytes(self, prefill_tokens: int) -> float:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["InferenceRequest", "RequestResult"]
 
@@ -14,15 +14,16 @@ class InferenceRequest:
     ``input_tokens``/``output_tokens`` are the ground-truth token counts
     of the request (the simulator, like a real benchmark harness, forces
     the generation length via min/max-new-tokens so experiments are
-    reproducible). ``params`` carries the remaining request parameters
-    (decoding method, temperature, ...) for cost-model adjustments.
+    reproducible), and ``batch_size`` is the client-side batch. Nothing
+    downstream reads the other request parameters (decoding method,
+    temperature, ...), so a request carries only these counts; the
+    request model still draws every parameter jointly to shape them.
     """
 
     request_id: int
     input_tokens: int
     output_tokens: int
     batch_size: int = 1
-    params: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.input_tokens < 1:

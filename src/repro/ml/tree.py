@@ -76,8 +76,6 @@ class TreeNode:
     threshold: float = 0.0
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    gain: float = 0.0
-    n_samples: int = 0
 
     @property
     def is_leaf(self) -> bool:
@@ -202,7 +200,7 @@ class DecisionTreeRegressor:
         y = ws.y[idx]
         sw = w.sum()
         value = float(np.clip(np.dot(w, y) / (sw + _EPS), lo, hi))
-        node = TreeNode(value=value, n_samples=len(idx))
+        node = TreeNode(value=value)
         if (
             depth >= self.max_depth
             or len(idx) < 2 * self.min_samples_leaf
@@ -218,7 +216,6 @@ class DecisionTreeRegressor:
 
         node.feature = feature
         node.threshold = ws.binner.threshold_value(feature, bin_thr)
-        node.gain = gain
 
         direction = ws.directions[feature]
         if direction == 0:
@@ -345,15 +342,3 @@ class DecisionTreeRegressor:
         mask = X[idx, node.feature] <= node.threshold
         self._predict_into(node.left, X, idx[mask], out)
         self._predict_into(node.right, X, idx[~mask], out)
-
-    def depth(self) -> int:
-        """Actual depth of the fitted tree."""
-
-        def _d(node: TreeNode | None) -> int:
-            if node is None or node.is_leaf:
-                return 0
-            return 1 + max(_d(node.left), _d(node.right))
-
-        if self.root_ is None:
-            raise RuntimeError("tree must be fit first")
-        return _d(self.root_)

@@ -198,10 +198,6 @@ class CostObjective:
         """The penalty function's charge for the run, in dollars."""
         return float(self.penalty(result))
 
-    def total(self, result: FleetResult, profile) -> float:
-        """Full score of the run: compute bill plus SLO penalty."""
-        return self.compute_cost(result, profile) + self.slo_penalty(result)
-
 
 @dataclass(frozen=True)
 class ElasticCandidate:

@@ -22,25 +22,22 @@ __all__ = ["FeatureSpace"]
 class FeatureSpace:
     """Builds numeric feature vectors for (LLM, profile, users) triples.
 
-    ``include_derived`` adds interaction features (memory headroom,
-    weights-per-bandwidth, FLOPs-per-TFLOPS) that are *not* part of the
-    paper's feature list; they nearly encode the roofline cost model and
-    make the prediction task artificially easy, so they default to off
-    and exist only for ablation studies.
+    The features are the paper's list and nothing more: no interaction
+    terms derived from the datasheets, which would nearly encode the
+    roofline cost model and make the prediction task artificially easy.
     """
 
     model_type_vocab: list[str] = field(default_factory=list)
-    include_derived: bool = False
     _names: list[str] = field(default_factory=list)
     _profile_cache: dict[str, GPUProfile] = field(default_factory=dict)
 
     @classmethod
-    def fit(cls, llms: list[LLMSpec], include_derived: bool = False) -> "FeatureSpace":
+    def fit(cls, llms: list[LLMSpec]) -> "FeatureSpace":
         """Learn the categorical vocabulary from the training LLMs."""
         if not llms:
             raise ValueError("need at least one training LLM")
         vocab = sorted({llm.model_type for llm in llms})
-        space = cls(model_type_vocab=vocab, include_derived=include_derived)
+        space = cls(model_type_vocab=vocab)
         # Fix feature order once from an arbitrary probe.
         probe_llm = llms[0]
         probe_profile = parse_profile("1xT4-16GB")
@@ -69,17 +66,6 @@ class FeatureSpace:
         feats.update(llm.feature_dict())
         feats.update(profile.feature_dict())
         feats["concurrent_users"] = float(users)
-        if self.include_derived:
-            # Ablation-only interaction features: how tight the profile is
-            # for this LLM (still pure datasheet math, no measurements).
-            weights_gb = llm.weights_bytes / 1e9
-            feats["memory_headroom_gb"] = profile.total_memory_gb - weights_gb
-            feats["weights_per_bandwidth_ms"] = (
-                llm.weights_bytes / (profile.total_memory_bandwidth_gbps * 1e9) * 1e3
-            )
-            feats["flops_per_tflops_us"] = (
-                llm.flops_per_token / (profile.total_fp16_tflops * 1e12) * 1e6
-            )
         return feats
 
     def transform_one(

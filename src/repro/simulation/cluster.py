@@ -231,8 +231,8 @@ class ClusterResult:
     wall_time_s: float = 0.0
     # Cloud-burst tier (absent on pure on-prem runs): the rented-capacity
     # event ledger, the catalog prices and quotas were taken from, and
-    # each bursting tenant's purchasing mode (tenants without a burst
-    # policy are absent from the mapping).
+    # each tenant's purchasing mode under the cluster's burst policy
+    # (empty when no policy was set).
     cloud_events: list[InventoryEvent] = field(default_factory=list, repr=False)
     cloud_catalog: CloudCatalog | None = None
     cloud_modes: dict[str, str] = field(default_factory=dict)
@@ -590,6 +590,10 @@ class ClusterSimulator:
     virtual instant. Decisions across tenants are processed in global
     (time, tenant-order) order, so contention is deterministic for
     seeded runs.
+
+    With a ``cloud`` ledger and a ``burst`` policy, every tenant bursts
+    under that one policy: the shortfall of a denied or clipped scale-up
+    rents from the ledger. Without a policy no tenant bursts.
     """
 
     def __init__(
@@ -597,7 +601,7 @@ class ClusterSimulator:
         tenants: list[TenantGroup],
         inventory: ClusterInventory,
         cloud: CloudLedger | None = None,
-        burst: BurstPolicy | dict[str, BurstPolicy] | None = None,
+        burst: BurstPolicy | None = None,
     ) -> None:
         if not tenants:
             raise ValueError("ClusterSimulator needs at least one tenant")
@@ -608,38 +612,26 @@ class ClusterSimulator:
             raise ValueError("a burst policy needs a cloud ledger to rent from")
         self.tenants = list(tenants)
         self.inventory = inventory
-        # Cloud-burst tier (simulation.cloud): ``cloud`` is the rented
-        # capacity ledger, ``burst`` the cluster-wide policy (or a
-        # per-tenant mapping; unmapped tenants never burst). Without
-        # them the simulator is the pure on-prem machine it always was.
         self.cloud = cloud
-        if isinstance(burst, BurstPolicy):
-            self._burst = {name: burst for name in names}
-        else:
-            self._burst = dict(burst or {})
-        unknown = set(self._burst) - set(names)
-        if unknown:
-            raise ValueError(f"burst policies for unknown tenants: {sorted(unknown)}")
+        self.burst = burst
         self._spot_wired = False
 
     def _wire_spot_preemptions(self, t_end: float) -> None:
-        """Merge seeded spot-preemption schedules into spot tenants' faults.
+        """Merge seeded spot-preemption schedules into the tenants' faults.
 
-        One independent Poisson stream per tenant bursting in ``spot``
-        mode, derived from the cloud ledger's seed and the tenant name,
-        at the catalog's per-type interruption rate. The schedule flows
+        Only when the cluster's policy bursts in ``spot`` mode: one
+        independent Poisson stream per tenant, derived from the cloud
+        ledger's seed and the tenant name, at the catalog's per-type
+        interruption rate. The schedule flows
         through the ordinary fault-injection path (victims resolve to
         cloud pods at fire time), so production and reference runs —
         which share the seed — see the identical schedule. Idempotent across
         repeated ``run`` calls on one simulator.
         """
-        if self._spot_wired or self.cloud is None:
+        if self._spot_wired or self.burst is None or self.burst.mode != "spot":
             return
         self._spot_wired = True
         for group in self.tenants:
-            policy = self._burst.get(group.name)
-            if policy is None or policy.mode != "spot":
-                continue
             profile = parse_profile(group.profile)
             if not self.cloud.catalog.offers(profile.gpu.name):
                 continue
@@ -716,7 +708,7 @@ class ClusterSimulator:
                 group.profile,
                 self.inventory,
                 self.cloud,
-                self._burst.get(group.name),
+                self.burst,
             )
             group.fleet.begin(duration_s, warmup_s)
 
@@ -746,9 +738,9 @@ class ClusterSimulator:
             wall_time_s=wall_time_s,
             cloud_events=[] if self.cloud is None else list(self.cloud.rented.events),
             cloud_catalog=None if self.cloud is None else self.cloud.catalog,
-            cloud_modes={
-                name: policy.mode for name, policy in self._burst.items()
-            },
+            cloud_modes={}
+            if self.burst is None
+            else {g.name: self.burst.mode for g in self.tenants},
         )
 
     def _run_loop(self, t_end: float) -> None:

@@ -180,10 +180,6 @@ class WeightAwareRouter(Router):
         self._weights: list[int] = []
         self._seen = 0
 
-    @staticmethod
-    def _least_loaded(candidates: list[int], pods) -> int:
-        return least_loaded_pod(candidates, pods)
-
     def _threshold(self, heavy_share: float) -> float:
         """Weight above which the top tail carries ``heavy_share`` of load.
 
@@ -205,7 +201,7 @@ class WeightAwareRouter(Router):
         if len(self._weights) > self.window:
             del self._weights[0]
         if len(pods) < 2 or self._seen < self.warmup:
-            return self._least_loaded(list(range(len(pods))), pods)
+            return least_loaded_pod(list(range(len(pods))), pods)
         n_heavy = max(1, round(self.heavy_pod_fraction * len(pods)))
         n_heavy = min(n_heavy, len(pods) - 1)
         threshold = self._threshold(n_heavy / len(pods))
@@ -213,13 +209,13 @@ class WeightAwareRouter(Router):
             # Degenerate window (near-constant weights): no request
             # would classify as heavy, so tiering would idle the heavy
             # pods. Fall back to fleet-wide least-loaded.
-            return self._least_loaded(list(range(len(pods))), pods)
+            return least_loaded_pod(list(range(len(pods))), pods)
         # The heavy tier sits at the top of the pod list; under
         # autoscaling that is the newest pods, which also drain first.
         split = len(pods) - n_heavy
         if weight > threshold:
-            return self._least_loaded(list(range(split, len(pods))), pods)
-        return self._least_loaded(list(range(split)), pods)
+            return least_loaded_pod(list(range(split, len(pods))), pods)
+        return least_loaded_pod(list(range(split)), pods)
 
     def reset(self) -> None:
         self._weights = []

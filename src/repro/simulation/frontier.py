@@ -56,13 +56,9 @@ def committed_load(pod: "ContinuousBatchingEngine") -> int:
     pod's queue — the load measure all least-loaded selections share.
     Reads the engine's private counters directly: the initial routing
     pass evaluates this O(users * pods) times, where two property
-    dispatches per pod are measurable. Duck-typed pods (test stubs)
-    without those counters fall back to the public accessors.
+    dispatches per pod are measurable.
     """
-    try:
-        return pod._batch_weight + pod._pending_weight
-    except AttributeError:
-        return pod.batch_weight_in_use + pod.pending_weight
+    return pod._batch_weight + pod._pending_weight
 
 
 def least_loaded_pod(candidates: Iterable[int], pods: Sequence) -> int:

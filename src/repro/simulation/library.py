@@ -151,10 +151,6 @@ class ExpectationReport:
         """True when no check failed (skipped checks do not fail)."""
         return all(check.passed is not False for check in self.checks)
 
-    @property
-    def failures(self) -> list[ExpectationCheck]:
-        return [check for check in self.checks if check.passed is False]
-
     def summary(self) -> str:
         if not self.checks:
             return f"{self.scenario}: no expectations declared"

@@ -37,7 +37,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -422,11 +422,6 @@ class ReplayTraffic(TrafficModel):
         self._i = 0
         self._next_id = 0
 
-    @property
-    def remaining(self) -> int:
-        """Arrivals not yet injected into the simulation."""
-        return len(self.log) - self._i
-
     def peek(self) -> float | None:
         """Time of the next replayed arrival (None once exhausted)."""
         if self._i >= len(self.log):
@@ -555,11 +550,6 @@ class RecordedTraffic(TrafficModel):
 
     def __len__(self) -> int:
         return len(self._times)
-
-    @property
-    def remaining(self) -> int:
-        """Arrivals not yet injected into the simulation."""
-        return len(self._times) - self._i
 
     def peek(self) -> float | None:
         """Time of the next recorded arrival (None once exhausted)."""

@@ -18,11 +18,11 @@ reproduces the *statistical structure* the paper measures and relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.traces.archetypes import Archetype, DEFAULT_ARCHETYPES
+from repro.traces.archetypes import DEFAULT_ARCHETYPES
 from repro.traces.schema import DECODING_METHODS, TraceDataset
 from repro.utils.rng import derive_rng
 
@@ -30,28 +30,33 @@ __all__ = ["TraceConfig", "TraceSynthesizer", "synthesize_traces"]
 
 _SECONDS_PER_MONTH = 30.44 * 86_400.0
 
+# The platform the collection describes (Table II): 24 LLMs of 3B-176B
+# parameters over 5.5 months, drawn from the default task archetypes.
+_N_PLATFORM_LLMS = 24
+_MIN_LLM_PARAMS_BILLION = 3.0
+_MAX_LLM_PARAMS_BILLION = 176.0
+_MONTHS = 5.5
+_USER_ARCHETYPE_AFFINITY = 0.8  # P(request uses the user's main task)
+_LATENCY_NOISE_SIGMA = 0.085  # lognormal sigma on measured latency
+
 
 @dataclass(frozen=True)
 class TraceConfig:
-    """Knobs for the synthetic trace collection (defaults mirror Table II)."""
+    """Size of the synthetic trace collection (defaults mirror Table II).
+
+    Only the request and user counts vary; the platform itself (its
+    LLMs, time span, task archetypes and latency noise) is the module
+    constants above.
+    """
 
     n_requests: int = 200_000
     n_users: int = 2_500
-    n_platform_llms: int = 24
-    min_llm_params_billion: float = 3.0
-    max_llm_params_billion: float = 176.0
-    months: float = 5.5
-    user_archetype_affinity: float = 0.8  # P(request uses the user's main task)
-    latency_noise_sigma: float = 0.085  # lognormal sigma on measured latency
-    archetypes: tuple[Archetype, ...] = field(default=DEFAULT_ARCHETYPES)
 
     def __post_init__(self) -> None:
         if self.n_requests < 1:
             raise ValueError("n_requests must be positive")
         if self.n_users < 1:
             raise ValueError("n_users must be positive")
-        if not 0.0 <= self.user_archetype_affinity <= 1.0:
-            raise ValueError("user_archetype_affinity must be in [0, 1]")
 
 
 class TraceSynthesizer:
@@ -65,13 +70,11 @@ class TraceSynthesizer:
 
     def _platform_llm_sizes(self, rng: np.random.Generator) -> np.ndarray:
         """Log-uniform parameter counts for the 24 platform LLMs (3B-176B)."""
-        cfg = self.config
-        lo, hi = np.log(cfg.min_llm_params_billion), np.log(cfg.max_llm_params_billion)
-        sizes = np.exp(rng.uniform(lo, hi, size=cfg.n_platform_llms))
+        lo, hi = np.log(_MIN_LLM_PARAMS_BILLION), np.log(_MAX_LLM_PARAMS_BILLION)
+        sizes = np.exp(rng.uniform(lo, hi, size=_N_PLATFORM_LLMS))
         # Pin the extremes so the advertised range is realized exactly.
-        if cfg.n_platform_llms >= 2:
-            sizes[0] = cfg.min_llm_params_billion
-            sizes[-1] = cfg.max_llm_params_billion
+        sizes[0] = _MIN_LLM_PARAMS_BILLION
+        sizes[-1] = _MAX_LLM_PARAMS_BILLION
         return np.sort(sizes)
 
     def _user_population(
@@ -81,17 +84,17 @@ class TraceSynthesizer:
         cfg = self.config
         # Zipf-like user activity: a few heavy users, a long tail.
         activity = rng.pareto(1.2, size=cfg.n_users) + 0.05
-        archetype_weights = np.array([a.weight for a in cfg.archetypes])
+        archetype_weights = np.array([a.weight for a in DEFAULT_ARCHETYPES])
         main_archetype = rng.choice(
-            len(cfg.archetypes), size=cfg.n_users, p=archetype_weights
+            len(DEFAULT_ARCHETYPES), size=cfg.n_users, p=archetype_weights
         )
         # LLM popularity is heavy-tailed: most traffic goes to a handful of
         # popular mid-sized models, with a long tail over the rest (as on
         # any real multi-tenant platform).
-        ranks = rng.permutation(cfg.n_platform_llms)
+        ranks = rng.permutation(_N_PLATFORM_LLMS)
         popularity = 1.0 / (1.0 + ranks) ** 1.4
         popularity /= popularity.sum()
-        preferred_llm = rng.choice(cfg.n_platform_llms, size=cfg.n_users, p=popularity)
+        preferred_llm = rng.choice(_N_PLATFORM_LLMS, size=cfg.n_users, p=popularity)
         return activity / activity.sum(), main_archetype, preferred_llm
 
     def _latency_model(
@@ -125,7 +128,7 @@ class TraceSynthesizer:
         sample_overhead = 1.0 + 0.025 * temperature + 0.0004 * top_k
         method_factor = np.where(is_sample, sample_overhead, method_factor)
         latency = ttft + output_tokens * itl * batch_factor * method_factor
-        noise = rng.lognormal(0.0, self.config.latency_noise_sigma, size=latency.shape)
+        noise = rng.lognormal(0.0, _LATENCY_NOISE_SIGMA, size=latency.shape)
         return latency * noise
 
     # ---- main entry --------------------------------------------------------
@@ -144,17 +147,17 @@ class TraceSynthesizer:
 
         # Request archetype: the user's main task with probability `affinity`,
         # otherwise a fresh draw from the global mixture.
-        archetype_weights = np.array([a.weight for a in cfg.archetypes])
-        stick = rng.random(n) < cfg.user_archetype_affinity
-        random_arch = rng.choice(len(cfg.archetypes), size=n, p=archetype_weights)
+        archetype_weights = np.array([a.weight for a in DEFAULT_ARCHETYPES])
+        stick = rng.random(n) < _USER_ARCHETYPE_AFFINITY
+        random_arch = rng.choice(len(DEFAULT_ARCHETYPES), size=n, p=archetype_weights)
         arch_idx = np.where(stick, user_main_arch[user_id], random_arch)
 
         # Serviced LLM: mostly the user's preferred model.
-        other_llm = rng.integers(0, cfg.n_platform_llms, size=n)
+        other_llm = rng.integers(0, _N_PLATFORM_LLMS, size=n)
         llm_index = np.where(rng.random(n) < 0.85, user_llm[user_id], other_llm)
 
         # Timestamps: uniform over the collection period with a diurnal shape.
-        span = cfg.months * _SECONDS_PER_MONTH
+        span = _MONTHS * _SECONDS_PER_MONTH
         raw_ts = rng.uniform(0.0, span, size=n)
         hour = (raw_ts / 3600.0) % 24.0
         # Rejection-free diurnal skew: push timestamps toward working hours.
@@ -184,7 +187,7 @@ class TraceSynthesizer:
         for c in float_cols:
             cols[c] = np.zeros(n, dtype=np.float64)
 
-        for ai, arch in enumerate(cfg.archetypes):
+        for ai, arch in enumerate(DEFAULT_ARCHETYPES):
             idx = np.nonzero(arch_idx == ai)[0]
             if idx.size == 0:
                 continue

@@ -1,12 +1,12 @@
 """The workload generator (paper §III-B) and a trace-replay comparator.
 
 ``WorkloadGenerator`` wraps the joint :class:`RequestModel` and produces
-:class:`InferenceRequest` objects whose parameters follow the empirical
-joint distribution of the production traces. ``TraceReplaySampler``
-implements the obvious alternative — drawing raw past requests directly
-from the trace store — which the paper compares against for storage
-footprint and sampling speed (§V-A: the generator is ~35x faster and
-<1MB vs 1.6GB).
+:class:`InferenceRequest` objects whose token counts and batch sizes
+follow the empirical joint distribution of the production traces.
+``TraceReplaySampler`` implements the obvious alternative — drawing raw
+past requests directly from the trace store — which the paper compares
+against for storage footprint and sampling speed (§V-A: the generator
+is ~35x faster and <1MB vs 1.6GB).
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from repro.workload.binning import DEFAULT_N_BINS
 from repro.workload.model import RequestModel
 
 __all__ = ["WorkloadGenerator", "TraceReplaySampler"]
-
-_TOKEN_PARAMS = ("input_tokens", "output_tokens", "batch_size")
 
 
 class WorkloadGenerator:
@@ -96,20 +94,15 @@ class WorkloadGenerator:
             out = np.minimum(out, np.maximum(per_seq - inp, 1))
             inp = np.minimum(inp, per_seq - out)
             inp = np.maximum(inp, 1)
-        extra_params = [p for p in self.model.params if p not in _TOKEN_PARAMS]
-        requests = []
-        for i in range(n):
-            params = {p: float(cols[p][i]) for p in extra_params}
-            requests.append(
-                InferenceRequest(
-                    request_id=first_id + i,
-                    input_tokens=int(inp[i]),
-                    output_tokens=int(out[i]),
-                    batch_size=int(batch[i]),
-                    params=params,
-                )
+        return [
+            InferenceRequest(
+                request_id=first_id + i,
+                input_tokens=int(inp[i]),
+                output_tokens=int(out[i]),
+                batch_size=int(batch[i]),
             )
-        return requests
+            for i in range(n)
+        ]
 
     def request_stream(
         self, rng: np.random.Generator | int | None = None, chunk: int = 256
@@ -161,11 +154,6 @@ class TraceReplaySampler:
                     input_tokens=max(int(record["input_tokens"]), 1),
                     output_tokens=max(int(record["output_tokens"]), 1),
                     batch_size=max(int(record.get("batch_size", 1)), 1),
-                    params={
-                        k: float(v)
-                        for k, v in record.items()
-                        if k not in _TOKEN_PARAMS
-                    },
                 )
             )
         return requests

@@ -172,8 +172,8 @@ class TestPerfDataset:
         assert ds.llms() == ["a", "b"]
         assert len(ds.filter(llm="a")) == 2
         assert len(ds.exclude_llm("a")) == 1
-        assert ds.lookup("b", "1xT4-16GB", 1) is not None
-        assert ds.lookup("b", "1xT4-16GB", 99) is None
+        assert len(ds.filter("b", "1xT4-16GB", 1)) == 1
+        assert len(ds.filter("b", "1xT4-16GB", 99)) == 0
 
     def test_series_sorted_by_users(self):
         ds = PerfDataset()

@@ -364,13 +364,6 @@ class TestClusterBurst:
         with pytest.raises(ValueError, match="cloud"):
             _burst_cluster(generator, cloud=None, burst=BurstPolicy())
 
-    def test_unknown_burst_tenant_rejected(self, generator):
-        cloud = CloudLedger(aws_like_cloud_catalog(), seed=0)
-        with pytest.raises(ValueError, match="unknown tenant"):
-            _burst_cluster(
-                generator, cloud=cloud, burst={"nobody": BurstPolicy()}
-            )
-
     def test_fast_and_oracle_identical_with_cloud(self, generator, bursted):
         _, fast_res = bursted
         cloud = CloudLedger(aws_like_cloud_catalog(), seed=0)

@@ -116,15 +116,6 @@ class TestCostObjective:
             2.0 * PRICING.pod_cost(PROFILE)
         )
 
-    def test_total_is_compute_plus_penalty(self):
-        objective = CostObjective(
-            PRICING, StepSLOPenalty(slo_p95_ttft_s=2.0, penalty_per_hour=30.0)
-        )
-        res = _result(p95=5.0, pod_seconds=3600.0)
-        assert objective.total(res, PROFILE) == pytest.approx(
-            PRICING.pod_cost(PROFILE) + 30.0
-        )
-
 
 class TestElasticCandidate:
     def test_validation(self):
@@ -620,55 +611,6 @@ class TestFeedbackScheduler:
         assert len(outcome.iterations) == 1
         assert outcome.contended_totals() == [0]
         assert outcome.iterations[0].adjustments == {}
-
-    def test_cloud_burst_absorbs_contention(self, generator):
-        # Same contended setup as above, but with an unmetered cloud tier:
-        # every denied scale-up rents instead, so the first co-simulation
-        # sees no contention at all and the loop converges immediately.
-        requests, deployments, factories, autoscalers = self._inputs(generator)
-        scheduler = FeedbackScheduler(
-            capacity={PROFILE.gpu.name: 3}, duration_s=90.0, max_iterations=3,
-            cloud=aws_like_cloud_catalog(), pricing=PRICING,
-        )
-        outcome = scheduler.run(
-            requests, deployments, factories, autoscalers=autoscalers
-        )
-        assert outcome.converged
-        assert outcome.contended_totals() == [0]
-        cloud_s = sum(
-            r.cloud_pod_seconds
-            for r in outcome.iterations[0].result.results.values()
-        )
-        assert cloud_s > 0, "the noisy tenant should have rented cloud pods"
-
-    def test_quota_limited_cloud_prefers_burst_over_rightsize(self, generator):
-        # A one-GPU cloud quota leaves residual contention, but tenants
-        # without an SLO qualify for the burst-to-cloud adjustment; once
-        # every adjustment is burst-to-cloud the loop stops re-simulating.
-        requests, deployments, factories, autoscalers = self._inputs(generator)
-        scheduler = FeedbackScheduler(
-            capacity={PROFILE.gpu.name: 3}, duration_s=90.0, max_iterations=3,
-            cloud=aws_like_cloud_catalog(quota_gpus={PROFILE.gpu.name: 1}),
-            pricing=PRICING,
-        )
-        outcome = scheduler.run(
-            requests, deployments, factories, autoscalers=autoscalers
-        )
-        totals = outcome.contended_totals()
-        assert totals[0] > 0, "a one-pod quota must leave residual contention"
-        assert len(outcome.iterations) == 1
-        adjustments = outcome.iterations[0].adjustments
-        assert adjustments
-        assert all(a.startswith("burst-to-cloud") for a in adjustments.values())
-
-    def test_burst_policy_without_catalog_is_rejected(self, generator):
-        from repro.simulation.cloud import BurstPolicy
-
-        with pytest.raises(ValueError, match="nothing to rent from"):
-            FeedbackScheduler(
-                capacity={PROFILE.gpu.name: 3}, duration_s=60.0,
-                burst=BurstPolicy(),
-            )
 
     def test_deterministic(self, generator):
         def run():

@@ -20,6 +20,12 @@ def _leaves(node):
     return _leaves(node.left) + _leaves(node.right)
 
 
+def _depth(node):
+    if node.is_leaf:
+        return 0
+    return 1 + max(_depth(node.left), _depth(node.right))
+
+
 class TestFeatureBinner:
     def test_low_cardinality_thresholds(self):
         X = np.array([[0.0], [1.0], [1.0], [3.0]])
@@ -71,7 +77,7 @@ class TestDecisionTree:
     def test_depth_bounded(self):
         X, y = _toy()
         t = DecisionTreeRegressor(max_depth=3).fit(X, y)
-        assert t.depth() <= 3
+        assert _depth(t.root_) <= 3
         assert _leaves(t.root_) <= 8
 
     def test_min_samples_leaf(self):

@@ -45,12 +45,6 @@ class TestFeatureSpace:
         type_idx = space.feature_names.index("llm_type_code")
         assert x[type_idx] == -1
 
-    def test_derived_features_off_by_default(self):
-        space = FeatureSpace.fit([get_llm("Llama-2-7b")])
-        assert "memory_headroom_gb" not in space.feature_names
-        space2 = FeatureSpace.fit([get_llm("Llama-2-7b")], include_derived=True)
-        assert "memory_headroom_gb" in space2.feature_names
-
     def test_profile_accepts_object_or_name(self):
         space = FeatureSpace.fit([get_llm("Llama-2-7b")])
         a = space.transform_one(get_llm("Llama-2-7b"), "2xA10-24GB", 2)

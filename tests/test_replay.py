@@ -275,7 +275,7 @@ class TestReplayTraffic:
             t, req = traffic.pop(source)
             seen.append((t, req.input_tokens, req.output_tokens))
         assert seen == [(0.0, 10, 4), (0.5, 20, 5), (2.0, 30, 6)]
-        assert traffic.remaining == 0
+        assert traffic.peek() is None
         with pytest.raises(RuntimeError, match="exhausted"):
             traffic.pop(source)
 
@@ -306,7 +306,7 @@ class TestReplayTraffic:
     def test_speedup_and_horizon(self):
         log = make_log([0.0, 10.0, 20.0, 30.0])
         traffic = ReplayTraffic(log, speedup=10.0, horizon_s=2.5)
-        assert traffic.remaining == 3  # 0, 1, 2s survive the clipped horizon
+        assert len(traffic.log) == 3  # 0, 1, 2s survive the clipped horizon
         with pytest.raises(ValueError, match="no arrivals"):
             ReplayTraffic(make_log([]))
 
@@ -382,8 +382,8 @@ class TestGoldenReplay:
 
 class _StubPod:
     def __init__(self, committed):
-        self.batch_weight_in_use = committed
-        self.pending_weight = 0
+        self._batch_weight = committed
+        self._pending_weight = 0
 
 
 class _StubRequest:

@@ -518,7 +518,7 @@ class TestBuildTraffic:
             )
         )
         traffic = spec.build_traffic()
-        assert traffic.remaining == 50
+        assert len(traffic.log) == 50
         # Seeded: building twice replays the identical resample.
         again = spec.build_traffic()
         assert traffic.log.times_s.tolist() == again.log.times_s.tolist()

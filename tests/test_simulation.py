@@ -317,8 +317,8 @@ class TestTrafficModels:
 
 class _StubPod:
     def __init__(self, batch_weight, pending_weight, queue_depth, active):
-        self.batch_weight_in_use = batch_weight
-        self.pending_weight = pending_weight
+        self._batch_weight = batch_weight
+        self._pending_weight = pending_weight
         self.queue_depth = queue_depth
         self.active_requests = active
 

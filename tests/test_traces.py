@@ -90,8 +90,6 @@ class TestSynthesizer:
             TraceConfig(n_requests=0)
         with pytest.raises(ValueError):
             TraceConfig(n_users=0)
-        with pytest.raises(ValueError):
-            TraceConfig(user_archetype_affinity=1.5)
 
     def test_platform_llm_size_range(self):
         t = synthesize_traces(n_requests=1000, seed=0)
