@@ -267,7 +267,7 @@ class TestFastOracleParity:
     loop of :class:`ReferenceEngine`: same step times, same completion
     timestamps, same counters."""
 
-    def _run(self, fast, leap=False):
+    def _run(self, fast, leap=False, max_output=120):
         engine_type = ContinuousBatchingEngine if fast else ReferenceEngine
         engine = engine_type(
             get_llm("Llama-2-13b"), parse_profile("1xA100-40GB"),
@@ -278,7 +278,7 @@ class TestFastOracleParity:
             InferenceRequest(
                 request_id=i,
                 input_tokens=int(rng.integers(20, 400)),
-                output_tokens=int(rng.integers(1, 120)),
+                output_tokens=int(rng.integers(1, max_output)),
                 batch_size=int(rng.integers(1, 3)),
             )
             for i in range(40)
@@ -307,9 +307,21 @@ class TestFastOracleParity:
     def test_leaping_drain_bit_identical(self):
         self._assert_identical(leap=True)
 
-    def _assert_identical(self, leap):
-        fast_engine, fast_results = self._run(fast=True, leap=leap)
-        oracle_engine, oracle_results = self._run(fast=False, leap=leap)
+    def test_leaps_across_token_windows_bit_identical(self):
+        # Long outputs: the drain runs for 330 s of virtual time in
+        # leaps of about 150 steps, so many leaps cross one of the
+        # collector's 10 s token windows.
+        fast_engine = self._assert_identical(leap=True, max_output=1_500)
+        windows, _ = fast_engine.metrics.throughput_timeseries()
+        assert len(windows) > 30
+
+    def _assert_identical(self, leap, max_output=120):
+        fast_engine, fast_results = self._run(
+            fast=True, leap=leap, max_output=max_output
+        )
+        oracle_engine, oracle_results = self._run(
+            fast=False, leap=leap, max_output=max_output
+        )
         assert len(fast_results) == len(oracle_results) == 40
         for mine, ref in zip(fast_results, oracle_results):
             assert mine.request.request_id == ref.request.request_id
@@ -322,6 +334,16 @@ class TestFastOracleParity:
             fast_engine.metrics.itl_samples(),
             oracle_engine.metrics.itl_samples(),
         )
+        for mine, ref in zip(
+            fast_engine.metrics.throughput_timeseries(),
+            oracle_engine.metrics.throughput_timeseries(),
+        ):
+            np.testing.assert_array_equal(mine, ref)
+        assert (
+            fast_engine.metrics.tokens_recorded
+            == oracle_engine.metrics.tokens_recorded
+        )
+        return fast_engine
 
 
 class TestDecodeHorizon:

@@ -10,7 +10,7 @@ prediction, a base value or an importance by even one ulp.
 import numpy as np
 import pytest
 
-from repro.ml import GradientBoostingRegressor, RandomForestRegressor
+from repro.ml import FeatureBinner, GradientBoostingRegressor, RandomForestRegressor
 from repro.models import LLM_CATALOG, get_llm
 from repro.recommendation import LatencyConstraints, PerfModelHyperparams
 from repro.recommendation.features import FeatureSpace
@@ -53,6 +53,38 @@ def test_weighted_monotone_subsampled_gbm(toy):
         0.14204155353649778,
         0.3505025918096155,
         0.007713404556750072,
+    ]
+
+
+def test_unsubsampled_decreasing_gbm(toy):
+    """The recommender's path: every stage fits every row. Deeper trees,
+    a leaf-size floor and a decreasing constraint on a feature the
+    target is not monotone in, so the child-value bounds bind."""
+    X, y, w = toy
+    # Continuous inputs: no training value sits on a bin threshold, so
+    # the pin holds whichever child a value equal to one would train in.
+    thresholds = FeatureBinner(max_bins=64).fit(X).thresholds_
+    assert not any(np.isin(X[:, j], thr).any() for j, thr in enumerate(thresholds))
+    g = GradientBoostingRegressor(
+        n_estimators=30,
+        max_depth=5,
+        min_samples_leaf=3,
+        subsample=1.0,
+        monotone_constraints={1: -1},
+    ).fit(X, y, sample_weight=w)
+    assert g.predict(X[:5]).tolist() == [
+        4.1673890068084996,
+        2.142044654477776,
+        1.0987654636210287,
+        4.274307260569661,
+        3.750387877392981,
+    ]
+    assert g.base_prediction_ == 1.499409858034372
+    assert g.feature_importances_.tolist() == [
+        0.65110056562478,
+        0.07095876670913842,
+        0.24301406257503108,
+        0.03492660509105047,
     ]
 
 
