@@ -132,3 +132,26 @@ class CostModel:
             + self._comm_latency_per_step
         )
         return self._decode_weight_read + kv_read + compute + comm + self._step_overhead
+
+    def decode_terms(self, n_seqs: int) -> tuple[float, float, float, float, float, float]:
+        """The terms of :meth:`decode_step_time` for a batch of ``n_seqs``
+        sequences: ``(weight_read, kv_bytes, bandwidth, compute, comm,
+        overhead)``.
+
+        ``weight_read + kv_tokens * kv_bytes / bandwidth + compute + comm
+        + overhead``, evaluated in that order, is
+        ``decode_step_time(n_seqs, kv_tokens)`` bit for bit, so a loop
+        over steps of one batch can take the terms once and make no call
+        per step.
+        """
+        if n_seqs < 0:
+            raise ValueError("n_seqs must be >= 0")
+        return (
+            self._decode_weight_read,
+            self._decode_kv_bytes,
+            self._effective_bandwidth,
+            self._decode_flops * n_seqs / self._decode_compute_denom,
+            self._comm_bytes_per_token * n_seqs / self._comm_bandwidth
+            + self._comm_latency_per_step,
+            self._step_overhead,
+        )

@@ -52,7 +52,7 @@ from repro.hardware.profile import GPUProfile
 from repro.inference.costmodel import CostModel
 from repro.inference.request import InferenceRequest, RequestResult
 from repro.models.llm import LLMSpec
-from repro.simulation.metrics import MetricsCollector
+from repro.simulation.metrics import MetricsCollector, window_end
 from repro.utils.rng import derive_rng
 
 __all__ = ["ContinuousBatchingEngine", "EngineStats"]
@@ -291,12 +291,13 @@ class ContinuousBatchingEngine:
         """The next step's timing jitter, from the buffer."""
         i = self._noise_at
         if i == _NOISE_BLOCK:
-            self._noise_buf[:] = self._rng.lognormal(
-                0.0, _STEP_NOISE_SIGMA, _NOISE_BLOCK
-            )
+            self._refill_noise()
             i = 0
         self._noise_at = i + 1
         return float(self._noise_buf[i])
+
+    def _refill_noise(self) -> None:
+        self._noise_buf[:] = self._rng.lognormal(0.0, _STEP_NOISE_SIGMA, _NOISE_BLOCK)
 
     def _admit(self) -> list[_Active]:
         """Admission from the waiting queue under the batch-weight cap.
@@ -402,31 +403,57 @@ class ContinuousBatchingEngine:
         are one run of ``n``. Keep that recording order: ``mean_s`` sums
         the samples in it (see docs/architecture.md, "Production core
         vs reference").
+
+        The first step calls the cost model and records its gap runs as
+        one step alone would. Steps 2..k make no call: their cost comes
+        from :meth:`CostModel.decode_terms`, their noise from a list copy
+        of the buffer, and their gaps, one run of ``n`` per step, go to
+        the collector in one ``gap_sink`` call. Tokens add up per token
+        window (see :func:`~repro.simulation.metrics.window_end`) and
+        are recorded once per window, at the time of a step inside it.
         """
-        stats = self.stats
-        gap, tokens = self.metrics.gap_sink, self.metrics.record_tokens
-        step_time, noise = self.cost.decode_step_time, self._noise
-        n, n_seqs, kv = len(self._active), self._seqs, self._kv_tokens
+        stats, metrics = self.stats, self.metrics
+        n, n_seqs, slow = len(self._active), self._seqs, self.slow_factor
+        dt = self.cost.decode_step_time(n_seqs, self._kv_tokens) * self._noise() * slow
+        t = self._time + dt
+        busy = stats.busy_time_s + dt
+        kv = self._kv_tokens + n_seqs
         rows, lasts = self._seg_rows, self._seg_last
-        left, horizon = self._next_mark - self._decode_count, self.horizon
-        t, busy = self._time, stats.busy_time_s
-        run = 0
-        while True:
-            dt = step_time(n_seqs, kv) * noise() * self.slow_factor
-            last = t
-            t += dt
-            busy += dt
-            kv += n_seqs
-            run += 1
-            if run == 1:
-                for j in range(len(rows) - 1):
-                    gap(t - lasts[j], rows[j + 1] - rows[j])
-                gap(t - lasts[-1], n - rows[-1])
-            else:
-                gap(t - last, n)
-            tokens(n_seqs, t)
-            if run == left or t >= horizon:
-                break
+        for j in range(len(rows) - 1):
+            metrics.gap_sink(t - lasts[j], rows[j + 1] - rows[j])
+        metrics.gap_sink(t - lasts[-1], n - rows[-1])
+        # Tokens not yet recorded, all from steps in the window of ``t``.
+        pending = n_seqs
+        run, left, horizon = 1, self._next_mark - self._decode_count, self.horizon
+        if run != left and t < horizon:
+            weight_read, kv_bytes, bandwidth, compute, comm, overhead = (
+                self.cost.decode_terms(n_seqs)
+            )
+            noise, at = self._noise_buf.tolist(), self._noise_at
+            gaps: list[float] = []
+            edge = window_end(t)
+            while run != left and t < horizon:
+                if at == _NOISE_BLOCK:
+                    self._refill_noise()
+                    noise, at = self._noise_buf.tolist(), 0
+                dt = (
+                    weight_read + kv * kv_bytes / bandwidth + compute + comm + overhead
+                ) * noise[at] * slow
+                at += 1
+                last = t
+                t += dt
+                busy += dt
+                kv += n_seqs
+                run += 1
+                gaps.append(t - last)
+                if t < edge:
+                    pending += n_seqs
+                else:
+                    metrics.record_tokens(pending, last)
+                    pending, edge = n_seqs, window_end(t)
+            self._noise_at = at
+            metrics.gap_sink(gaps, n)
+        metrics.record_tokens(pending, t)
         self._time = t
         stats.busy_time_s = busy
         stats.steps += run - 1

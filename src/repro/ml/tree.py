@@ -10,6 +10,12 @@ LightGBM/XGBoost scheme: a split on a constrained feature is rejected
 when the child means violate the direction, and child value bounds
 propagate down the tree (mid-point clamping), which guarantees *global*
 monotonicity of the fitted function.
+
+Trees grow level by level, as LightGBM's histogram method does (Ke et
+al., NeurIPS 2017): one pass builds the histograms of every open node of
+a level at once. Each histogram bin still adds its rows in ascending row
+order, and each node's sums are still numpy's sums over the node's rows,
+so a tree is the same, float for float, as one grown node by node.
 """
 
 from __future__ import annotations
@@ -21,6 +27,27 @@ import numpy as np
 __all__ = ["FeatureBinner", "DecisionTreeRegressor", "TreeNode"]
 
 _EPS = 1e-12
+#: Histogram cells (node x feature x bin) one level pass fills at a
+#: time. A level's open nodes are searched in blocks under this budget,
+#: which keeps the pass's transient arrays to a few MB however many
+#: nodes a deep level holds.
+_BLOCK_CELLS = 1 << 16
+
+
+def _clip(x, lo, hi) -> float:
+    """``float(np.clip(x, lo, hi))`` for scalars, bit for bit: signed
+    zeros and the NaN numpy returns included, without a ufunc call."""
+    if lo != lo:
+        return float(lo)
+    if hi != hi:
+        return float(hi)
+    if x != x:
+        return float(x)
+    if x < lo:
+        x = lo
+    if x > hi:
+        x = hi
+    return float(x)
 
 
 class FeatureBinner:
@@ -83,16 +110,17 @@ class TreeNode:
 
 
 @dataclass
-class _Workspace:
-    """Shared split-search state for one tree fit."""
+class _SplitSpace:
+    """The histogram layout of one tree fit. A node's histogram has
+    ``shape = (features, width)`` cells; a row's cell for feature ``j``
+    is ``offsets[j] + codes[row, j]``. ``pos_cell`` and ``pos_dir`` give
+    the cell and monotone direction of every real split position."""
 
     codes: np.ndarray
-    y: np.ndarray
-    w: np.ndarray
-    binner: FeatureBinner
-    importances: np.ndarray
-    n_bins: np.ndarray
-    directions: np.ndarray
+    offsets: np.ndarray
+    shape: tuple[int, int]
+    pos_cell: np.ndarray
+    pos_dir: np.ndarray
 
 
 class DecisionTreeRegressor:
@@ -176,147 +204,237 @@ class DecisionTreeRegressor:
             if not 0 <= j < self.n_features_:
                 raise ValueError(f"monotone constraint on unknown feature {j}")
             directions[j] = d
-        ws = _Workspace(
-            codes=codes,
-            y=y,
-            w=w,
-            binner=binner,
-            importances=np.zeros(self.n_features_),
-            n_bins=np.array([binner.n_bins(j) for j in range(self.n_features_)]),
-            directions=directions,
-        )
-        idx = np.arange(len(y))
-        self.root_ = self._grow(ws, idx, depth=0, lo=-np.inf, hi=np.inf)
-        total = ws.importances.sum()
-        self.feature_importances_ = (
-            ws.importances / total if total > 0 else ws.importances
-        )
+        self.root_, importances = self._grow(codes, y, w, binner, directions)
+        total = importances.sum()
+        self.feature_importances_ = importances / total if total > 0 else importances
         return self
 
     def _grow(
-        self, ws: _Workspace, idx: np.ndarray, depth: int, lo: float, hi: float
-    ) -> TreeNode:
-        w = ws.w[idx]
-        y = ws.y[idx]
-        sw = w.sum()
-        value = float(np.clip(np.dot(w, y) / (sw + _EPS), lo, hi))
-        node = TreeNode(value=value)
-        if (
-            depth >= self.max_depth
-            or len(idx) < 2 * self.min_samples_leaf
-            or np.all(y == y[0])
-        ):
-            return node
+        self,
+        codes: np.ndarray,
+        y: np.ndarray,
+        w: np.ndarray,
+        binner: FeatureBinner,
+        directions: np.ndarray,
+    ) -> tuple[TreeNode, np.ndarray]:
+        """Grow the tree level by level; returns the root and the split
+        gains summed per feature.
 
-        split = self._best_split(ws, idx, lo, hi)
-        if split is None:
-            return node
-        feature, bin_thr, gain, left_mask, vl, vr = split
-        ws.importances[feature] += gain
-
-        node.feature = feature
-        node.threshold = ws.binner.threshold_value(feature, bin_thr)
-
-        direction = ws.directions[feature]
-        if direction == 0:
-            l_lo, l_hi, r_lo, r_hi = lo, hi, lo, hi
-        else:
-            mid = 0.5 * (vl + vr)
-            if direction > 0:
-                l_lo, l_hi = lo, min(hi, mid)
-                r_lo, r_hi = max(lo, mid), hi
-            else:
-                l_lo, l_hi = max(lo, mid), hi
-                r_lo, r_hi = lo, min(hi, mid)
-
-        left_idx = idx[left_mask]
-        right_idx = idx[~left_mask]
-        node.left = self._grow(ws, left_idx, depth + 1, l_lo, l_hi)
-        node.right = self._grow(ws, right_idx, depth + 1, r_lo, r_hi)
-        return node
-
-    def _best_split(
-        self, ws: _Workspace, idx: np.ndarray, lo: float, hi: float
-    ):
-        """Find the best (feature, bin) split via weighted histograms.
-
-        Every feature is scanned at once: per-feature bin codes are
-        offset into a single flat index so one ``bincount`` builds every
-        histogram, and the gain/validity logic runs on (feature, bin)
-        matrices.
+        ``rows`` holds the rows of a level's nodes, node after node, each
+        node's rows ascending. Every node of the level first gets its
+        value: the weighted mean of its rows, clamped to the bounds its
+        ancestors' monotone splits set. :meth:`_search` then finds the
+        best split of every node that may still split, and each split
+        node's rows are partitioned into the next level, left child
+        first.
         """
-        y = ws.y[idx]
-        w = ws.w[idx]
-        wy = w * y
-        sw = w.sum()
-        swy = wy.sum()
-        n = len(idx)
-        parent_score = swy * swy / (sw + _EPS)
-
-        bins = ws.n_bins
-        max_bins = int(bins.max(initial=0))
-        if max_bins < 2:
-            return None
-        f = len(bins)
-        sub = ws.codes[idx].astype(np.int64)
-        flat = (sub + (np.arange(f) * max_bins)[None, :]).ravel(order="F")
-        size = f * max_bins
-        hist_w = np.bincount(flat, weights=np.tile(w, f), minlength=size)
-        hist_wy = np.bincount(flat, weights=np.tile(wy, f), minlength=size)
-        hist_n = np.bincount(flat, minlength=size)
-        hist_w = hist_w.reshape(f, max_bins)
-        hist_wy = hist_wy.reshape(f, max_bins)
-        hist_n = hist_n.reshape(f, max_bins)
-
-        # Split after bin k: cumulative sums over k in [0, max_bins-2].
-        cw = np.cumsum(hist_w, axis=1)[:, :-1]
-        cwy = np.cumsum(hist_wy, axis=1)[:, :-1]
-        cn = np.cumsum(hist_n, axis=1)[:, :-1]
-        rw = sw - cw
-        rwy = swy - cwy
-        rn = n - cn
-
-        ks = np.arange(max_bins - 1)
-        valid = (
-            (cn >= self.min_samples_leaf)
-            & (rn >= self.min_samples_leaf)
-            & (cw >= self.min_child_weight)
-            & (rw >= self.min_child_weight)
-            & (ks[None, :] < (bins - 1)[:, None])  # threshold must exist
+        n, f = codes.shape
+        n_bins = np.array([binner.n_bins(j) for j in range(f)], dtype=np.intp)
+        width = int(n_bins.max(initial=1))
+        # The real split positions (feature j, after bin k < n_bins[j] - 1)
+        # in row-major order, so argmax ties break as in a dense scan.
+        n_pos = n_bins - 1
+        pos_feature = np.repeat(np.arange(f), n_pos)
+        pos_bin = np.arange(pos_feature.size) - np.repeat(np.cumsum(n_pos) - n_pos, n_pos)
+        space = _SplitSpace(
+            codes=codes,
+            offsets=np.arange(f, dtype=np.intp) * width,
+            shape=(f, width),
+            pos_cell=pos_feature * width + pos_bin,
+            pos_dir=directions[pos_feature],
         )
-        vl = cwy / (cw + _EPS)
-        vr = rwy / (rw + _EPS)
-        directions = ws.directions[:, None]
-        increasing = directions > 0
-        decreasing = directions < 0
-        valid &= ~(increasing & (vl > vr))
-        valid &= ~(decreasing & (vl < vr))
-        constrained = directions != 0
-        # Both child values must be representable inside the node's bounds,
-        # otherwise clipping would destroy the gain estimate.
-        valid &= ~(constrained & (np.minimum(vl, vr) > hi))
-        valid &= ~(constrained & (np.maximum(vl, vr) < lo))
-        if not valid.any():
-            return None
+        pos_feature_l, pos_bin_l = pos_feature.tolist(), pos_bin.tolist()
+        dirs = directions.tolist()
+        twice_leaf = 2 * self.min_samples_leaf
 
-        gains = np.where(
-            valid,
-            cwy * cwy / (cw + _EPS) + rwy * rwy / (rw + _EPS) - parent_score,
-            -np.inf,
-        )
-        fi, k = np.unravel_index(int(np.argmax(gains)), gains.shape)
-        best_gain = float(gains[fi, k])
-        if best_gain <= 1e-9:
-            return None
-        left_mask = sub[:, fi] <= k
-        return (
-            int(fi),
-            int(k),
-            best_gain,
-            left_mask,
-            float(np.clip(vl[fi, k], lo, hi)),
-            float(np.clip(vr[fi, k], lo, hi)),
-        )
+        root = TreeNode(value=0.0)
+        gains: dict[int, float] = {}
+        nodes, lo, hi = [root], [-np.inf], [np.inf]
+        rows, counts = np.arange(n), [n]
+        depth = 0
+        while True:
+            rw, ry = w[rows], y[rows]
+            ends = np.cumsum(counts).tolist()
+            starts = [e - c for e, c in zip(ends, counts)]
+            search = depth < self.max_depth and pos_feature.size > 0
+            if search:
+                uniform = np.logical_and.reduceat(
+                    ry == ry[np.repeat(starts, counts)], starts
+                ).tolist()
+            open_: list[int] = []
+            sw: list[float] = []
+            for i, node in enumerate(nodes):
+                a, b = starts[i], ends[i]
+                total = rw[a:b].sum()
+                node.value = _clip(
+                    np.dot(rw[a:b], ry[a:b]) / (total + _EPS), lo[i], hi[i]
+                )
+                if search and b - a >= twice_leaf and not uniform[i]:
+                    open_.append(i)
+                    sw.append(total)
+            if not open_:
+                break
+            if len(open_) < len(nodes):
+                keep = np.zeros(len(nodes), dtype=bool)
+                keep[open_] = True
+                in_open = np.repeat(keep, counts)
+                rows, rw, ry = rows[in_open], rw[in_open], ry[in_open]
+                nodes = [nodes[i] for i in open_]
+                lo = [lo[i] for i in open_]
+                hi = [hi[i] for i in open_]
+                counts = [counts[i] for i in open_]
+                starts = (np.cumsum(counts) - counts).tolist()
+            rwy = rw * ry
+            swy = [rwy[a:a + c].sum() for a, c in zip(starts, counts)]
+            best, gain, vl, vr = self._search(
+                space, rows, rw, rwy, counts, sw, swy, lo, hi
+            )
+
+            parents, parent_counts = nodes, counts
+            nodes, lo_next, hi_next = [], [], []
+            child: list[int] = []
+            for s, node in enumerate(parents):
+                g = gain[s]
+                if g <= 1e-9:
+                    child.append(-1)
+                    continue
+                fi, k = pos_feature_l[best[s]], pos_bin_l[best[s]]
+                node.feature = fi
+                node.threshold = binner.threshold_value(fi, k)
+                gains[id(node)] = g
+                p_lo, p_hi = lo[s], hi[s]
+                if dirs[fi] == 0:
+                    l_lo, l_hi, r_lo, r_hi = p_lo, p_hi, p_lo, p_hi
+                else:
+                    mid = 0.5 * (_clip(vl[s], p_lo, p_hi) + _clip(vr[s], p_lo, p_hi))
+                    if dirs[fi] > 0:
+                        l_lo, l_hi = p_lo, min(p_hi, mid)
+                        r_lo, r_hi = max(p_lo, mid), p_hi
+                    else:
+                        l_lo, l_hi = max(p_lo, mid), p_hi
+                        r_lo, r_hi = p_lo, min(p_hi, mid)
+                child.append(len(nodes))
+                node.left = TreeNode(value=0.0)
+                node.right = TreeNode(value=0.0)
+                nodes += [node.left, node.right]
+                lo_next += [l_lo, r_lo]
+                hi_next += [l_hi, r_hi]
+            if not nodes:
+                break
+            lo, hi = lo_next, hi_next
+            # Each split node's rows go left (code <= bin) or right; a
+            # stable sort by child keeps every child's rows ascending.
+            owner = np.repeat(np.arange(len(parents)), parent_counts)
+            target = np.array(child)[owner]
+            if len(nodes) < 2 * len(parents):
+                moved = target >= 0
+                rows, owner, target = rows[moved], owner[moved], target[moved]
+            target += (
+                codes[rows, pos_feature[best][owner]] > pos_bin[best][owner]
+            )
+            rows = rows[np.argsort(target, kind="stable")]
+            counts = np.bincount(target, minlength=len(nodes)).tolist()
+            depth += 1
+
+        # Sum the gains in depth-first pre-order, the order a recursive
+        # grower adds them in, so the float sums match.
+        importances = np.zeros(f)
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if not node.is_leaf:
+                importances[node.feature] += gains[id(node)]
+                stack += [node.right, node.left]
+        return root, importances
+
+    def _search(
+        self,
+        space: "_SplitSpace",
+        rows: np.ndarray,
+        rw: np.ndarray,
+        rwy: np.ndarray,
+        counts: list[int],
+        sw: list[float],
+        swy: list[float],
+        lo: list[float],
+        hi: list[float],
+    ) -> tuple[list[int], list[float], list[float], list[float]]:
+        """Best split of every open node of a level.
+
+        Returns, per node, the best split position (an index into the
+        real positions), its gain (``-inf`` when no split is valid) and
+        the unclamped left and right child values.
+
+        Nodes are taken in blocks under :data:`_BLOCK_CELLS`. In a
+        block, every row's cells are offset by its node's slot into one
+        flat ``(node, feature, bin)`` index, so three ``bincount`` calls
+        build every histogram. ``bincount`` adds each bin's rows in input
+        order, ascending within a node, so each histogram and cumulative
+        sum is the float a one-node scan computes. Gains are computed on
+        the real split positions only.
+        """
+        f, width = space.shape
+        node_cells = f * width
+        per_block = max(1, _BLOCK_CELLS // node_cells)
+        increasing = space.pos_dir > 0
+        decreasing = space.pos_dir < 0
+        constrained = space.pos_dir != 0
+        any_constrained = bool(constrained.any())
+        msl, mcw = self.min_samples_leaf, self.min_child_weight
+        best: list[int] = []
+        gain: list[float] = []
+        vl_best: list[float] = []
+        vr_best: list[float] = []
+        a = 0
+        for s0 in range(0, len(counts), per_block):
+            block = counts[s0:s0 + per_block]
+            slots = len(block)
+            b = a + sum(block)
+            flat = space.codes[rows[a:b]] + space.offsets
+            if slots > 1:
+                flat += np.repeat(np.arange(slots) * node_cells, block)[:, None]
+            flat = flat.ravel()
+            size = slots * node_cells
+            shape = (slots, *space.shape)
+            hists = (
+                np.bincount(flat, weights=np.repeat(rw[a:b], f), minlength=size),
+                np.bincount(flat, weights=np.repeat(rwy[a:b], f), minlength=size),
+                np.bincount(flat, minlength=size),
+            )
+            cw, cwy, cn = (
+                np.cumsum(h.reshape(shape), axis=2).reshape(slots, -1)[:, space.pos_cell]
+                for h in hists
+            )
+            a = b
+            w_tot = np.array(sw[s0:s0 + slots])[:, None]
+            wy_tot = np.array(swy[s0:s0 + slots])[:, None]
+            rw_ = w_tot - cw
+            rwy_ = wy_tot - cwy
+            rn = np.array(block)[:, None] - cn
+            valid = (np.minimum(cn, rn) >= msl) & (np.minimum(cw, rw_) >= mcw)
+            dl = cw + _EPS
+            dr = rw_ + _EPS
+            vl = cwy / dl
+            vr = rwy_ / dr
+            if any_constrained:
+                valid &= ~(increasing & (vl > vr))
+                valid &= ~(decreasing & (vl < vr))
+                # Both child values must be representable inside the
+                # node's bounds, otherwise clipping would destroy the
+                # gain estimate.
+                n_hi = np.array(hi[s0:s0 + slots])[:, None]
+                n_lo = np.array(lo[s0:s0 + slots])[:, None]
+                valid &= ~(constrained & (np.minimum(vl, vr) > n_hi))
+                valid &= ~(constrained & (np.maximum(vl, vr) < n_lo))
+            gains = cwy * cwy / dl + rwy_ * rwy_ / dr - wy_tot * wy_tot / (w_tot + _EPS)
+            gains[~valid] = -np.inf
+            pick = np.argmax(gains, axis=1)
+            take = np.arange(slots)
+            best += pick.tolist()
+            gain += gains[take, pick].tolist()
+            vl_best += vl[take, pick].tolist()
+            vr_best += vr[take, pick].tolist()
+        return best, gain, vl_best, vr_best
 
     # ---- prediction ----------------------------------------------------------
 

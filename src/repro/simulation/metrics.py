@@ -95,6 +95,21 @@ _QUANTILES = np.true_divide((50.0, 95.0, 99.0), 100)
 #: Width of the windows the token throughput series bins by (seconds).
 _WINDOW_S = 10.0
 
+
+def window_end(now: float) -> float:
+    """The earliest time :meth:`MetricsCollector.record_tokens` files in
+    a later window than ``now``: every ``t`` with
+    ``now <= t < window_end(now)`` shares ``now``'s window.
+
+    A record's window is ``int(t / _WINDOW_S)``, which rounds the
+    quotient first, yet the end is the exact multiple
+    ``(w + 1) * _WINDOW_S``. The largest double below it is one of its
+    ulps smaller, which is at least 8 ulps of ``w + 1`` (a number 10
+    times larger has an exponent at least 3 higher). Divided by 10, it
+    lies at least 0.8 ulp below ``w + 1``, so its quotient rounds below.
+    """
+    return (int(now / _WINDOW_S) + 1) * _WINDOW_S
+
 #: Most samples one pairwise-sum leaf expands at a time. Any size gives
 #: the same sum; this one bounds the transient array at 512 KiB.
 _SUM_LEAF = 1 << 16
@@ -119,8 +134,9 @@ class _Runs:
 
     def add(self, values, counts) -> None:
         """Append one run of ``counts`` samples equal to ``values`` (a
-        float), or one run per element of ``values`` (a 1-D array), with
-        ``counts`` one count for every run or an array of one each."""
+        float), or one run per element of ``values`` (a list or 1-D
+        array), with ``counts`` one count for every run or an array of
+        one each."""
         n = self._n
         if isinstance(values, float):
             if n == self._values.size:
@@ -129,7 +145,7 @@ class _Runs:
             self._counts[n] = counts
             self._n = n + 1
             return
-        end = n + values.size
+        end = n + len(values)
         if end > self._values.size:
             self._grow(end)
         self._values[n:end] = values
@@ -308,11 +324,13 @@ class MetricsCollector:
 
     def gap_sink(self, gaps, count: int) -> None:
         """Record ``count`` ITL samples equal to ``gaps`` (a float), or
-        ``count`` samples equal to each element of ``gaps`` (a 1-D array).
+        ``count`` samples equal to each element of ``gaps`` (a list or
+        1-D array).
 
         The engine's decode loop emits its gaps as runs through this
         sink: one decode step gives every request of a row segment (rows
-        sharing a last-token time) the same gap.
+        sharing a last-token time) the same gap, and a leap's later
+        steps give all rows one gap each, sent as one list.
         """
         self._itl.add(gaps, count)
 

@@ -79,7 +79,22 @@ class WorkloadGenerator:
         server was tuned against this generator; independent-mode sampling
         can exceed the joint maximum, which is one of its distortions.
         """
-        rng = as_rng(rng)
+        inp, out, batch = self._token_columns(n, as_rng(rng), max_weight)
+        return [
+            InferenceRequest(
+                request_id=first_id + i,
+                input_tokens=int(inp[i]),
+                output_tokens=int(out[i]),
+                batch_size=int(batch[i]),
+            )
+            for i in range(n)
+        ]
+
+    def _token_columns(
+        self, n: int, rng: np.random.Generator, max_weight: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Input tokens, output tokens and batch sizes of ``n`` requests
+        drawn as one column draw (see :meth:`sample_requests`)."""
         cols = self.sample_columns(n, rng=rng)
         inp = np.maximum(cols["input_tokens"].astype(int), 1)
         out = np.maximum(cols["output_tokens"].astype(int), 1)
@@ -94,25 +109,30 @@ class WorkloadGenerator:
             out = np.minimum(out, np.maximum(per_seq - inp, 1))
             inp = np.minimum(inp, per_seq - out)
             inp = np.maximum(inp, 1)
-        return [
-            InferenceRequest(
-                request_id=first_id + i,
-                input_tokens=int(inp[i]),
-                output_tokens=int(out[i]),
-                batch_size=int(batch[i]),
-            )
-            for i in range(n)
-        ]
+        return inp, out, batch
 
     def request_stream(
         self, rng: np.random.Generator | int | None = None, chunk: int = 256
     ) -> Iterator[InferenceRequest]:
-        """Infinite stream of requests (used by closed-loop user pools)."""
+        """Infinite stream of requests (used by closed-loop user pools).
+
+        Requests are drawn ``chunk`` at a time, in one column draw when
+        the first of a chunk is taken, so every later draw from ``rng``
+        is fixed by the chunk size; each request is built only when it
+        is taken, and between takes the stream holds just the chunk's
+        three token columns.
+        """
         rng = as_rng(rng)
         next_id = 0
         while True:
-            for req in self.sample_requests(chunk, rng=rng, first_id=next_id):
-                yield req
+            inp, out, batch = self._token_columns(chunk, rng)
+            for i in range(chunk):
+                yield InferenceRequest(
+                    request_id=next_id + i,
+                    input_tokens=int(inp[i]),
+                    output_tokens=int(out[i]),
+                    batch_size=int(batch[i]),
+                )
             next_id += chunk
 
     # ---- reporting ---------------------------------------------------------

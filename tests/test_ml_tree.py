@@ -1,10 +1,14 @@
 """Tests for the histogram tree engine, including monotonicity properties."""
 
+import itertools
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml import DecisionTreeRegressor, FeatureBinner, r2_score
+from repro.ml.tree import _clip
 
 
 def _toy(n=400, seed=0, d=4):
@@ -61,6 +65,27 @@ class TestFeatureBinner:
     def test_transform_before_fit_raises(self):
         with pytest.raises(RuntimeError):
             FeatureBinner().transform(np.ones((2, 2)))
+
+
+class TestClip:
+    def test_matches_np_clip_bit_for_bit(self):
+        """The scalar clamp returns what ``np.clip`` returns, down to
+        the sign of a zero and which operand's NaN comes back."""
+
+        def bits(x):
+            return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+        def nan(payload, negative=False):
+            raw = 0x7FF8000000000000 | payload | (negative << 63)
+            return struct.unpack("<d", struct.pack("<Q", raw))[0]
+
+        values = [
+            nan(1), nan(2, negative=True), nan(3), -0.0, 0.0, 1.0, -1.0, 2.5,
+            np.inf, -np.inf, 5e-324, -5e-324, 1e308, -1e308,
+        ]
+        for x, lo, hi in itertools.product(values, repeat=3):
+            expected = float(np.clip(np.float64(x), lo, hi))
+            assert bits(_clip(np.float64(x), lo, hi)) == bits(expected), (x, lo, hi)
 
 
 class TestDecisionTree:

@@ -7,6 +7,7 @@ were captured from that original implementation and must never drift.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from repro.simulation import (
     RoundRobinRouter,
     ThresholdPolicy,
 )
+from repro.simulation.metrics import window_end
 from repro.simulation.reference import ReferenceEngine, ReferenceFleetSimulator
 from repro.utils.rng import derive_rng, spawn_seed
 
@@ -407,6 +409,24 @@ class TestMetricsCollector:
         # step leaves one segment and each prefill adds one.
         assert 0 < runs <= engine.stats.decode_steps + engine.stats.prefill_steps
         assert engine.itl_samples().size >= 10 * runs
+
+    @given(st.integers(0, 2**48), st.floats(0.0, 1.0, exclude_max=True))
+    @example(0, 0.0)
+    @example(1, 0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_window_end_is_the_first_time_of_the_next_window(self, window, frac):
+        """record_tokens files ``t`` in window ``int(t / 10)``: every time
+        before ``window_end`` shares the window, the end starts the next."""
+        now = (window + frac) * 10.0
+        end = window_end(now)
+        collector = MetricsCollector()
+        collector.record_tokens(1, now)
+        collector.record_tokens(2, math.nextafter(end, -math.inf))
+        collector.record_tokens(4, end)
+        starts, rates = collector.throughput_timeseries()
+        first = int(now / 10.0)
+        assert starts.tolist() == [first * 10.0, (first + 1) * 10.0]
+        assert rates.tolist() == [3 / 10.0, 4 / 10.0]
 
     def test_samples_snapshot_survives_reset(self):
         collector = MetricsCollector()
