@@ -81,7 +81,10 @@ class FeatureBinner:
         X = np.asarray(X, dtype=float)
         out = np.empty(X.shape, dtype=np.uint8)
         for j, thr in enumerate(self.thresholds_):
-            out[:, j] = np.searchsorted(thr, X[:, j], side="right")
+            # A value equal to threshold k gets code k, so a split after
+            # bin k trains it in the left child, where ``predict``'s
+            # ``x <= threshold`` sends it.
+            out[:, j] = np.searchsorted(thr, X[:, j], side="left")
         return out
 
     def n_bins(self, j: int) -> int:

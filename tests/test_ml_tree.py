@@ -155,6 +155,20 @@ class TestDecisionTree:
         t = DecisionTreeRegressor(max_depth=6).fit(X, y)
         assert np.argmax(t.feature_importances_) == 2
 
+    def test_training_routes_rows_like_predict(self):
+        """A leaf's value is the mean of the training rows ``predict``
+        sends to it, also for rows on a bin threshold: every integer
+        value below repeats, and 12 of the 300 rows sit on one of the
+        seven quantile thresholds."""
+        x = np.repeat(np.arange(100), 3).astype(float)
+        X = x[:, None]
+        thresholds = FeatureBinner(max_bins=8).fit(X).thresholds_[0]
+        assert np.isin(x, thresholds).sum() == 12
+        y = np.sin(x / 7.0)
+        pred = DecisionTreeRegressor(max_depth=3, max_bins=8).fit(X, y).predict(X)
+        for value in np.unique(pred):
+            np.testing.assert_allclose(value, y[pred == value].mean(), atol=1e-12)
+
     def test_constant_target_single_leaf(self):
         X, _ = _toy(100)
         t = DecisionTreeRegressor(max_depth=5).fit(X, np.full(100, 3.3))
