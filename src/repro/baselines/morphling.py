@@ -10,7 +10,6 @@ adaptation step as warm-started gradient descent on the reference rows.
 from __future__ import annotations
 
 import copy
-from collections.abc import Sequence
 
 import numpy as np
 
