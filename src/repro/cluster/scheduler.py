@@ -327,11 +327,20 @@ class FeedbackScheduler:
         autoscalers: dict[str, Autoscaler] | None = None,
         slos: dict[str, float] | None = None,
     ) -> FeedbackOutcome:
-        """Iterate schedule -> co-simulate -> adjust until stable."""
+        """Iterate schedule -> co-simulate -> adjust until stable.
+
+        Raises ``ValueError`` before any co-simulation when the first
+        schedule places no tenant.
+        """
         scheduler = MultiTenantScheduler(
             ClusterInventory(capacity=dict(self.capacity))
         )
         schedule = scheduler.schedule_best_fit(requests)
+        if not schedule.placements:
+            raise ValueError(
+                f"no tenant's profile options fit the capacity {self.capacity}; "
+                f"unplaced tenants: {schedule.unplaced}"
+            )
         placements = list(schedule.placements)
         unplaced = list(schedule.unplaced)
         autoscalers = dict(autoscalers or {})

@@ -612,6 +612,17 @@ class TestFeedbackScheduler:
         assert outcome.contended_totals() == [0]
         assert outcome.iterations[0].adjustments == {}
 
+    def test_nothing_fits_raises_before_simulating(self, generator):
+        requests, deployments, factories, autoscalers = self._inputs(generator)
+        scheduler = FeedbackScheduler(
+            capacity={"A100-40GB": 3}, duration_s=60.0, max_iterations=3
+        )
+        with pytest.raises(ValueError) as err:
+            scheduler.run(requests, deployments, factories, autoscalers=autoscalers)
+        message = str(err.value)
+        assert "{'A100-40GB': 3}" in message
+        assert "['quiet', 'noisy']" in message
+
     def test_deterministic(self, generator):
         def run():
             requests, deployments, factories, autoscalers = self._inputs(generator)
