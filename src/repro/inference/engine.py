@@ -471,17 +471,17 @@ class ContinuousBatchingEngine:
         """Retire the active requests whose finish mark the decode count
         has reached, in active-list order."""
         count = self._decode_count
+        active, marks = self._active, self._marks
         completed: list[RequestResult] = []
-        active: list[_Active] = []
-        marks: list[int] = []
-        for a, mark in zip(self._active, self._marks):
-            if mark == count:
-                self._seqs -= a.request.batch_size
-                completed.append(self._finish(a))
-            else:
-                active.append(a)
-                marks.append(mark)
-        self._active, self._marks = active, marks
+        row = 0
+        # Usually one row of a large batch completes: find and remove
+        # rows with list methods rather than a Python pass over all.
+        for _ in range(marks.count(count)):
+            row = marks.index(count, row)
+            del marks[row]
+            a = active.pop(row)
+            self._seqs -= a.request.batch_size
+            completed.append(self._finish(a))
         self._next_mark = min(marks, default=0)
         return completed
 
