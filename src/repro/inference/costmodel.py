@@ -133,7 +133,9 @@ class CostModel:
         )
         return self._decode_weight_read + kv_read + compute + comm + self._step_overhead
 
-    def decode_terms(self, n_seqs: int) -> tuple[float, float, float, float, float, float]:
+    def decode_terms(
+        self, n_seqs: int
+    ) -> tuple[float, float, float, float, float, float]:
         """The terms of :meth:`decode_step_time` for a batch of ``n_seqs``
         sequences: ``(weight_read, kv_bytes, bandwidth, compute, comm,
         overhead)``.

@@ -297,6 +297,7 @@ class ContinuousBatchingEngine:
         return float(self._noise_buf[i])
 
     def _refill_noise(self) -> None:
+        """Overwrite the jitter buffer with the next 32 draws."""
         self._noise_buf[:] = self._rng.lognormal(0.0, _STEP_NOISE_SIGMA, _NOISE_BLOCK)
 
     def _admit(self) -> list[_Active]:

@@ -238,7 +238,8 @@ class DecisionTreeRegressor:
         # in row-major order, so argmax ties break as in a dense scan.
         n_pos = n_bins - 1
         pos_feature = np.repeat(np.arange(f), n_pos)
-        pos_bin = np.arange(pos_feature.size) - np.repeat(np.cumsum(n_pos) - n_pos, n_pos)
+        first_pos = np.cumsum(n_pos) - n_pos
+        pos_bin = np.arange(pos_feature.size) - np.repeat(first_pos, n_pos)
         space = _SplitSpace(
             codes=codes,
             offsets=np.arange(f, dtype=np.intp) * width,
@@ -405,7 +406,8 @@ class DecisionTreeRegressor:
                 np.bincount(flat, minlength=size),
             )
             cw, cwy, cn = (
-                np.cumsum(h.reshape(shape), axis=2).reshape(slots, -1)[:, space.pos_cell]
+                np.cumsum(h.reshape(shape), axis=2)
+                .reshape(slots, -1)[:, space.pos_cell]
                 for h in hists
             )
             a = b

@@ -110,6 +110,7 @@ def window_end(now: float) -> float:
     """
     return (int(now / _WINDOW_S) + 1) * _WINDOW_S
 
+
 #: Most samples one pairwise-sum leaf expands at a time. Any size gives
 #: the same sum; this one bounds the transient array at 512 KiB.
 _SUM_LEAF = 1 << 16

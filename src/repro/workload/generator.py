@@ -79,16 +79,8 @@ class WorkloadGenerator:
         server was tuned against this generator; independent-mode sampling
         can exceed the joint maximum, which is one of its distortions.
         """
-        inp, out, batch = self._token_columns(n, as_rng(rng), max_weight)
-        return [
-            InferenceRequest(
-                request_id=first_id + i,
-                input_tokens=int(inp[i]),
-                output_tokens=int(out[i]),
-                batch_size=int(batch[i]),
-            )
-            for i in range(n)
-        ]
+        columns = self._token_columns(n, as_rng(rng), max_weight)
+        return list(_requests(first_id, *columns))
 
     def _token_columns(
         self, n: int, rng: np.random.Generator, max_weight: int | None = None
@@ -125,14 +117,7 @@ class WorkloadGenerator:
         rng = as_rng(rng)
         next_id = 0
         while True:
-            inp, out, batch = self._token_columns(chunk, rng)
-            for i in range(chunk):
-                yield InferenceRequest(
-                    request_id=next_id + i,
-                    input_tokens=int(inp[i]),
-                    output_tokens=int(out[i]),
-                    batch_size=int(batch[i]),
-                )
+            yield from _requests(next_id, *self._token_columns(chunk, rng))
             next_id += chunk
 
     # ---- reporting ---------------------------------------------------------
@@ -140,6 +125,19 @@ class WorkloadGenerator:
     def nbytes(self) -> int:
         """Storage footprint of the generator (§V-A size comparison)."""
         return self.model.nbytes()
+
+
+def _requests(
+    first_id: int, inp: np.ndarray, out: np.ndarray, batch: np.ndarray
+) -> Iterator[InferenceRequest]:
+    """One request per row of the token columns, each built when taken."""
+    for i in range(len(inp)):
+        yield InferenceRequest(
+            request_id=first_id + i,
+            input_tokens=int(inp[i]),
+            output_tokens=int(out[i]),
+            batch_size=int(batch[i]),
+        )
 
 
 class TraceReplaySampler:
