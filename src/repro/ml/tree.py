@@ -340,8 +340,8 @@ class DecisionTreeRegressor:
             counts = np.bincount(target, minlength=len(nodes)).tolist()
             depth += 1
 
-        # Sum the gains in depth-first pre-order, the order a recursive
-        # grower adds them in, so the float sums match.
+        # Sum the gains in depth-first pre-order: float addition is not
+        # associative, and the pinned importances are this order's sums.
         importances = np.zeros(f)
         stack = [root]
         while stack:
