@@ -406,12 +406,13 @@ class ContinuousBatchingEngine:
         vs reference").
 
         The first step calls the cost model and records its gap runs as
-        one step alone would. Steps 2..k make no call: their cost comes
-        from :meth:`CostModel.decode_terms`, their noise from a list copy
-        of the buffer, and their gaps, one run of ``n`` per step, go to
-        the collector in one ``gap_sink`` call. Tokens add up per token
-        window (see :func:`~repro.simulation.metrics.window_end`) and
-        are recorded once per window, at the time of a step inside it.
+        one step alone would. Steps 2..k make no call per step: their
+        cost comes from :meth:`CostModel.decode_terms`, their noise from
+        a list copy of the buffer, and their gaps, one run of ``n`` per
+        step, go to the collector in one ``gap_sink`` call. Tokens add
+        up per token window (see
+        :func:`~repro.simulation.metrics.window_end`) and are recorded
+        once per window, at the time of a step inside it.
         """
         stats, metrics = self.stats, self.metrics
         n, n_seqs, slow = len(self._active), self._seqs, self.slow_factor
