@@ -43,6 +43,7 @@ from repro.simulation import (
     Autoscaler,
     AutoscaleConfig,
     BurstyTraffic,
+    ClosedLoopTraffic,
     ClusterInventory,
     ClusterSimulator,
     DiurnalTraffic,
@@ -85,6 +86,9 @@ max_pods = st.integers(min_value=2, max_value=5)
 
 
 def _traffic(kind, rate, seed):
+    if kind == "closed":
+        # Sticky users, from a handful to a few per pod-second of rate.
+        return ClosedLoopTraffic(round(4 * rate))
     rng = derive_rng(seed, "invariant-traffic", kind)
     if kind == "poisson":
         return PoissonTraffic(rate, rng=rng)
@@ -217,12 +221,15 @@ class TestReferenceParity:
     leaps, buffered noise, admission memo) and the reference fleet are
     one simulation: whatever the draw, they agree field for field and
     sample for sample. The drawn pod count and warmup make leaps run and
-    get cut short by arrivals, control events and the warmup boundary."""
+    get cut short by arrivals, control events and the warmup boundary.
+    Sticky closed-loop draws with several pods share one request source
+    across pods, so they also hold the order of its draws to account."""
 
-    @SETTINGS
-    @given(seed=seeds, kind=traffic_kinds, rate=rates,
-           router_kind=router_kinds, autoscaled=st.booleans(),
-           chaos=st.booleans(), n_pods=st.sampled_from([1, 2]),
+    @settings(SETTINGS, max_examples=16)
+    @given(seed=seeds,
+           kind=st.sampled_from(["poisson", "diurnal", "bursty", "closed"]),
+           rate=rates, router_kind=router_kinds, autoscaled=st.booleans(),
+           chaos=st.booleans(), n_pods=st.sampled_from([1, 2, 3, 4]),
            warmup_s=st.sampled_from([0.0, 5.0]))
     def test_production_fleet_equals_reference(
         self, generator, seed, kind, rate, router_kind, autoscaled, chaos,
@@ -244,15 +251,17 @@ class TestReferenceParity:
                 "threshold" if autoscaled else "none", faults=faults,
                 n_pods=n_pods, label="parity", reference=reference,
             )
-            return fleet.run(
+            result = fleet.run(
                 duration_s=DURATION_S, warmup_s=warmup_s, keep_samples=True
             )
+            return result, fleet.source
 
-        mine, ref = run(False), run(True)
+        (mine, mine_source), (ref, ref_source) = run(False), run(True)
         assert _result_fields(mine) == _result_fields(ref)
         np.testing.assert_array_equal(
             mine.metrics.itl_samples(), ref.metrics.itl_samples()
         )
+        assert mine_source.drawn == ref_source.drawn
         if chaos:
             assert mine.fault_events
 

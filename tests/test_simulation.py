@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.characterization import run_load_test, run_open_loop_test
 from repro.hardware import parse_profile
-from repro.inference import ContinuousBatchingEngine
+from repro.inference import ContinuousBatchingEngine, InferenceRequest
 from repro.models import get_llm
 from repro.simulation import (
     Autoscaler,
@@ -547,6 +547,83 @@ class TestFastOracleParity:
         assert fast.itl == oracle.itl
         assert fast.e2e == oracle.e2e
         assert fast.scale_events == oracle.scale_events
+
+    class _SameWeight:
+        """A request stream in which every request weighs 600 tokens,
+        split between prompt and output at random."""
+
+        def request_stream(self, rng):
+            request_id = 0
+            while True:
+                output = int(rng.integers(20, 400))
+                yield InferenceRequest(request_id, 600 - output, output)
+                request_id += 1
+
+    #: Sticky closed-loop fleets that share one request source across
+    #: pods: (pods, users, router, pods kept by a scale-down, warmup).
+    CLOSED = {
+        # Few users per pod: pods sit idle between a completion and its
+        # follow-up, and wake again at the follow-up's arrival.
+        "few-users": (5, 8, "round-robin", None, 5.0),
+        "few-users-least-loaded": (3, 5, "least-loaded", None, 0.0),
+        # The threshold policy drains one of five round-robin pods at
+        # t=10 s; it retires while its users' follow-ups are pending,
+        # and the router places them on the four pods left.
+        "scale-down": (5, 12, "round-robin", 4, 0.0),
+        # Every request weighs the same, so t=0 placement is all ties.
+        "equal-weights": (6, 100, "least-loaded", None, 0.0),
+    }
+
+    def _run_closed(self, generator, fast, case):
+        n_pods, users, router, keep, warmup_s = self.CLOSED[case]
+        engine_type = ContinuousBatchingEngine if fast else ReferenceEngine
+        fleet_type = FleetSimulator if fast else ReferenceFleetSimulator
+
+        def factory(serial):
+            return engine_type(
+                LLM, PROFILE, max_batch_weight=12_000,
+                seed=spawn_seed(9, "pod", serial),
+            )
+
+        autoscaler = None
+        if keep is not None:
+            autoscaler = Autoscaler(
+                ThresholdPolicy(slo_p95_ttft_s=1.0),
+                AutoscaleConfig(
+                    decision_interval_s=10.0, min_pods=keep, max_pods=n_pods,
+                    cold_start_s=5.0, metrics_window_s=10.0,
+                ),
+            )
+        if case == "equal-weights":
+            generator = self._SameWeight()
+        source = RequestSource(
+            generator, derive_rng(9, "closed-parity", users), 12_000
+        )
+        fleet = fleet_type(
+            [factory(i) for i in range(n_pods)],
+            ClosedLoopTraffic(users),
+            LeastLoadedRouter() if router == "least-loaded" else RoundRobinRouter(),
+            source,
+            autoscaler=autoscaler,
+            pod_factory=factory,
+        )
+        return fleet.run(duration_s=40.0, warmup_s=warmup_s), source
+
+    @pytest.mark.parametrize("case", list(CLOSED))
+    def test_closed_loop_fleets_bit_identical(self, generator, case):
+        fast, fast_source = self._run_closed(generator, True, case)
+        oracle, oracle_source = self._run_closed(generator, False, case)
+        for field in dataclasses.fields(fast):
+            if field.name not in ("metrics", "wall_time_s"):
+                assert getattr(fast, field.name) == getattr(oracle, field.name), (
+                    field.name
+                )
+        np.testing.assert_array_equal(
+            fast.metrics.itl_samples(), oracle.metrics.itl_samples()
+        )
+        assert fast_source.drawn == oracle_source.drawn
+        if case == "scale-down":
+            assert [p.state for p in fast.per_pod].count("retired") == 1
 
     def test_fast_run_times_itself(self, generator):
         result = self._run(generator, fast=True, autoscaled=False)
