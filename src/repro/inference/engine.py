@@ -114,10 +114,9 @@ class ContinuousBatchingEngine:
         self.max_batch_weight = int(max_batch_weight)
         self.cost = CostModel(llm, profile)
         self._rng = derive_rng(seed, "engine", llm.name, profile.name)
-        # Jitter buffer, spent until the first draw refills it. Refills
-        # copy into this one array: a new array per refill raised
-        # perfbench fleet-closed-96 peak RSS by about 0.3 MB.
-        self._noise_buf = np.empty(_NOISE_BLOCK)
+        # Jitter buffer as floats, spent until the first draw refills it,
+        # so a decode leap reads it without a copy.
+        self._noise_buf: list[float] = []
         self._noise_at = _NOISE_BLOCK
         # Fault layer: a transient slowdown multiplies every step's cost.
         # Exactly 1.0 outside fault windows, where ``x * 1.0 == x`` in
@@ -129,6 +128,9 @@ class ContinuousBatchingEngine:
         # touches it before this virtual time. The default promises
         # nothing, so every step() call is one iteration.
         self.horizon = float("-inf")
+        #: Virtual time at which the latest simulated step started (the
+        #: last step of a leap): the fleet orders completions by it.
+        self.step_start = 0.0
 
         self._time = 0.0
         self._queue: deque[tuple[InferenceRequest, float]] = deque()
@@ -157,6 +159,11 @@ class ContinuousBatchingEngine:
         # since adds one.
         self._seg_rows: list[int] = []
         self._seg_last: list[float] = []
+        # Per-batch decode cost terms, kept until _seqs changes, and the
+        # end of the token window of a time no later than the clock.
+        self._terms = self.cost.decode_terms(0)
+        self._terms_seqs = 0
+        self._edge = 0.0
         # Failed-admission memo: a scan that admitted nothing stays
         # futile until a completion frees budget/slots, or a new arrival
         # lands on a queue the scan had exhausted.
@@ -229,6 +236,7 @@ class ContinuousBatchingEngine:
         if not (self._queue or self._active):
             return []
         self.stats.steps += 1
+        self.step_start = self._time
         # Skip the scan while the failed-admission memo holds: the queue
         # is unchanged (admission is the only consumer), the budget is
         # unchanged (only completions free weight), and the passage of
@@ -294,11 +302,14 @@ class ContinuousBatchingEngine:
             self._refill_noise()
             i = 0
         self._noise_at = i + 1
-        return float(self._noise_buf[i])
+        return self._noise_buf[i]
 
-    def _refill_noise(self) -> None:
-        """Overwrite the jitter buffer with the next 32 draws."""
-        self._noise_buf[:] = self._rng.lognormal(0.0, _STEP_NOISE_SIGMA, _NOISE_BLOCK)
+    def _refill_noise(self) -> list[float]:
+        """Replace the jitter buffer with the next 32 draws; returns it."""
+        self._noise_buf = self._rng.lognormal(
+            0.0, _STEP_NOISE_SIGMA, _NOISE_BLOCK
+        ).tolist()
+        return self._noise_buf
 
     def _admit(self) -> list[_Active]:
         """Admission from the waiting queue under the batch-weight cap.
@@ -405,21 +416,36 @@ class ContinuousBatchingEngine:
         the samples in it (see docs/architecture.md, "Production core
         vs reference").
 
-        The first step calls the cost model and records its gap runs as
-        one step alone would. Steps 2..k make no call per step: their
-        cost comes from :meth:`CostModel.decode_terms`, their noise from
-        a list copy of the buffer, and their gaps, one run of ``n`` per
-        step, go to the collector in one ``gap_sink`` call. Tokens add
-        up per token window (see
-        :func:`~repro.simulation.metrics.window_end`) and are recorded
-        once per window, at the time of a step inside it.
+        No step calls the cost model: each costs itself, in
+        ``decode_step_time``'s operand order, from the batch's
+        :meth:`CostModel.decode_terms`, taken again only when the
+        batch's sequence count has changed, and reads its noise from the
+        buffer, a list of floats. The first step records its gap runs as
+        one step alone would. The gaps of steps 2..k, one run of ``n``
+        per step, go to the collector in one ``gap_sink`` call. Tokens
+        add up per token window and are recorded once per window, at the
+        time of a step inside it; the engine keeps the end of the latest
+        window it found (see :func:`~repro.simulation.metrics.window_end`),
+        so most leaps compute none. :attr:`step_start` ends at the start
+        of the call's last step.
         """
         stats, metrics = self.stats, self.metrics
         n, n_seqs, slow = len(self._active), self._seqs, self.slow_factor
-        dt = self.cost.decode_step_time(n_seqs, self._kv_tokens) * self._noise() * slow
+        if n_seqs != self._terms_seqs:
+            self._terms = self.cost.decode_terms(n_seqs)
+            self._terms_seqs = n_seqs
+        weight_read, kv_bytes, bandwidth, compute, comm, overhead = self._terms
+        noise, at = self._noise_buf, self._noise_at
+        if at == _NOISE_BLOCK:
+            noise, at = self._refill_noise(), 0
+        kv = self._kv_tokens
+        dt = (
+            weight_read + kv * kv_bytes / bandwidth + compute + comm + overhead
+        ) * noise[at] * slow
+        at += 1
         t = self._time + dt
         busy = stats.busy_time_s + dt
-        kv = self._kv_tokens + n_seqs
+        kv += n_seqs
         rows, lasts = self._seg_rows, self._seg_last
         for j in range(len(rows) - 1):
             metrics.gap_sink(t - lasts[j], rows[j + 1] - rows[j])
@@ -428,16 +454,13 @@ class ContinuousBatchingEngine:
         pending = n_seqs
         run, left, horizon = 1, self._next_mark - self._decode_count, self.horizon
         if run != left and t < horizon:
-            weight_read, kv_bytes, bandwidth, compute, comm, overhead = (
-                self.cost.decode_terms(n_seqs)
-            )
-            noise, at = self._noise_buf.tolist(), self._noise_at
+            edge = self._edge
+            if t >= edge:
+                edge = window_end(t)
             gaps: list[float] = []
-            edge = window_end(t)
             while run != left and t < horizon:
                 if at == _NOISE_BLOCK:
-                    self._refill_noise()
-                    noise, at = self._noise_buf.tolist(), 0
+                    noise, at = self._refill_noise(), 0
                 dt = (
                     weight_read + kv * kv_bytes / bandwidth + compute + comm + overhead
                 ) * noise[at] * slow
@@ -453,8 +476,11 @@ class ContinuousBatchingEngine:
                 else:
                     metrics.record_tokens(pending, last)
                     pending, edge = n_seqs, window_end(t)
-            self._noise_at = at
-            metrics.gap_sink(gaps, n)
+            self._edge = edge
+            self.step_start = last
+            # One gap goes down the collector's scalar path.
+            metrics.gap_sink(gaps if run > 2 else gaps[0], n)
+        self._noise_at = at
         metrics.record_tokens(pending, t)
         self._time = t
         stats.busy_time_s = busy

@@ -662,6 +662,23 @@ class FleetSimulator:
         # Whether pods learn a horizon, so a step may leap through a run of
         # decode steps (see _reindex); decided when the in-service pods change.
         self._horizons = False
+        # Sticky closed-loop traffic with no scheduled arrivals, faults or
+        # admission control keeps the pods independent: a follow-up only
+        # reaches the pod that drew it. Such a fleet with several pods
+        # leaps under per-pod horizons (_sticky) and queues each
+        # completion's draw in _draws until the loop top can make it in
+        # the one-step loop's order. _routed holds the times of pending
+        # arrivals the router will place, which every horizon keeps.
+        self._independent = (
+            traffic.sticky
+            and type(traffic).peek is TrafficModel.peek
+            and faults is None
+            and self._admission is None
+        )
+        self._sticky = False
+        self._draws: list = []
+        self._draw_seq = 0
+        self._routed: list[float] = []
         self._next_decision = float("inf")
         # Fault layer (simulation.faults): a seeded injector feeds the
         # run loop crash / slowdown / zone-outage events on the shared
@@ -826,8 +843,7 @@ class FleetSimulator:
             self._next_fault = self.faults.next_time
         else:
             self._next_fault = float("inf")
-        for request in self.traffic.initial_arrivals(self.source):
-            self._dispatch(request, 0.0)
+        self._place_initial(self.traffic.initial_arrivals(self.source))
         # Where the router placed the initial population (for closed-loop
         # traffic this is the per-pod user assignment, since follow-ups
         # are sticky by default).
@@ -933,23 +949,16 @@ class FleetSimulator:
                 pod.reset_metrics()
             self._warmed_up = True
         if self._horizons:
-            stepping.horizon = self._horizon(next_control)
+            stepping.horizon = self._horizon(stepping, next_control)
             steps = stepping.stats.steps
             finished = stepping.step()
             self._events += stepping.stats.steps - steps
         else:
             finished = stepping.step()
             self._events += 1
-        self._completions += len(finished)
-        for result in finished:
-            follow_up = self.traffic.on_complete(result, stepping.time, self.source)
-            if follow_up is not None:
-                self._seq += 1
-                hint = self._serials[id(stepping)] if self.traffic.sticky else None
-                heapq.heappush(
-                    self._pending,
-                    (stepping.time, self._seq, hint, follow_up, False),
-                )
+        if finished:
+            self._completions += len(finished)
+            self._completed(stepping, finished)
         if self._draining:
             self._retire_drained(stepping.time)
         # The step moved the pod's clock: its old heap entry is now
@@ -966,7 +975,10 @@ class FleetSimulator:
         the single-pod driver submits boundary-crossing resubmissions.
         They bypass admission control: shedding at the boundary would
         break arrival accounting parity with the single-pod driver.
+        Draws still queued are made first, in their order.
         """
+        while self._draws:
+            self._follow_up(*heapq.heappop(self._draws)[3:])
         while self._pending:
             t, _, hint, request, counted = heapq.heappop(self._pending)
             self._dispatch(request, t, pod_hint=hint, force=True, counted=counted)
@@ -984,29 +996,41 @@ class FleetSimulator:
     def _reindex(self) -> None:
         """Re-index the in-service pods after their membership changed.
 
-        Also decides whether they may leap. A leap is safe while nothing
-        outside a pod can reach its batch before :meth:`_horizon`, which
-        fails in two cases. A draining fleet retires an idle draining pod
-        at the end of whichever step any of its pods takes next, so a
-        leap would move the retirement and its bill. And with several
-        routable pods, a completion-driven follow-up may be routed to
-        another pod, at a time only the completing pod's steps reveal.
-        Pods of a fleet that stops leaping lose their last horizon, so
-        every step() call is again one iteration.
+        Also decides whether and how they may leap. A leap is safe while
+        nothing outside a pod can reach its batch before
+        :meth:`_horizon`, which fails in two cases. A draining fleet
+        retires an idle draining pod at the end of whichever step any of
+        its pods takes next, so a leap would move the retirement and its
+        bill. And with several routable pods, a completion-driven
+        follow-up may be routed to another pod, at a time only the
+        completing pod's steps reveal. Sticky follow-ups are not routed:
+        in an independent fleet (see ``__init__``) each pod leaps under
+        its own horizon, which leaves out the follow-ups bound to other
+        pods, and the completions' draws wait in order (see
+        :meth:`_completed`). Pods of a fleet that stops leaping lose
+        their last horizon, so every step() call is again one iteration.
         """
         in_service = self._in_service()
         self._frontier.rebuild(in_service)
-        horizons = not self._draining and (
-            len(self.pods) <= 1
-            or type(self.traffic).on_complete is TrafficModel.on_complete
-        )
+        open_loop = type(self.traffic).on_complete is TrafficModel.on_complete
+        several = len(self.pods) > 1 and not open_loop
+        sticky = several and self._independent and not self._draining
+        horizons = not self._draining and (not several or sticky)
+        if sticky:
+            routable = self._routable
+            self._routed = sorted(
+                t for t, _, hint, _, _ in self._pending if hint not in routable
+            )
         if self._horizons and not horizons:
             for pod in in_service:
                 pod.horizon = float("-inf")
         self._horizons = horizons
+        self._sticky = sticky
 
-    def _horizon(self, next_control: float) -> float:
-        """The earliest time an event outside the pods can reach them.
+    def _horizon(
+        self, pod: "ContinuousBatchingEngine", next_control: float
+    ) -> float:
+        """The earliest time an event outside the fleet can reach ``pod``.
 
         The earliest of the next scheduled arrival, the pending heap's
         head (follow-ups, deferred retries and crash requeues), the next
@@ -1014,6 +1038,14 @@ class FleetSimulator:
         until it has passed, the warmup boundary. Every decode step that
         starts before it would run before any of those in a
         one-step-per-event loop.
+
+        An independent fleet with several pods bounds each pod by the
+        pending arrivals the router will place instead of the whole
+        heap: those with no pod hint or a hint to a drained or retired
+        pod. Its follow-ups bound to another routable pod never reach
+        this one, and none is bound to the stepping pod itself: the loop
+        top made its draws and injected their follow-ups, which are due
+        by then at its clock.
 
         Another tenant's control event counts too. The loop steps its
         frontier pod right after a control tick, before the ticked
@@ -1024,11 +1056,59 @@ class FleetSimulator:
         t = self.traffic.peek()
         if t is not None and t < horizon:
             horizon = t
-        if self._pending and self._pending[0][0] < horizon:
+        if self._sticky:
+            # Routed arrivals at or before the frontier pod's clock were
+            # injected at the loop top.
+            routed = self._routed
+            while routed and routed[0] <= pod._time:
+                del routed[0]
+            if routed and routed[0] < horizon:
+                horizon = routed[0]
+        elif self._pending and self._pending[0][0] < horizon:
             horizon = self._pending[0][0]
         if not self._warmed_up and self._warmup_s < horizon:
             horizon = self._warmup_s
         return horizon
+
+    def _completed(
+        self, stepping: "ContinuousBatchingEngine", finished: list
+    ) -> None:
+        """Draw the follow-ups of the requests one step finished.
+
+        The one-step loop draws them from the shared source as the step
+        runs, so draws come in the order of the completing steps' start
+        times, then of the pods' service order (the frontier's
+        tie-break), then of completion within the step. In a leaping
+        independent fleet a pod may run ahead of pods whose steps start
+        earlier and may complete too, so the draws wait in ``_draws``
+        under that key; :meth:`_inject_due` makes each once no pod can
+        still take a step that comes before it.
+        """
+        hint = self._serials[id(stepping)] if self.traffic.sticky else None
+        if not self._sticky:
+            self._follow_up(hint, finished)
+            return
+        self._draw_seq += 1
+        heapq.heappush(
+            self._draws,
+            (
+                stepping.step_start,
+                self._frontier.order(stepping),
+                self._draw_seq,
+                hint,
+                finished,
+            ),
+        )
+
+    def _follow_up(self, hint: int | None, finished: list) -> None:
+        """Draw each finished request's follow-up and make it pending at
+        the request's finish time, bound to pod serial ``hint``."""
+        for result in finished:
+            t = result.finished_at
+            follow_up = self.traffic.on_complete(result, t, self.source)
+            if follow_up is not None:
+                self._seq += 1
+                heapq.heappush(self._pending, (t, self._seq, hint, follow_up, False))
 
     def _inject_due(self, cutoff: float) -> None:
         """Submit every arrival that is due at the current fleet frontier.
@@ -1040,17 +1120,37 @@ class FleetSimulator:
         arrivals beyond ``cutoff`` are never materialized;
         completion-driven resubmissions and deferred retries (already
         materialized) always drain.
+
+        Queued draws (see :meth:`_completed`) are made here too, in
+        their order. A draw waits while the frontier pod's step comes
+        before the completing one in the one-step loop: by start time,
+        then service order. And an arrival due at or before a draw's
+        step start goes first, because it may wake an idle pod whose
+        step then comes before the draw.
         """
+        draws = self._draws
         while True:
             t_sched = self.traffic.peek()
             if t_sched is not None and t_sched >= cutoff:
                 t_sched = None
             t_pend = self._pending[0][0] if self._pending else None
-            if t_pend is None and t_sched is None:
+            if t_pend is None and t_sched is None and not draws:
                 return
             use_pending = t_pend is not None and (t_sched is None or t_pend <= t_sched)
             t = t_pend if use_pending else t_sched
             frontier = self._frontier.peek()
+            if draws and (t is None or t > draws[0][0]):
+                start, order = draws[0][0], draws[0][1]
+                if frontier is not None and (
+                    frontier._time < start
+                    or (
+                        frontier._time == start
+                        and self._frontier.order(frontier) < order
+                    )
+                ):
+                    return
+                self._follow_up(*heapq.heappop(draws)[3:])
+                continue
             if frontier is not None and t > frontier._time:
                 return
             if use_pending:
@@ -1121,6 +1221,15 @@ class FleetSimulator:
                     return
             i = self.router.route(request, arrival_time, self.pods)
             pod = self.pods[i]
+        self._submit(pod, request, arrival_time)
+
+    def _submit(
+        self,
+        pod: "ContinuousBatchingEngine",
+        request: "InferenceRequest",
+        arrival_time: float,
+    ) -> None:
+        """Hand a routed arrival to ``pod``."""
         was_busy = pod.has_work()
         if pod.time < arrival_time:
             pod.advance_to(arrival_time)
@@ -1132,6 +1241,30 @@ class FleetSimulator:
             # pod's clock never moves on submit.
             self._frontier.push(pod)
         self.routed_counts[self._serials[id(pod)]] += 1
+
+    def _place_initial(self, requests: list["InferenceRequest"]) -> None:
+        """Offer the t=0 population to the front end.
+
+        A :class:`LeastLoadedRouter` picks the pod with the smallest
+        ``(committed_load, index)``, and a placement moves only the
+        chosen pod's load. So a heap of those keys places each request
+        in O(log pods), where the router scans every pod. Any other
+        router places one arrival at a time.
+        """
+        if type(self.router) is not LeastLoadedRouter or not requests:
+            for request in requests:
+                self._dispatch(request, 0.0)
+            return
+        self.arrivals += len(requests)
+        self._window_arrivals[0] = self._window_arrivals.get(0, 0) + len(requests)
+        pods = self.pods
+        heap = [(committed_load(pod), i) for i, pod in enumerate(pods)]
+        heapq.heapify(heap)
+        for request in requests:
+            i = heap[0][1]
+            pod = pods[i]
+            self._submit(pod, request, 0.0)
+            heapq.heapreplace(heap, (committed_load(pod), i))
 
     # ---- fault handling ---------------------------------------------------
 

@@ -54,9 +54,11 @@ def committed_load(pod: "ContinuousBatchingEngine") -> int:
 
     The in-flight batch weight plus the weight still waiting in the
     pod's queue — the load measure all least-loaded selections share.
-    Reads the engine's private counters directly: the initial routing
-    pass evaluates this O(users * pods) times, where two property
-    dispatches per pod are measurable.
+    Reads the engine's private counters directly: a least-loaded router
+    evaluates this once per pod for every arrival it places, where two
+    property dispatches per pod are measurable. (The fleet places a
+    least-loaded t=0 population through a heap instead, one evaluation
+    per request; see ``FleetSimulator._place_initial``.)
     """
     return pod._batch_weight + pod._pending_weight
 
@@ -102,6 +104,11 @@ class EventFrontier:
             (pod.time, i) for i, pod in enumerate(self._pods) if pod.has_work()
         ]
         heapq.heapify(self._heap)
+
+    def order(self, pod: "ContinuousBatchingEngine") -> int:
+        """``pod``'s position in the indexed service order: the
+        tie-break between pods on equal clocks."""
+        return self._order[id(pod)]
 
     def push(self, pod: "ContinuousBatchingEngine") -> None:
         """Record ``pod``'s current clock (after a submit or step).

@@ -5,12 +5,18 @@ plainer implementation of the same semantics. Those implementations
 live here, each a subclass that overrides exactly the optimized piece:
 
 * :class:`ReferenceEngine` decodes one request at a time, one step per
-  call, draws each step's jitter on its own and rescans the queue on
-  every step; it never reads the finish marks, the last-token segments,
-  the noise buffer or the admission memo;
+  call, costs each step with ``CostModel.decode_step_time``, draws each
+  step's jitter on its own and rescans the queue on every step; it
+  never reads the finish marks, the last-token segments, the noise
+  buffer, the cached cost terms or the admission memo;
 * :class:`ReferenceFleetSimulator` finds the next pod to step with an
   O(pods) scan of the fleet's live in-service list instead of the
-  :class:`~repro.simulation.frontier.EventFrontier` heap;
+  :class:`~repro.simulation.frontier.EventFrontier` heap, has the router
+  place every t=0 arrival instead of placing a least-loaded population
+  through a heap, and draws each completion's follow-up as the
+  completion happens, where a fleet whose pods leap under their own
+  horizons queues the draws and makes them in the one-step loop's
+  order;
 * :class:`ReferenceClusterSimulator` runs the cluster loop with three
   O(tenants) scans per event instead of the
   :class:`~repro.simulation.frontier.ClusterFrontier`;
@@ -49,6 +55,7 @@ class ReferenceEngine(ContinuousBatchingEngine):
         if not (self._queue or self._active):
             return []
         self.stats.steps += 1
+        self.step_start = self._time
         if self._queue:
             admitted = self._admit()
             if admitted:
@@ -118,11 +125,23 @@ class _ScanFrontier:
 
 
 class ReferenceFleetSimulator(FleetSimulator):
-    """The fleet with an O(pods) frontier scan instead of the heap."""
+    """The fleet with an O(pods) frontier scan instead of the heap, the
+    router placing every t=0 arrival, and every follow-up drawn as its
+    completion happens."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._frontier = _ScanFrontier(self)
+
+    def _place_initial(self, requests) -> None:
+        """Offer the t=0 population one arrival at a time."""
+        for request in requests:
+            self._dispatch(request, 0.0)
+
+    def _completed(self, stepping, finished) -> None:
+        """Draw the follow-ups now, with no queue."""
+        hint = self._serials[id(stepping)] if self.traffic.sticky else None
+        self._follow_up(hint, finished)
 
 
 class ReferenceClusterSimulator(ClusterSimulator):

@@ -575,12 +575,19 @@ class TestFastOracleParity:
     }
 
     def _run_closed(self, generator, fast, case):
+        """The fleet's result, its request source and its step() calls."""
         n_pods, users, router, keep, warmup_s = self.CLOSED[case]
         engine_type = ContinuousBatchingEngine if fast else ReferenceEngine
         fleet_type = FleetSimulator if fast else ReferenceFleetSimulator
+        calls = [0]
+
+        class Counted(engine_type):
+            def step(self):
+                calls[0] += 1
+                return super().step()
 
         def factory(serial):
-            return engine_type(
+            return Counted(
                 LLM, PROFILE, max_batch_weight=12_000,
                 seed=spawn_seed(9, "pod", serial),
             )
@@ -607,12 +614,12 @@ class TestFastOracleParity:
             autoscaler=autoscaler,
             pod_factory=factory,
         )
-        return fleet.run(duration_s=40.0, warmup_s=warmup_s), source
+        return fleet.run(duration_s=40.0, warmup_s=warmup_s), source, calls[0]
 
     @pytest.mark.parametrize("case", list(CLOSED))
     def test_closed_loop_fleets_bit_identical(self, generator, case):
-        fast, fast_source = self._run_closed(generator, True, case)
-        oracle, oracle_source = self._run_closed(generator, False, case)
+        fast, fast_source, fast_calls = self._run_closed(generator, True, case)
+        oracle, oracle_source, oracle_calls = self._run_closed(generator, False, case)
         for field in dataclasses.fields(fast):
             if field.name not in ("metrics", "wall_time_s"):
                 assert getattr(fast, field.name) == getattr(oracle, field.name), (
@@ -622,6 +629,9 @@ class TestFastOracleParity:
             fast.metrics.itl_samples(), oracle.metrics.itl_samples()
         )
         assert fast_source.drawn == oracle_source.drawn
+        # The production pods leapt; the reference stepped one at a time.
+        assert fast_calls < fast.sim_events
+        assert oracle_calls == oracle.sim_events
         if case == "scale-down":
             assert [p.state for p in fast.per_pod].count("retired") == 1
 
