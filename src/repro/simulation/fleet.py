@@ -938,7 +938,9 @@ class FleetSimulator:
         every tenant's. Where the fleet allows it, the pod first learns
         its horizon (see :meth:`_horizon`), so the step may be a leap
         through a whole run of decode steps; the fleet counts every step
-        simulated.
+        simulated. The follow-ups of the requests it finished are drawn
+        now, or queued where pods leap ahead of one another (see
+        :meth:`_completed`).
         """
         if not self._warmed_up and stepping.time >= self._warmup_s:
             # Reset every engine ever provisioned, not just the ones
@@ -1015,7 +1017,7 @@ class FleetSimulator:
         open_loop = type(self.traffic).on_complete is TrafficModel.on_complete
         several = len(self.pods) > 1 and not open_loop
         sticky = several and self._independent and not self._draining
-        horizons = not self._draining and (not several or sticky)
+        horizons = not self._draining and (sticky or not several)
         if sticky:
             routable = self._routable
             self._routed = sorted(
@@ -1140,14 +1142,9 @@ class FleetSimulator:
             t = t_pend if use_pending else t_sched
             frontier = self._frontier.peek()
             if draws and (t is None or t > draws[0][0]):
-                start, order = draws[0][0], draws[0][1]
                 if frontier is not None and (
-                    frontier._time < start
-                    or (
-                        frontier._time == start
-                        and self._frontier.order(frontier) < order
-                    )
-                ):
+                    frontier._time, self._frontier.order(frontier)
+                ) < draws[0][:2]:
                     return
                 self._follow_up(*heapq.heappop(draws)[3:])
                 continue
@@ -1251,7 +1248,7 @@ class FleetSimulator:
         in O(log pods), where the router scans every pod. Any other
         router places one arrival at a time.
         """
-        if type(self.router) is not LeastLoadedRouter or not requests:
+        if type(self.router) is not LeastLoadedRouter:
             for request in requests:
                 self._dispatch(request, 0.0)
             return
