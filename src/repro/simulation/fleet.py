@@ -1142,9 +1142,16 @@ class FleetSimulator:
             t = t_pend if use_pending else t_sched
             frontier = self._frontier.peek()
             if draws and (t is None or t > draws[0][0]):
+                # The frontier's service order matters only on a tie of
+                # clocks, so it is looked up only then.
+                start, order = draws[0][0], draws[0][1]
                 if frontier is not None and (
-                    frontier._time, self._frontier.order(frontier)
-                ) < draws[0][:2]:
+                    frontier._time < start
+                    or (
+                        frontier._time == start
+                        and self._frontier.order(frontier) < order
+                    )
+                ):
                     return
                 self._follow_up(*heapq.heappop(draws)[3:])
                 continue
