@@ -8,10 +8,10 @@ as ``bench_core_speed.py`` does for the fleet core:
 
 1. the heap-driven cluster loop (:class:`ClusterSimulator`) is
    *bit-identical* to the O(tenants)-scan loop of
-   :class:`ReferenceClusterSimulator` — per-tenant results, latency
-   distributions, and the inventory event stream — on a many-tenant
-   contended cluster, with and without a chaos/fault schedule
-   (same-instant fault collisions included);
+   :class:`ReferenceClusterSimulator` — per-tenant results, per-pod
+   outcomes, requests drawn, latency distributions, and the inventory
+   event stream — on a many-tenant contended cluster, with and without
+   a chaos/fault schedule (same-instant fault collisions included);
 2. the fast loop clears a hard wall-clock speedup over the oracle plus
    an events/sec floor (both fleets run the PR 6 fast core, so the
    ratio isolates the cluster loop itself);
@@ -177,7 +177,9 @@ def _build_cluster(generator, fast_cluster, tenants, with_faults=False):
     return cluster_type(groups, inventory)
 
 
-def _assert_cluster_parity(fast, oracle, context):
+def _assert_cluster_parity(fast, oracle, fast_drawn, oracle_drawn, context):
+    """Two cluster runs agree, down to each tenant's per-pod outcomes
+    and the requests its source drew (see :func:`_drawn`)."""
     assert fast.tenants == oracle.tenants, context
     assert fast.sim_events == oracle.sim_events, context
     assert fast.end_provisioned == oracle.end_provisioned, context
@@ -196,6 +198,15 @@ def _assert_cluster_parity(fast, oracle, context):
             )
         assert mine.scale_events == ref.scale_events, context
         assert mine.fault_events == ref.fault_events, context
+        # repr compares every float bit for bit and lets the NaN latency
+        # stats of a pod that served nothing match.
+        assert repr(mine.per_pod) == repr(ref.per_pod), (
+            f"{context}: {name} diverged on the per-pod outcomes"
+        )
+        assert fast_drawn[name] == oracle_drawn[name], (
+            f"{context}: {name} drew {fast_drawn[name]} requests, "
+            f"oracle {oracle_drawn[name]}"
+        )
     assert [
         (e.time_s, e.gpu, e.delta, e.tenant, e.reason) for e in fast.events
     ] == [
@@ -246,16 +257,23 @@ def _sweep_candidates():
     return rungs + adaptive
 
 
+def _drawn(sim):
+    """Requests each tenant's source drew, by tenant name."""
+    return {group.name: group.fleet.source.drawn for group in sim.tenants}
+
+
 def _timed_run(sim, duration_s):
-    """``sim.run(duration_s)`` and its wall time, with no collection inside."""
+    """``sim.run(duration_s)``, its wall time and the requests each
+    tenant drew, with no collection inside the timed run."""
     gc.collect()
     gc.disable()
     try:
         t0 = time.perf_counter()
         result = sim.run(duration_s=duration_s)
-        return result, time.perf_counter() - t0
+        wall = time.perf_counter() - t0
     finally:
         gc.enable()
+    return result, wall, _drawn(sim)
 
 
 def test_cluster_speed_gate(generator, results_dir, caplog):
@@ -264,12 +282,14 @@ def test_cluster_speed_gate(generator, results_dir, caplog):
     res_fast = res_oracle = None
     for _ in range(REPEATS):
         sim = _build_cluster(generator, True, TENANTS)
-        res_fast, wall = _timed_run(sim, DURATION_S)
+        res_fast, wall, drawn_fast = _timed_run(sim, DURATION_S)
         wall_fast = min(wall_fast, wall)
         sim = _build_cluster(generator, False, TENANTS)
-        res_oracle, wall = _timed_run(sim, DURATION_S)
+        res_oracle, wall, drawn_oracle = _timed_run(sim, DURATION_S)
         wall_oracle = min(wall_oracle, wall)
-    _assert_cluster_parity(res_fast, res_oracle, "contended")
+    _assert_cluster_parity(
+        res_fast, res_oracle, drawn_fast, drawn_oracle, "contended"
+    )
     res_fast.verify_conservation()
 
     speedup = wall_oracle / wall_fast
@@ -286,13 +306,17 @@ def test_cluster_speed_gate(generator, results_dir, caplog):
     )
 
     # --- chaos variant: parity only, full strength in every mode ------------
-    chaos_fast = _build_cluster(
-        generator, True, CHAOS_TENANTS, with_faults=True
-    ).run(duration_s=CHAOS_DURATION_S)
-    chaos_oracle = _build_cluster(
-        generator, False, CHAOS_TENANTS, with_faults=True
-    ).run(duration_s=CHAOS_DURATION_S)
-    _assert_cluster_parity(chaos_fast, chaos_oracle, "chaos")
+    chaos_fast, _, chaos_drawn_fast = _timed_run(
+        _build_cluster(generator, True, CHAOS_TENANTS, with_faults=True),
+        CHAOS_DURATION_S,
+    )
+    chaos_oracle, _, chaos_drawn_oracle = _timed_run(
+        _build_cluster(generator, False, CHAOS_TENANTS, with_faults=True),
+        CHAOS_DURATION_S,
+    )
+    _assert_cluster_parity(
+        chaos_fast, chaos_oracle, chaos_drawn_fast, chaos_drawn_oracle, "chaos"
+    )
     assert any(
         chaos_fast.results[name].fault_events for name in chaos_fast.tenants
     ), "chaos schedule never fired — the parity check proved nothing"

@@ -6,9 +6,10 @@ live here, each a subclass that overrides exactly the optimized piece:
 
 * :class:`ReferenceEngine` decodes one request at a time, one step per
   call, costs each step with ``CostModel.decode_step_time``, draws each
-  step's jitter on its own and rescans the queue on every step; it
-  never reads the finish marks, the last-token segments, the noise
-  buffer, the cached cost terms or the admission memo;
+  step's jitter on its own and rescans the queue on every step, popping
+  each entry it examines and pushing the skipped ones back; it never
+  reads the finish marks, the last-token segments, the noise buffer,
+  the cached cost terms or the admission memo;
 * :class:`ReferenceFleetSimulator` finds the next pod to step with an
   O(pods) scan of the fleet's live in-service list instead of the
   :class:`~repro.simulation.frontier.EventFrontier` heap, has the router
@@ -33,7 +34,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.deployment import Deployment
-from repro.inference.engine import _STEP_NOISE_SIGMA, ContinuousBatchingEngine
+from repro.inference.engine import (
+    _ADMISSION_LOOKAHEAD,
+    _STARVATION_TIMEOUT_S,
+    _STEP_NOISE_SIGMA,
+    MAX_BATCH_REQUESTS,
+    ContinuousBatchingEngine,
+    _Active,
+)
 from repro.inference.request import RequestResult
 from repro.simulation.cluster import ClusterSimulator, TenantGroup
 from repro.simulation.fleet import FleetSimulator
@@ -49,7 +57,7 @@ __all__ = [
 
 class ReferenceEngine(ContinuousBatchingEngine):
     """The engine with a per-request decode loop, one scalar noise draw
-    per step and no admission memo."""
+    per step, and a pop-and-push-back admission scan with no memo."""
 
     def step(self) -> list[RequestResult]:
         if not (self._queue or self._active):
@@ -61,6 +69,33 @@ class ReferenceEngine(ContinuousBatchingEngine):
             if admitted:
                 return self._prefill(admitted)
         return self._decode()
+
+    def _admit(self) -> list[_Active]:
+        """Admission by popping every examined entry and pushing the
+        skipped ones back, in FIFO order, with no memo."""
+        admitted: list[_Active] = []
+        if not self._queue:
+            return admitted
+        head_wait = self._time - self._queue[0][1]
+        allow_reorder = head_wait < _STARVATION_TIMEOUT_S
+        budget = self.max_batch_weight - self._batch_weight
+        slots = MAX_BATCH_REQUESTS - len(self._active)
+        skipped = []
+        while self._queue and slots > 0:
+            request, submitted_at = self._queue.popleft()
+            if request.weight <= budget:
+                budget -= request.weight
+                slots -= 1
+                self._batch_weight += request.weight
+                self._pending_weight -= request.weight
+                admitted.append(_Active(request=request, submitted_at=submitted_at))
+                continue
+            skipped.append((request, submitted_at))
+            if not allow_reorder or len(skipped) >= _ADMISSION_LOOKAHEAD:
+                break
+        for item in reversed(skipped):
+            self._queue.appendleft(item)
+        return admitted
 
     def _noise(self) -> float:
         """One plain draw per step, with no buffer."""

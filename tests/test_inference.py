@@ -346,6 +346,171 @@ class TestFastOracleParity:
         return fast_engine
 
 
+def _request(rid, inp, out):
+    return InferenceRequest(request_id=rid, input_tokens=inp, output_tokens=out)
+
+
+def _lookahead_schedule():
+    """A big request, then a blocked head with 31 heavier entries, a
+    light one 33rd in the queue (one past the look-ahead) and 5 more
+    heavier ones behind it."""
+    schedule = [(0.0, _request(0, 100, 1_400))]  # weight 1500 of 2000
+    schedule.append((0.5, _request(1, 900, 100)))  # the head: 1000
+    rid = 2
+    for heavy in (31, 5):
+        for _ in range(heavy):
+            schedule.append((0.5, _request(rid, 1_000, 100)))  # 1100
+            rid += 1
+        if heavy == 31:
+            schedule.append((0.5, _request(rid, 50, 50)))  # 100
+            rid += 1
+    return 2_000, schedule
+
+
+def _starvation_schedule():
+    """A long request, a head that cannot fit beside it for over 60 s,
+    and light arrivals every 2 s that jump it only until then."""
+    schedule = [(0.0, _request(0, 100, 5_800)), (1.0, _request(1, 2_400, 100))]
+    schedule += [(2.0 * k, _request(k, 50, 50)) for k in range(2, 76)]
+    return 8_000, schedule
+
+
+def _slot_cap_schedule():
+    """300 light requests at t=0, past the 256-request cap, then 20 more."""
+    rng = np.random.default_rng(11)
+    schedule = [
+        (0.0, _request(i, int(rng.integers(20, 60)), int(rng.integers(5, 40))))
+        for i in range(300)
+    ]
+    schedule += [
+        (3.0 + 0.1 * k, _request(300 + k, 30, int(rng.integers(5, 40))))
+        for k in range(20)
+    ]
+    return 100_000, schedule
+
+
+def _blocked_arrivals_schedule():
+    """Arrivals that do not fit while admission is blocked, one that
+    does, then 40 more that do not (the queue outgrows the look-ahead)
+    and two light ones behind them."""
+    schedule = [(0.0, _request(0, 100, 2_800))]  # weight 2900 of 4000
+    schedule += [(1.0 + 0.5 * k, _request(1 + k, 1_100, 100)) for k in range(3)]
+    schedule.append((2.5, _request(4, 50, 50)))
+    schedule += [(3.0 + 0.25 * k, _request(5 + k, 1_100, 100)) for k in range(40)]
+    schedule += [(13.5, _request(45, 50, 50)), (14.0, _request(46, 60, 40))]
+    return 4_000, schedule
+
+
+class TestAdmissionParity:
+    """Admission edge cases, production engine against ReferenceEngine.
+
+    Each case is a schedule of ``(arrival time, request)``; before every
+    ``step()`` call the driver submits the arrivals due at the engine's
+    clock. The reference steps one iteration per call. The production
+    engine runs either with its horizon at -inf (one iteration per call
+    too) or with the horizon at the next arrival, +inf once none is
+    left, so one call may leap. Both must produce the same results,
+    stats, ITL samples and queue depths."""
+
+    SCHEDULES = {
+        "lookahead": _lookahead_schedule,
+        "starvation": _starvation_schedule,
+        "slot-cap": _slot_cap_schedule,
+        "blocked-arrivals": _blocked_arrivals_schedule,
+    }
+
+    def _drive(self, engine_type, case, leap, stop_at=float("inf")):
+        weight, schedule = self.SCHEDULES[case]()
+        engine = engine_type(
+            get_llm("Llama-2-13b"), parse_profile("1xA100-40GB"),
+            max_batch_weight=weight, seed=5,
+        )
+        results, depths, at_arrivals = [], [], []
+        i = 0
+        while True:
+            while i < len(schedule) and (
+                schedule[i][0] <= engine.time or not engine.has_work()
+            ):
+                t, request = schedule[i]
+                i += 1
+                engine.advance_to(t)
+                at_arrivals.append((engine.time, engine.queue_depth))
+                engine.submit(request, arrival_time=t)
+            if not engine.has_work() or engine.time >= stop_at:
+                break
+            if leap:
+                upcoming = schedule[i][0] if i < len(schedule) else float("inf")
+                engine.horizon = min(upcoming, stop_at)
+            results.extend(engine.step())
+            depths.append(engine.queue_depth)
+        return engine, results, depths, at_arrivals
+
+    def _assert_parity(self, case, leap, stop_at=float("inf")):
+        engine, results, depths, at_arrivals = self._drive(
+            ContinuousBatchingEngine, case, leap, stop_at
+        )
+        ref, ref_results, ref_depths, ref_at_arrivals = self._drive(
+            ReferenceEngine, case, False, stop_at
+        )
+        assert [
+            (r.request.request_id, r.submitted_at, r.first_token_at, r.finished_at)
+            for r in results
+        ] == [
+            (r.request.request_id, r.submitted_at, r.first_token_at, r.finished_at)
+            for r in ref_results
+        ]
+        assert engine.stats == ref.stats
+        assert engine.time == ref.time
+        np.testing.assert_array_equal(engine.itl_samples(), ref.itl_samples())
+        assert at_arrivals == ref_at_arrivals
+        assert engine.queue_depth == ref.queue_depth
+        assert engine.batch_weight_in_use == ref.batch_weight_in_use
+        if not leap:
+            assert depths == ref_depths
+        return engine, ref, results
+
+    @pytest.mark.parametrize("leap", [False, True], ids=["horizon-inf", "leap"])
+    @pytest.mark.parametrize("case", sorted(SCHEDULES))
+    def test_engines_agree(self, case, leap):
+        engine, _, _ = self._assert_parity(case, leap)
+        assert engine.stats.requests_completed == len(self.SCHEDULES[case]()[1])
+
+    def test_lookahead_leaves_the_33rd_entry_queued(self):
+        engine, _, _, _ = self._drive(
+            ContinuousBatchingEngine, "lookahead", False, stop_at=5.0
+        )
+        assert engine.active_requests == 1
+        assert engine.queue_depth == 38
+
+    def test_starved_head_stops_reordering(self):
+        _, results, _, _ = self._drive(
+            ContinuousBatchingEngine, "starvation", False
+        )
+        first_token = {r.request.request_id: r.first_token_at for r in results}
+        # Light arrivals jump the blocked head only until it has waited
+        # 60 s; after that they wait for it.
+        jumped = [k for k in range(2, 76) if first_token[k] < first_token[1]]
+        assert jumped and max(jumped) < 32
+        assert first_token[1] - 1.0 > 60.0
+
+    @pytest.mark.parametrize("leap", [False, True], ids=["horizon-inf", "leap"])
+    @pytest.mark.parametrize(
+        "case,stop_at", [("blocked-arrivals", 20.0), ("lookahead", 45.0)]
+    )
+    def test_evacuate_returns_the_queue_in_fifo_order(self, case, stop_at, leap):
+        engine, ref, results = self._assert_parity(case, leap, stop_at)
+        queued, active = engine.evacuate()
+        ref_queued, ref_active = ref.evacuate()
+        assert [r.request_id for r in queued] == [r.request_id for r in ref_queued]
+        assert [r.request_id for r in active] == [r.request_id for r in ref_active]
+        ids = [r.request_id for r in queued]
+        assert ids == sorted(ids) and len(ids) > 32
+        # Admissions took entries from the middle of the queue.
+        admitted = [r.request.request_id for r in results]
+        admitted += [r.request_id for r in active]
+        assert max(admitted) > ids[0]
+
+
 class TestDecodeHorizon:
     """A decode step that starts at or after :attr:`horizon` does not run.
 
