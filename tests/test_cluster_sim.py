@@ -551,6 +551,68 @@ class TestClusterFrontierParity:
             (e.time_s, e.gpu, e.delta, e.tenant, e.reason) for e in oracle.events
         ]
 
+    def _run_mixed(self, generator, fast_cluster, seed_base):
+        """Tenants whose arrivals become due on their own steps: closed-
+        loop follow-ups (sticky with queued draws, re-routed, and on
+        one pod) and an admission controller's deferred retries."""
+        from repro.simulation import AdmissionController, ClosedLoopTraffic
+
+        def tenant(name, seed, traffic, pods, router=None, max_pods=3):
+            factory = _factory(seed)
+            source = RequestSource(
+                generator, derive_rng(seed, "cluster-test", name), WEIGHT
+            )
+            fleet = FleetSimulator(
+                [factory(i) for i in range(pods)],
+                traffic,
+                router or LeastLoadedRouter(),
+                source,
+                autoscaler=_scaler(max_pods=max_pods) if max_pods else None,
+                pod_factory=factory,
+            )
+            return TenantGroup(name, fleet, PROFILE.name)
+
+        tenants = [
+            tenant("sticky", seed_base + 1, ClosedLoopTraffic(24), 2),
+            tenant("rerouted", seed_base + 2, ClosedLoopTraffic(16, sticky=False), 2),
+            tenant("single", seed_base + 3, ClosedLoopTraffic(6), 1, max_pods=None),
+            tenant(
+                "gated",
+                seed_base + 4,
+                PoissonTraffic(6.0, rng=derive_rng(seed_base, "cluster-traffic")),
+                1,
+                router=AdmissionController(
+                    LeastLoadedRouter(), slo_p95_ttft_s=0.5, window_s=10.0,
+                    mode="defer", retry_delay_s=2.0,
+                ),
+            ),
+        ]
+        inventory = ClusterInventory(capacity={PROFILE.gpu.name: 8})
+        cluster_type = ClusterSimulator if fast_cluster else ReferenceClusterSimulator
+        result = cluster_type(tenants, inventory).run(duration_s=60.0)
+        drawn = {group.name: group.fleet.source.drawn for group in tenants}
+        return result, drawn
+
+    @pytest.mark.parametrize("seed_base", [0, 40])
+    def test_tenants_due_on_their_own_steps_bit_identical(self, generator, seed_base):
+        fast, fast_drawn = self._run_mixed(generator, True, seed_base)
+        oracle, oracle_drawn = self._run_mixed(generator, False, seed_base)
+        assert fast_drawn == oracle_drawn
+        assert fast.sim_events == oracle.sim_events
+        assert fast.end_provisioned == oracle.end_provisioned
+        for name in fast.tenants:
+            mine, ref = fast.results[name], oracle.results[name]
+            # repr: every float bit for bit, NaN stats of idle pods equal.
+            assert repr(mine.per_pod) == repr(ref.per_pod)
+            for field in (
+                "arrivals", "shed", "deferrals", "requests_completed",
+                "tokens_generated", "pod_seconds", "ttft", "itl", "e2e",
+                "scale_events", "time_s",
+            ):
+                assert getattr(mine, field) == getattr(ref, field), (name, field)
+        assert fast.results["gated"].deferrals > 0
+        assert len(fast.results["sticky"].per_pod) > 2
+
     def test_occupancy_series_cached_per_gpu(self, generator):
         result = self._run(generator, True, 0, False)
         first = result.occupancy_series(PROFILE.gpu.name)
