@@ -24,21 +24,24 @@ the engine's decode-step count at which it completes. Last-token times
 are kept per segment of rows that share one, so a step records one gap
 run per segment. The jitter comes from a small per-engine buffer
 refilled by one ``lognormal(size=32)`` call, which yields the values of
-32 scalar draws. The plain counterpart,
-:class:`repro.simulation.reference.ReferenceEngine`, walks the active
-list one request at a time and draws each jitter value on its own; both
-perform the same IEEE-754 double arithmetic, so their outputs are
-bit-identical on pinned seeds (see ``tests/test_inference.py`` and the
-golden pins in ``tests/test_simulation.py``);
-``benchmarks/bench_core_speed.py`` enforces the equality and the
-speedup.
+32 scalar draws. Admission walks the queue in place, reading the weight
+each entry carries, and deletes only the entries it admits. The plain
+counterpart, :class:`repro.simulation.reference.ReferenceEngine`, walks
+the active list one request at a time, draws each jitter value on its
+own and pops every queue entry it examines; both perform the same
+IEEE-754 double arithmetic, so their outputs are bit-identical on
+pinned seeds (see ``tests/test_inference.py`` and the golden pins in
+``tests/test_simulation.py``); ``benchmarks/bench_core_speed.py``
+enforces the equality and the speedup.
 
 Between an admission and a completion every decode step has the same
 batch. When the caller promises (through
 :attr:`ContinuousBatchingEngine.horizon`) that nothing reaches the
-engine before some time, one ``step()`` call runs every decode step
-that starts before it, up to and including the next completion, in one
-scalar loop: again bit-identical to the one-step-at-a-time reference.
+engine before some time, one ``step()`` call runs every iteration that
+starts before it, up to and including the next completion: a prefill
+that completes nothing, then further admissions or the decode steps,
+those in one scalar loop. Again bit-identical to the
+one-iteration-at-a-time reference.
 """
 
 from __future__ import annotations
@@ -133,7 +136,8 @@ class ContinuousBatchingEngine:
         self.step_start = 0.0
 
         self._time = 0.0
-        self._queue: deque[tuple[InferenceRequest, float]] = deque()
+        # Waiting requests in FIFO order: (request, submitted_at, weight).
+        self._queue: deque[tuple[InferenceRequest, float, int]] = deque()
         self._active: list[_Active] = []
         self._batch_weight = 0  # committed weight of active requests
         self._pending_weight = 0  # weight still waiting in the queue
@@ -165,8 +169,8 @@ class ContinuousBatchingEngine:
         self._terms_seqs = 0
         self._edge = 0.0
         # Failed-admission memo: a scan that admitted nothing stays
-        # futile until a completion frees budget/slots, or a new arrival
-        # lands on a queue the scan had exhausted.
+        # futile until a completion frees budget/slots, or an arrival
+        # the scan would now reach fits the budget it left (see submit).
         self._admit_blocked = False
         self._admit_scanned_all = False
 
@@ -196,10 +200,18 @@ class ContinuousBatchingEngine:
         (open-loop harnesses submit arrivals that occurred during the
         previous scheduler step); it must not lie in the engine's future.
         Defaults to the current virtual time (closed-loop behaviour).
+
+        The failed-admission memo (see :meth:`step`) survives an arrival
+        the next scan could not admit either: any arrival when the
+        failed scan stopped short of the queue's end, and otherwise one
+        heavier than the budget the scan left, or one past the
+        look-ahead (after which the scan no longer counts as having
+        reached the end).
         """
-        if request.weight > self.max_batch_weight:
+        weight = request.weight
+        if weight > self.max_batch_weight:
             raise ValueError(
-                f"request weight {request.weight} exceeds the maximum batch "
+                f"request weight {weight} exceeds the maximum batch "
                 f"weight {self.max_batch_weight}; the workload generator and "
                 "batch-weight tuner must agree on request limits"
             )
@@ -210,12 +222,15 @@ class ContinuousBatchingEngine:
                 f"arrival_time {arrival_time} is in the engine's future "
                 f"(now {self._time}); advance_to() it first"
             )
-        self._queue.append((request, float(arrival_time)))
-        self._pending_weight += request.weight
-        if self._admit_scanned_all:
-            # The failed scan had examined the whole queue; this arrival
-            # extends it, so the next scan may succeed.
-            self._admit_blocked = False
+        queue = self._queue
+        queue.append((request, float(arrival_time), weight))
+        self._pending_weight += weight
+        if self._admit_blocked and self._admit_scanned_all:
+            # Until a completion the budget is the one the scan left.
+            if len(queue) > _ADMISSION_LOOKAHEAD:
+                self._admit_scanned_all = False
+            elif weight <= self.max_batch_weight - self._batch_weight:
+                self._admit_blocked = False
 
     def advance_to(self, t: float) -> None:
         """Move virtual time forward to ``t`` (idle gap, no work done)."""
@@ -226,27 +241,37 @@ class ContinuousBatchingEngine:
         return bool(self._queue or self._active)
 
     def step(self) -> list[RequestResult]:
-        """Run one scheduler iteration; returns requests completed in it.
+        """Run scheduler iterations; returns the requests completed.
 
-        A decode iteration runs on through every further decode step
-        that starts before :attr:`horizon`, up to and including the step
-        that completes the next request (see :meth:`_decode`). ``stats``
-        counts each step the call simulated.
+        The first iteration always runs: an admission with its prefill,
+        or else a decode step. The call then goes on through every
+        further iteration that starts before :attr:`horizon`, up to and
+        including the first one that completes a request: a prefill that
+        completes nothing is followed by another admission or by the
+        decode leap (see :meth:`_decode`). ``stats`` counts each
+        iteration the call simulated, and :attr:`step_start` is the
+        start of its last, as one-iteration calls would leave them.
         """
         if not (self._queue or self._active):
             return []
-        self.stats.steps += 1
-        self.step_start = self._time
-        # Skip the scan while the failed-admission memo holds: the queue
-        # is unchanged (admission is the only consumer), the budget is
-        # unchanged (only completions free weight), and the passage of
-        # time can only *suspend* reordering, which never turns a failed
-        # scan into a successful one.
-        if self._queue and not self._admit_blocked:
-            admitted = self._admit()
-            if admitted:
-                return self._prefill(admitted)
-        return self._decode()
+        stats = self.stats
+        while True:
+            stats.steps += 1
+            self.step_start = self._time
+            # Skip the scan while the failed-admission memo holds: the
+            # queue only grew by arrivals the scan could not take either
+            # (see submit), the budget is unchanged (only completions
+            # free weight), and the passage of time can only *suspend*
+            # reordering, which never turns a failed scan into a
+            # successful one.
+            if self._queue and not self._admit_blocked:
+                admitted = self._admit()
+                if admitted:
+                    completed = self._prefill(admitted)
+                    if completed or self._time >= self.horizon:
+                        return completed
+                    continue
+            return self._decode()
 
     def itl_samples(self) -> np.ndarray:
         """All client-observed inter-token gaps recorded so far.
@@ -280,7 +305,7 @@ class ContinuousBatchingEngine:
         empty; virtual time and already-recorded metrics are untouched —
         tokens streamed before the crash were really delivered.
         """
-        queued = [request for request, _ in self._queue]
+        queued = [entry[0] for entry in self._queue]
         active = [a.request for a in self._active]
         self._queue.clear()
         self._active = []
@@ -317,37 +342,50 @@ class ContinuousBatchingEngine:
         The scheduler scans the queue in FIFO order and admits every
         request that fits the remaining weight budget, looking past a
         blocked head up to ``_ADMISSION_LOOKAHEAD`` entries (as real
-        next-batch selection does). To prevent starvation of large
-        requests, reordering is suspended once the head has waited longer
-        than ``_STARVATION_TIMEOUT_S`` — the batch then drains until the
-        head fits.
+        next-batch selection does), and at most
+        :data:`MAX_BATCH_REQUESTS` active requests. To prevent
+        starvation of large requests, reordering is suspended once the
+        head has waited longer than ``_STARVATION_TIMEOUT_S`` — the
+        batch then drains until the head fits.
+
+        The scan walks the queue in place and reads each entry's stored
+        weight; only the admitted entries are deleted, so the skipped
+        ones keep their FIFO order. A scan that admits nothing sets the
+        failed-admission memo, and records whether it examined the whole
+        queue. The queue must not be empty.
         """
-        admitted: list[_Active] = []
-        if not self._queue:
-            return admitted
-        head_wait = self._time - self._queue[0][1]
-        allow_reorder = head_wait < _STARVATION_TIMEOUT_S
-        budget = self.max_batch_weight - self._batch_weight
+        queue = self._queue
+        allow_reorder = self._time - queue[0][1] < _STARVATION_TIMEOUT_S
+        free = budget = self.max_batch_weight - self._batch_weight
         slots = MAX_BATCH_REQUESTS - len(self._active)
-        skipped: list[tuple[InferenceRequest, float]] = []
-        while self._queue and slots > 0:
-            request, submitted_at = self._queue.popleft()
-            if request.weight <= budget:
-                budget -= request.weight
+        admitted: list[_Active] = []
+        taken: list[int] = []
+        skipped = scanned = 0
+        for request, submitted_at, weight in queue:
+            if not slots:
+                break
+            scanned += 1
+            if weight <= budget:
+                budget -= weight
                 slots -= 1
-                self._batch_weight += request.weight
-                self._pending_weight -= request.weight
+                taken.append(scanned - 1)
                 admitted.append(_Active(request=request, submitted_at=submitted_at))
                 continue
-            skipped.append((request, submitted_at))
-            if not allow_reorder or len(skipped) >= _ADMISSION_LOOKAHEAD:
+            skipped += 1
+            if not allow_reorder or skipped == _ADMISSION_LOOKAHEAD:
                 break
-        scanned_all = not self._queue
-        for item in reversed(skipped):
-            self._queue.appendleft(item)
         if not admitted:
             self._admit_blocked = True
-            self._admit_scanned_all = scanned_all
+            self._admit_scanned_all = scanned == len(queue)
+            return admitted
+        if len(taken) == len(queue):
+            queue.clear()
+        else:
+            for index in reversed(taken):
+                del queue[index]
+        used = free - budget
+        self._batch_weight += used
+        self._pending_weight -= used
         return admitted
 
     def _prefill(self, admitted: list[_Active]) -> list[RequestResult]:

@@ -82,7 +82,7 @@ class ReferenceEngine(ContinuousBatchingEngine):
         slots = MAX_BATCH_REQUESTS - len(self._active)
         skipped = []
         while self._queue and slots > 0:
-            request, submitted_at = self._queue.popleft()
+            request, submitted_at, weight = self._queue.popleft()
             if request.weight <= budget:
                 budget -= request.weight
                 slots -= 1
@@ -90,7 +90,7 @@ class ReferenceEngine(ContinuousBatchingEngine):
                 self._pending_weight -= request.weight
                 admitted.append(_Active(request=request, submitted_at=submitted_at))
                 continue
-            skipped.append((request, submitted_at))
+            skipped.append((request, submitted_at, weight))
             if not allow_reorder or len(skipped) >= _ADMISSION_LOOKAHEAD:
                 break
         for item in reversed(skipped):

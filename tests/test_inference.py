@@ -1,6 +1,8 @@
 """Tests for the inference-server simulator: cost model, memory/OOM and
 the continuous-batching engine."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -410,7 +412,11 @@ class TestAdmissionParity:
     engine runs either with its horizon at -inf (one iteration per call
     too) or with the horizon at the next arrival, +inf once none is
     left, so one call may leap. Both must produce the same results,
-    stats, ITL samples and queue depths."""
+    stats, ITL samples and queue depths.
+
+    A leaping call may run a prefill and then the decode leap after
+    it; the leaping engine must make some such fused calls, so these
+    cases fail if calls stop at every prefill."""
 
     SCHEDULES = {
         "lookahead": _lookahead_schedule,
@@ -425,7 +431,12 @@ class TestAdmissionParity:
             get_llm("Llama-2-13b"), parse_profile("1xA100-40GB"),
             max_batch_weight=weight, seed=5,
         )
-        results, depths, at_arrivals = [], [], []
+        run = SimpleNamespace(
+            engine=engine, results=[], depths=[], at_arrivals=[],
+            # step() calls that ran a prefill, a decode step, or both.
+            calls={"prefill": 0, "decode": 0, "both": 0},
+        )
+        stats = engine.stats
         i = 0
         while True:
             while i < len(schedule) and (
@@ -434,59 +445,64 @@ class TestAdmissionParity:
                 t, request = schedule[i]
                 i += 1
                 engine.advance_to(t)
-                at_arrivals.append((engine.time, engine.queue_depth))
+                run.at_arrivals.append((engine.time, engine.queue_depth))
                 engine.submit(request, arrival_time=t)
             if not engine.has_work() or engine.time >= stop_at:
-                break
+                return run
             if leap:
                 upcoming = schedule[i][0] if i < len(schedule) else float("inf")
                 engine.horizon = min(upcoming, stop_at)
-            results.extend(engine.step())
-            depths.append(engine.queue_depth)
-        return engine, results, depths, at_arrivals
+            prefills, decodes = stats.prefill_steps, stats.decode_steps
+            run.results.extend(engine.step())
+            run.depths.append(engine.queue_depth)
+            prefilled = stats.prefill_steps > prefills
+            decoded = stats.decode_steps > decodes
+            kind = "both" if prefilled and decoded else "prefill" if prefilled else "decode"
+            run.calls[kind] += 1
 
     def _assert_parity(self, case, leap, stop_at=float("inf")):
-        engine, results, depths, at_arrivals = self._drive(
-            ContinuousBatchingEngine, case, leap, stop_at
-        )
-        ref, ref_results, ref_depths, ref_at_arrivals = self._drive(
-            ReferenceEngine, case, False, stop_at
-        )
+        run = self._drive(ContinuousBatchingEngine, case, leap, stop_at)
+        ref = self._drive(ReferenceEngine, case, False, stop_at)
         assert [
             (r.request.request_id, r.submitted_at, r.first_token_at, r.finished_at)
-            for r in results
+            for r in run.results
         ] == [
             (r.request.request_id, r.submitted_at, r.first_token_at, r.finished_at)
-            for r in ref_results
+            for r in ref.results
         ]
-        assert engine.stats == ref.stats
-        assert engine.time == ref.time
-        np.testing.assert_array_equal(engine.itl_samples(), ref.itl_samples())
-        assert at_arrivals == ref_at_arrivals
-        assert engine.queue_depth == ref.queue_depth
-        assert engine.batch_weight_in_use == ref.batch_weight_in_use
-        if not leap:
-            assert depths == ref_depths
-        return engine, ref, results
+        engine = run.engine
+        assert engine.stats == ref.engine.stats
+        assert engine.time == ref.engine.time
+        np.testing.assert_array_equal(
+            engine.itl_samples(), ref.engine.itl_samples()
+        )
+        assert run.at_arrivals == ref.at_arrivals
+        assert engine.queue_depth == ref.engine.queue_depth
+        assert engine.batch_weight_in_use == ref.engine.batch_weight_in_use
+        if leap:
+            assert run.calls["both"] > 0
+            n_calls = sum(run.calls.values())
+            assert n_calls < engine.stats.prefill_steps + engine.stats.decode_steps
+        else:
+            assert run.calls["both"] == 0
+            assert run.depths == ref.depths
+        return run, ref
 
     @pytest.mark.parametrize("leap", [False, True], ids=["horizon-inf", "leap"])
     @pytest.mark.parametrize("case", sorted(SCHEDULES))
     def test_engines_agree(self, case, leap):
-        engine, _, _ = self._assert_parity(case, leap)
-        assert engine.stats.requests_completed == len(self.SCHEDULES[case]()[1])
+        run, _ = self._assert_parity(case, leap)
+        completed = run.engine.stats.requests_completed
+        assert completed == len(self.SCHEDULES[case]()[1])
 
     def test_lookahead_leaves_the_33rd_entry_queued(self):
-        engine, _, _, _ = self._drive(
-            ContinuousBatchingEngine, "lookahead", False, stop_at=5.0
-        )
-        assert engine.active_requests == 1
-        assert engine.queue_depth == 38
+        run = self._drive(ContinuousBatchingEngine, "lookahead", False, stop_at=5.0)
+        assert run.engine.active_requests == 1
+        assert run.engine.queue_depth == 38
 
     def test_starved_head_stops_reordering(self):
-        _, results, _, _ = self._drive(
-            ContinuousBatchingEngine, "starvation", False
-        )
-        first_token = {r.request.request_id: r.first_token_at for r in results}
+        run = self._drive(ContinuousBatchingEngine, "starvation", False)
+        first_token = {r.request.request_id: r.first_token_at for r in run.results}
         # Light arrivals jump the blocked head only until it has waited
         # 60 s; after that they wait for it.
         jumped = [k for k in range(2, 76) if first_token[k] < first_token[1]]
@@ -498,15 +514,15 @@ class TestAdmissionParity:
         "case,stop_at", [("blocked-arrivals", 20.0), ("lookahead", 45.0)]
     )
     def test_evacuate_returns_the_queue_in_fifo_order(self, case, stop_at, leap):
-        engine, ref, results = self._assert_parity(case, leap, stop_at)
-        queued, active = engine.evacuate()
-        ref_queued, ref_active = ref.evacuate()
-        assert [r.request_id for r in queued] == [r.request_id for r in ref_queued]
-        assert [r.request_id for r in active] == [r.request_id for r in ref_active]
+        run, ref = self._assert_parity(case, leap, stop_at)
+        queued, active = run.engine.evacuate()
+        ref_queued, ref_active = ref.engine.evacuate()
         ids = [r.request_id for r in queued]
+        assert ids == [r.request_id for r in ref_queued]
+        assert [r.request_id for r in active] == [r.request_id for r in ref_active]
         assert ids == sorted(ids) and len(ids) > 32
         # Admissions took entries from the middle of the queue.
-        admitted = [r.request.request_id for r in results]
+        admitted = [r.request.request_id for r in run.results]
         admitted += [r.request_id for r in active]
         assert max(admitted) > ids[0]
 
