@@ -26,6 +26,7 @@ the whole-run aggregate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -90,7 +91,7 @@ class _GrowableArray:
 
 #: The quantiles :class:`LatencyStats` reports, as ``np.percentile``
 #: computes them from its percent arguments.
-_QUANTILES = np.true_divide((50.0, 95.0, 99.0), 100)
+_QUANTILES = np.true_divide((50.0, 95.0, 99.0), 100).tolist()
 
 #: Width of the windows the token throughput series bins by (seconds).
 _WINDOW_S = 10.0
@@ -186,7 +187,14 @@ class _Runs:
         n = int(ends[-1]) if ends.size else 0
         if n == 0:
             return LatencyStats.from_samples(np.empty(0))
-        p50, p95, p99 = _order_lerp(*self.by_value(), n)
+        points = _percentile_points(n)
+        by_value, value_ends = self.by_value()
+        ranks = [lo % n for lo, _, _ in points] + [hi % n for _, hi, _ in points]
+        found = by_value[np.searchsorted(value_ends, ranks, side="right")].tolist()
+        p50, p95, p99 = (
+            _lerp(found[i], found[i + 3], gamma)
+            for i, (_, _, gamma) in enumerate(points)
+        )
         return LatencyStats(
             count=n,
             median_s=float(p50),
@@ -210,29 +218,31 @@ class _Runs:
         return float(np.mean(values[np.searchsorted(ends, middle, side="right")]))
 
 
-def _order_lerp(values: np.ndarray, ends: np.ndarray, n: int) -> np.ndarray:
-    """``np.percentile`` (linear method) at :data:`_QUANTILES` of ``n``
-    samples held as sorted runs (see :meth:`_Runs.by_value`).
+def _percentile_points(n: int) -> list[tuple[int, int, float]]:
+    """``(lower, upper, gamma)`` for each of :data:`_QUANTILES` of ``n``
+    sorted samples, as ``np.percentile``'s linear method finds them.
 
-    Mirrors numpy's steps: virtual index ``(n - 1) * q``, neighbours
-    ``floor`` and ``floor + 1`` clipped to the last sample, ``gamma``
-    the distance from the lower one, and numpy's two-sided lerp.
+    Mirrors numpy's steps in scalar floats: virtual index
+    ``(n - 1) * q``, neighbours ``floor`` and ``floor + 1``, and
+    ``gamma`` the distance from the lower one. Past the last sample
+    numpy takes index -1 for both neighbours, and gamma against that.
     """
-    virtual = (n - 1) * _QUANTILES
-    lower = np.floor(virtual)
-    upper = lower + 1
-    # Past the last sample numpy takes index -1 for both neighbours,
-    # and gamma against that.
-    clip = virtual >= n - 1
-    lower[clip] = -1
-    upper[clip] = -1
-    lower = lower.astype(np.intp)
-    upper = upper.astype(np.intp)
-    gamma = virtual - lower
-    a = values[np.searchsorted(ends, lower % n, side="right")]
-    b = values[np.searchsorted(ends, upper % n, side="right")]
+    points = []
+    for q in _QUANTILES:
+        virtual = (n - 1) * q
+        if virtual >= n - 1:
+            points.append((-1, -1, virtual + 1))
+        else:
+            lower = math.floor(virtual)
+            points.append((lower, lower + 1, virtual - lower))
+    return points
+
+
+def _lerp(a: float, b: float, gamma: float) -> float:
+    """numpy's two-sided linear interpolation from ``a`` to ``b``, the
+    one ``np.percentile`` applies, in scalar floats."""
     diff = b - a
-    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
 def _pairwise_sum(values: np.ndarray, ends: np.ndarray, lo: int, hi: int):
@@ -269,13 +279,34 @@ class LatencyStats:
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "LatencyStats":
+        """The stats of ``samples``, bit for bit those ``np.percentile``
+        and ``np.mean`` give.
+
+        On the few hundred samples of one pod ``np.percentile``'s fixed
+        cost would dominate, so its steps are taken here directly: one
+        ``np.partition`` of the flattened samples at the very indices
+        numpy partitions at (which places equal values, such as signed
+        zeros, where numpy does), then the interpolation in scalar
+        floats (see :func:`_percentile_points`). With a NaN among the
+        samples, which partitions last, numpy is asked instead.
+        """
         samples = np.asarray(samples, dtype=float)
-        if samples.size == 0:
+        n = samples.size
+        if n == 0:
             nan = float("nan")
             return cls(count=0, median_s=nan, p95_s=nan, p99_s=nan, mean_s=nan)
-        p50, p95, p99 = np.percentile(samples, (50.0, 95.0, 99.0))
+        points = _percentile_points(n)
+        kth = sorted({0, -1, *(i for lo, hi, _ in points for i in (lo, hi))})
+        ordered = np.partition(samples, kth, axis=None)
+        if math.isnan(ordered[-1]):
+            p50, p95, p99 = np.percentile(samples, (50.0, 95.0, 99.0))
+        else:
+            p50, p95, p99 = (
+                _lerp(float(ordered[lo]), float(ordered[hi]), gamma)
+                for lo, hi, gamma in points
+            )
         return cls(
-            count=int(samples.size),
+            count=int(n),
             median_s=float(p50),
             p95_s=float(p95),
             p99_s=float(p99),

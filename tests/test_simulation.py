@@ -447,6 +447,45 @@ class TestMetricsCollector:
         assert collector.tokens_recorded == 0
         assert collector.throughput_timeseries()[0].size == 0
 
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(allow_nan=False, allow_infinity=True),
+                st.sampled_from([0.0, -0.0, 1.0, math.inf, -math.inf]),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.integers(1, 3_000),
+        st.booleans(),
+    )
+    @example([math.inf], 1, False)
+    @example([-math.inf, math.inf], 1, False)
+    @example([0.0, -0.0], 1, True)
+    @example([0.027652, 0.098328], 1, False)
+    @settings(max_examples=150, deadline=None)
+    def test_latency_stats_match_numpy(self, pool, size, tied):
+        """Scalar interpolation gives np.percentile's and np.mean's bits:
+        one sample, ties, signed zeros, infinities, a few thousand."""
+        rng = np.random.default_rng(size)
+        picks = rng.integers(0, len(pool), size if tied else min(size, len(pool)))
+        samples = np.array(pool, dtype=float)[picks] if tied else np.array(pool[:size])
+        stats = LatencyStats.from_samples(samples)
+        with np.errstate(invalid="ignore"):
+            expected = np.percentile(samples, (50.0, 95.0, 99.0)).tolist()
+            mean = float(samples.mean())
+        got = [stats.median_s, stats.p95_s, stats.p99_s, stats.mean_s]
+        assert stats.count == samples.size
+        np.testing.assert_array_equal(
+            np.array(got).view(np.int64), np.array(expected + [mean]).view(np.int64)
+        )
+
+    def test_latency_stats_fall_back_to_numpy_on_nan(self):
+        samples = np.array([0.5, np.nan, 0.25])
+        stats = LatencyStats.from_samples(samples)
+        assert stats.count == 3
+        assert all(map(math.isnan, (stats.median_s, stats.p95_s, stats.p99_s)))
+
     def test_latency_stats_tails(self):
         samples = np.arange(1, 1001, dtype=float)
         stats = LatencyStats.from_samples(samples)
