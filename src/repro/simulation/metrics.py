@@ -189,11 +189,11 @@ class _Runs:
             return LatencyStats.from_samples(np.empty(0))
         points = _percentile_points(n)
         by_value, value_ends = self.by_value()
-        ranks = [lo % n for lo, _, _ in points] + [hi % n for _, hi, _ in points]
+        ranks = [k % n for lo, hi, _ in points for k in (lo, hi)]
         found = by_value[np.searchsorted(value_ends, ranks, side="right")].tolist()
         p50, p95, p99 = (
-            _lerp(found[i], found[i + 3], gamma)
-            for i, (_, _, gamma) in enumerate(points)
+            _lerp(a, b, gamma)
+            for a, b, (_, _, gamma) in zip(found[::2], found[1::2], points)
         )
         return LatencyStats(
             count=n,
@@ -306,7 +306,7 @@ class LatencyStats:
                 for lo, hi, gamma in points
             )
         return cls(
-            count=int(n),
+            count=n,
             median_s=float(p50),
             p95_s=float(p95),
             p99_s=float(p99),
