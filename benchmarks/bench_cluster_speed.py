@@ -83,8 +83,8 @@ SWEEP_DURATION_S = smoke(45.0, 15.0)
 SWEEP_RATE = 8.0
 SWEEP_SLO_S = 30.0
 
-#: Hard floors. Full scale was measured at ~4.5x and ~36k events/s on a
-#: warm machine (the oracle pays ~3 O(tenants) scans per event, so the
+#: Hard floors. Full scale measured 4.05x and 282k events/s on a shared
+#: 2-core VM (the oracle pays ~3 O(tenants) scans per event, so the
 #: ratio grows with the tenant count); the gates leave headroom for
 #: slower hardware while still catching an accidental return to the
 #: linear scans. Smoke floors only prove the fast path is not
