@@ -457,8 +457,10 @@ class TestAdmissionParity:
             run.depths.append(engine.queue_depth)
             prefilled = stats.prefill_steps > prefills
             decoded = stats.decode_steps > decodes
-            kind = "both" if prefilled and decoded else "prefill" if prefilled else "decode"
-            run.calls[kind] += 1
+            if prefilled and decoded:
+                run.calls["both"] += 1
+            else:
+                run.calls["prefill" if prefilled else "decode"] += 1
 
     def _assert_parity(self, case, leap, stop_at=float("inf")):
         run = self._drive(ContinuousBatchingEngine, case, leap, stop_at)
