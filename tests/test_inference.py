@@ -356,16 +356,13 @@ def _lookahead_schedule():
     """A big request, then a blocked head with 31 heavier entries, a
     light one 33rd in the queue (one past the look-ahead) and 5 more
     heavier ones behind it."""
-    schedule = [(0.0, _request(0, 100, 1_400))]  # weight 1500 of 2000
-    schedule.append((0.5, _request(1, 900, 100)))  # the head: 1000
-    rid = 2
-    for heavy in (31, 5):
-        for _ in range(heavy):
-            schedule.append((0.5, _request(rid, 1_000, 100)))  # 1100
-            rid += 1
-        if heavy == 31:
-            schedule.append((0.5, _request(rid, 50, 50)))  # 100
-            rid += 1
+    schedule = [
+        (0.0, _request(0, 100, 1_400)),  # weight 1500 of 2000
+        (0.5, _request(1, 900, 100)),  # the head: 1000
+    ]
+    schedule += [(0.5, _request(rid, 1_000, 100)) for rid in range(2, 33)]  # 1100
+    schedule.append((0.5, _request(33, 50, 50)))  # 100
+    schedule += [(0.5, _request(rid, 1_000, 100)) for rid in range(34, 39)]
     return 2_000, schedule
 
 
