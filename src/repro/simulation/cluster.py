@@ -751,7 +751,7 @@ class ClusterSimulator:
         :class:`repro.simulation.reference.ReferenceClusterSimulator`,
         which overrides this method (the parity suites hold them equal).
         """
-        frontier = ClusterFrontier([group.fleet for group in self.tenants], t_end)
+        frontier = ClusterFrontier([group.fleet for group in self.tenants])
         run_event_loop(
             t_end,
             frontier.inject_due,

@@ -856,27 +856,6 @@ class FleetSimulator:
         """Materialize every arrival due at this fleet's busy frontier."""
         self._inject_due(cutoff)
 
-    def arrival_due(
-        self, frontier: "ContinuousBatchingEngine | None", cutoff: float
-    ) -> bool:
-        """Whether :meth:`inject_due` may act, with ``frontier`` the
-        fleet's frontier pod.
-
-        True when a draw is queued, or when the earliest scheduled
-        arrival before ``cutoff`` or pending entry is due: at or before
-        the frontier pod's clock, or at once when the fleet is idle.
-        False means :meth:`inject_due` would change nothing.
-        """
-        if self._draws:
-            return True
-        t = self.traffic.peek()
-        if t is not None and t >= cutoff:
-            t = None
-        pending = self._pending
-        if pending and (t is None or pending[0][0] < t):
-            t = pending[0][0]
-        return t is not None and (frontier is None or t <= frontier._time)
-
     def frontier_pod(self) -> "ContinuousBatchingEngine | None":
         """The busy pod with the smallest clock — the next one to step.
 

@@ -161,10 +161,10 @@ class ClusterFrontier:
       current frontier time no longer equals the recorded one (the
       tenant stepped away, went idle, or an injection pulled its
       frontier *earlier* — unlike a single pod's clock, a tenant
-      frontier is not monotone, which is why a fresh entry is pushed
-      after every mutation of that tenant, so the heap always holds one
-      at or below the true minimum). Validation asks the fleet's own
-      :class:`EventFrontier`, so a valid entry always yields the
+      frontier is not monotone, which is why :meth:`push` runs after
+      every mutation of that tenant, so the heap always holds a fresh
+      entry at or below the true minimum). Validation goes through the
+      fleet's own ``frontier_pod()``, so a valid entry always yields the
       tenant's *current* frontier pod, whichever pod that is;
     * the **control heap** holds the tenant's next control time
       (:meth:`~repro.simulation.fleet.FleetSimulator.next_control`),
@@ -179,17 +179,17 @@ class ClusterFrontier:
     The frontier also keeps the loop's bookkeeping. :meth:`peek_pod` and
     :meth:`peek_control` remember the tenant they resolved to, which
     :meth:`step_pod` and :meth:`control_tick` then act on. The
-    reference loop injects every tenant at every loop top; here a
-    tenant injects only when it may have something due. Injection is a
+    reference loop injects every tenant at every loop top; here only a
+    tenant that just stepped or ticked injects. Injection is a
     per-tenant fixpoint (nothing becomes due until the tenant itself
     steps, ticks or injects), and tenants share nothing but the
     inventory, which injection never touches, so the skipped calls were
     all no-ops and the order in which tenants inject is immaterial:
 
-    * a stepped tenant injects right after its step, and only when
-      :meth:`~repro.simulation.fleet.FleetSimulator.arrival_due` says
-      something is due at its new frontier. That is the same as
-      injecting at the next loop top, since nothing runs in between;
+    * a stepped tenant injects right after its step, up to its own
+      ``t_end``; the fleet's injection returns at once when nothing is
+      due at its new frontier. That is the same as injecting at the
+      next loop top, since nothing runs in between;
     * a ticked tenant joins the *dirty* set, which :meth:`inject_due`
       injects at the top of the next iteration, *not* right after the
       tick: the reference loop's control drain observes the fleet
@@ -199,7 +199,6 @@ class ClusterFrontier:
 
     __slots__ = (
         "_fleets",
-        "_cutoff",
         "_pod_heap",
         "_ctl_heap",
         "_dirty",
@@ -207,11 +206,8 @@ class ClusterFrontier:
         "_ctl_index",
     )
 
-    def __init__(self, fleets: Sequence["FleetSimulator"], cutoff: float) -> None:
-        """Index ``fleets``; no scheduled arrival at or past ``cutoff``
-        (the loop's ``t_end``) is injected."""
+    def __init__(self, fleets: Sequence["FleetSimulator"]) -> None:
         self._fleets = list(fleets)
-        self._cutoff = cutoff
         self._pod_heap: list[tuple[float, int]] = []
         self._ctl_heap: list[tuple[float, int]] = []
         self._pod_index = -1
@@ -225,12 +221,12 @@ class ClusterFrontier:
     def push(self, index: int) -> None:
         """Re-record tenant ``index``'s frontier-pod time.
 
-        Called after an injection or a control tick; :meth:`step_pod`
-        pushes its own entry. Old entries are left behind for
-        :meth:`peek_pod` to discard lazily; duplicates of a still-valid
-        entry are harmless.
+        Called after anything that mutates the tenant (inject, step,
+        control tick). Old entries are left behind for :meth:`peek_pod`
+        to discard lazily; duplicates of a still-valid entry are
+        harmless.
         """
-        pod = self._fleets[index]._frontier.peek()
+        pod = self._fleets[index].frontier_pod()
         if pod is not None:
             heapq.heappush(self._pod_heap, (pod._time, index))
 
@@ -257,7 +253,7 @@ class ClusterFrontier:
         fleets = self._fleets
         while heap:
             recorded, index = heap[0]
-            pod = fleets[index]._frontier.peek()
+            pod = fleets[index].frontier_pod()
             if pod is not None and pod._time == recorded:
                 self._pod_index = index
                 return pod
@@ -292,21 +288,13 @@ class ClusterFrontier:
         return faulted
 
     def step_pod(self, pod: "ContinuousBatchingEngine", next_control: float) -> None:
-        """Step the pod :meth:`peek_pod` found, in its own tenant's fleet.
-
-        Then resolves the tenant's frontier pod, injects the tenant if
-        something is due at that pod's clock (or the fleet went idle
-        with an arrival waiting), and records the tenant's frontier.
-        """
+        """Step the pod :meth:`peek_pod` found, in its own tenant's fleet,
+        then inject that tenant's due arrivals and record its frontier."""
         index = self._pod_index
         fleet = self._fleets[index]
         fleet.step_pod(pod, next_control)
-        frontier = fleet._frontier.peek()
-        if fleet.arrival_due(frontier, self._cutoff):
-            fleet.inject_due(self._cutoff)
-            frontier = fleet._frontier.peek()
-        if frontier is not None:
-            heapq.heappush(self._pod_heap, (frontier._time, index))
+        fleet.inject_due(fleet._t_end)
+        self.push(index)
 
 
 def run_event_loop(
