@@ -19,7 +19,9 @@ laws must hold:
 * work conservation — the samples and counters an engine reports add up
   to what its submitted requests demand, computed from the requests and
   their results alone (no engine code path is shared, so a bug in the
-  semantics both engines share still fails here).
+  semantics both engines share still fails here);
+* window end — a fleet or cluster tenant offers exactly the scheduled
+  arrivals its traffic model yields before ``warmup_s + duration_s``.
 
 ``derandomize=True`` keeps CI deterministic: the sweep is a fixed,
 diverse grid rather than a fresh random draw per run.
@@ -60,7 +62,11 @@ from repro.simulation import (
     TenantGroup,
     ThresholdPolicy,
 )
-from repro.simulation.reference import ReferenceEngine, ReferenceFleetSimulator
+from repro.simulation.reference import (
+    ReferenceClusterSimulator,
+    ReferenceEngine,
+    ReferenceFleetSimulator,
+)
 from repro.utils.rng import derive_rng, spawn_seed
 
 LLM = get_llm("Llama-2-13b")
@@ -264,6 +270,53 @@ class TestReferenceParity:
         assert mine_source.drawn == ref_source.drawn
         if chaos:
             assert mine.fault_events
+
+
+class TestWindowEnd:
+    """Scheduled arrivals stop at the end of the window.
+
+    A fleet idle at the window end would fast-forward to its next
+    scheduled arrival, so the window end alone keeps that arrival out.
+    The expected count comes from an identically seeded traffic model,
+    popped until its next arrival is past ``warmup_s + duration_s``.
+    """
+
+    RATE = 0.1
+    WARMUP_S = 5.0
+
+    def _offered(self, generator, seed):
+        traffic = _traffic("poisson", self.RATE, seed)
+        source = RequestSource(generator, derive_rng(seed, "window-end"), WEIGHT)
+        count = 0
+        while traffic.peek() < self.WARMUP_S + DURATION_S:
+            traffic.pop(source)
+            count += 1
+        return count
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    @pytest.mark.parametrize("reference", [False, True])
+    @pytest.mark.parametrize("clustered", [False, True])
+    def test_arrivals_stop_at_window_end(
+        self, generator, seed, reference, clustered
+    ):
+        fleet = _fleet(
+            generator, seed, "poisson", self.RATE, label="window-end",
+            reference=reference,
+        )
+        if clustered:
+            cluster_type = ReferenceClusterSimulator if reference else ClusterSimulator
+            sim = cluster_type(
+                [TenantGroup("solo", fleet, PROFILE.name)],
+                ClusterInventory(capacity={PROFILE.gpu.name: 2}),
+            )
+            result = sim.run(duration_s=DURATION_S, warmup_s=self.WARMUP_S)
+            result = result.results["solo"]
+        else:
+            result = fleet.run(duration_s=DURATION_S, warmup_s=self.WARMUP_S)
+        # The fleet sits idle at the window end.
+        assert result.in_flight_end == 0
+        assert max(pod.time for pod in fleet.all_pods) < self.WARMUP_S + DURATION_S
+        assert result.arrivals == self._offered(generator, seed) > 0
 
 
 class TestWorkConservation:
