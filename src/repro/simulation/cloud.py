@@ -235,16 +235,9 @@ def bind_hybrid_capacity(
             )
         return grant + burst
 
-    def release(
-        pods: int,
-        t: float,
-        serials: list[int] | None = None,
-        reason: str = "scale-down",
-    ) -> None:
+    def release(t: float, serials: list[int], reason: str = "scale-down") -> None:
         nonlocal rented_pods
-        returned = 0
-        if serials is not None and fleet.cloud_serials:
-            returned = sum(1 for s in serials if s in fleet.cloud_serials)
+        returned = sum(1 for s in serials if s in fleet.cloud_serials)
         if returned:
             if returned > rented_pods:
                 raise ValueError(f"tenant {tenant!r} returns pods it never rented")
@@ -256,10 +249,10 @@ def bind_hybrid_capacity(
                 reason=reason if reason == "spot-preempt" else "scale-down",
             )
             rented_pods -= returned
-        if pods - returned:
+        if len(serials) > returned:
             inventory.release(
                 profile_name,
-                pods - returned,
+                len(serials) - returned,
                 tenant=tenant,
                 time_s=t,
                 reason="scale-down",

@@ -693,10 +693,11 @@ class FleetSimulator:
         self._crashed: set[int] = set()
         self._slow_targets: dict[int, list[int]] = {}
         self._next_fault = float("inf")
-        # O(log pods) frontier lookups through a lazily invalidated heap
+        # The busy pod with the smallest clock, the next to step, is
+        # frontier.peek(): O(log pods) through a lazily invalidated heap
         # (see simulation.frontier); simulation.reference swaps in the
         # O(pods) scan it is bit-identical to.
-        self._frontier = EventFrontier()
+        self.frontier = EventFrontier()
         self._events = 0
         self._wall_start = _time.perf_counter()
 
@@ -709,12 +710,13 @@ class FleetSimulator:
 
         ``acquire(n, t)`` is consulted before provisioning ``n`` extra
         pods at virtual time ``t`` and returns how many were granted
-        (0..n); ``release(n, t, serials)`` hands capacity back when pods
-        retire or a cold start is cancelled, with the serials of the
-        released pods so a ledger that tracks tiers (on-prem vs
+        (0..n); ``release(t, serials)`` hands back the capacity of the
+        pods ``serials`` when they retire, crash for good or have their
+        cold start cancelled, so a ledger that tracks tiers (on-prem vs
         cloud-burst, see :mod:`repro.simulation.cloud`) can credit the
-        right one. :func:`repro.simulation.cloud.bind_hybrid_capacity`
-        installs the pair for cluster tenants contending for one
+        right one; a crash passes its fault kind as a third argument.
+        :func:`repro.simulation.cloud.bind_hybrid_capacity` installs the
+        pair for cluster tenants contending for one
         :class:`ClusterInventory` and for hybrid sweep candidates.
         """
         self._acquire = acquire
@@ -789,12 +791,10 @@ class FleetSimulator:
         wrappers.
         """
         self.begin(duration_s, warmup_s)
-        # Injection and the frontier peek go straight to the private
-        # pieces: the loop calls them once per simulated event.
         run_event_loop(
             warmup_s + duration_s,
-            self._inject_due,
-            self._frontier.peek,
+            self.inject_due,
+            self.frontier.peek,
             self.next_control,
             self.control_tick,
             self.step_pod,
@@ -852,34 +852,10 @@ class FleetSimulator:
         self._warmed_up = warmup_s == 0.0
         self._t_end = warmup_s + duration_s
 
-    def inject_due(self, cutoff: float) -> None:
-        """Materialize every arrival due at this fleet's busy frontier."""
-        self._inject_due(cutoff)
-
-    def frontier_pod(self) -> "ContinuousBatchingEngine | None":
-        """The busy pod with the smallest clock — the next one to step.
-
-        None when the fleet is idle. Autoscale decisions never change
-        which pod is busiest (activated pods start idle, draining pods
-        stay in service), so the frontier found before processing due
-        decisions is still the pod to hand to :meth:`step_pod` after.
-
-        Answered from the :class:`EventFrontier` heap in O(log pods)
-        amortized. The heap's tie-break replicates a scan's
-        first-minimum-in-service-order semantics, so the reference
-        fleet's O(pods) scan returns the *same* pod on equal clocks.
-        """
-        return self._frontier.peek()
-
     @property
     def next_decision(self) -> float:
         """Virtual time of the next autoscale decision (inf when none)."""
         return self._next_decision
-
-    def autoscale_tick(self) -> None:
-        """Run the decision due at ``next_decision`` and schedule the next."""
-        self._autoscale_tick(self._next_decision)
-        self._next_decision += self.autoscaler.config.decision_interval_s
 
     @property
     def next_fault(self) -> float:
@@ -965,7 +941,7 @@ class FleetSimulator:
             self._retire_drained(stepping.time)
         # The step moved the pod's clock: its old heap entry is now
         # stale, so record the new frontier position (if still busy).
-        self._frontier.push(stepping)
+        self.frontier.push(stepping)
 
     def drain_pending(self) -> None:
         """Flush boundary-crossing resubmissions after the loop exits.
@@ -1013,7 +989,7 @@ class FleetSimulator:
         their last horizon, so every step() call is again one iteration.
         """
         in_service = self._in_service()
-        self._frontier.rebuild(in_service)
+        self.frontier.rebuild(in_service)
         open_loop = type(self.traffic).on_complete is TrafficModel.on_complete
         several = len(self.pods) > 1 and not open_loop
         sticky = several and self._independent and not self._draining
@@ -1083,7 +1059,7 @@ class FleetSimulator:
         tie-break), then of completion within the step. In a leaping
         independent fleet a pod may run ahead of pods whose steps start
         earlier and may complete too, so the draws wait in ``_draws``
-        under that key; :meth:`_inject_due` makes each once no pod can
+        under that key; :meth:`inject_due` makes each once no pod can
         still take a step that comes before it.
         """
         hint = self._serials[id(stepping)] if self.traffic.sticky else None
@@ -1095,7 +1071,7 @@ class FleetSimulator:
             self._draws,
             (
                 stepping.step_start,
-                self._frontier.order(stepping),
+                self.frontier.order(stepping),
                 self._draw_seq,
                 hint,
                 finished,
@@ -1112,16 +1088,17 @@ class FleetSimulator:
                 self._seq += 1
                 heapq.heappush(self._pending, (t, self._seq, hint, follow_up, False))
 
-    def _inject_due(self, cutoff: float) -> None:
+    def inject_due(self) -> None:
         """Submit every arrival that is due at the current fleet frontier.
 
         An arrival at time t is due once no busy pod's clock is behind t
         (the pod chosen by the router is then guaranteed not to observe
         it in its past). When the whole fleet is idle the next arrival is
         due immediately — virtual time fast-forwards to it. Scheduled
-        arrivals beyond ``cutoff`` are never materialized;
-        completion-driven resubmissions and deferred retries (already
-        materialized) always drain.
+        arrivals at or past the window end (``warmup_s + duration_s``,
+        kept by :meth:`begin`) are never materialized; completion-driven
+        resubmissions and deferred retries (already materialized) always
+        drain.
 
         Queued draws (see :meth:`_completed`) are made here too, in
         their order. A draw waits while the frontier pod's step comes
@@ -1130,17 +1107,17 @@ class FleetSimulator:
         step start goes first, because it may wake an idle pod whose
         step then comes before the draw.
         """
-        draws = self._draws
+        draws, t_end = self._draws, self._t_end
         while True:
             t_sched = self.traffic.peek()
-            if t_sched is not None and t_sched >= cutoff:
+            if t_sched is not None and t_sched >= t_end:
                 t_sched = None
             t_pend = self._pending[0][0] if self._pending else None
             if t_pend is None and t_sched is None and not draws:
                 return
             use_pending = t_pend is not None and (t_sched is None or t_pend <= t_sched)
             t = t_pend if use_pending else t_sched
-            frontier = self._frontier.peek()
+            frontier = self.frontier.peek()
             if draws and (t is None or t > draws[0][0]):
                 # The frontier's service order matters only on a tie of
                 # clocks, so it is looked up only then.
@@ -1149,7 +1126,7 @@ class FleetSimulator:
                     frontier._time < start
                     or (
                         frontier._time == start
-                        and self._frontier.order(frontier) < order
+                        and self.frontier.order(frontier) < order
                     )
                 ):
                     return
@@ -1244,7 +1221,7 @@ class FleetSimulator:
             # clock first): it joins the event frontier now. Pods that
             # were already busy keep their valid heap entry — a busy
             # pod's clock never moves on submit.
-            self._frontier.push(pod)
+            self.frontier.push(pod)
         self.routed_counts[self._serials[id(pod)]] += 1
 
     def _place_initial(self, requests: list["InferenceRequest"]) -> None:
@@ -1328,9 +1305,9 @@ class FleetSimulator:
                 else:
                     keep.append((max(ready, t + restart), serial, pod))
             if len(keep) != len(self._starting) or restart is not None:
-                self._starting = sorted(keep, key=lambda e: (e[0], e[1]))
+                self._starting = sorted(keep)
             if cancelled and self._release is not None:
-                self._release(len(cancelled), t, cancelled)
+                self._release(t, cancelled)
         crashed = 0
         for serial in self._fault_serials(spec):
             pod = self._all_pods[serial]
@@ -1359,21 +1336,14 @@ class FleetSimulator:
             restart_s = None
             if restart is not None and role == "serving":
                 restart_s = t + restart
-                new_serial = len(self._all_pods)
-                replacement = self.pod_factory(new_serial)
-                if replacement.time > 0 or replacement.has_work():
-                    raise ValueError("pod_factory must return fresh engines")
-                self._all_pods.append(replacement)
-                self._serials[id(replacement)] = new_serial
-                self.routed_counts.append(0)
+                new_serial = self._provision(restart_s)
                 self._zone_overrides[new_serial] = self.pod_zone(serial)
-                self._starting.append((restart_s, new_serial, replacement))
                 if serial in self.cloud_serials:
                     # An in-place restart keeps the held capacity, so the
                     # replacement occupies the same rented instance.
                     self.cloud_serials.add(new_serial)
             elif self._release is not None:
-                self._release(1, t, [serial], kind)
+                self._release(t, [serial], kind)
             self.fault_events.append(
                 FaultEvent(
                     time_s=t,
@@ -1387,7 +1357,7 @@ class FleetSimulator:
             )
         if crashed:
             if restart is not None:
-                self._starting.sort(key=lambda e: (e[0], e[1]))
+                self._starting.sort()
             self._reindex()
         else:
             # Nothing in service matched (empty zone, pod already gone):
@@ -1452,6 +1422,18 @@ class FleetSimulator:
         )
         return count
 
+    def _provision(self, ready: float) -> int:
+        """Mint a fresh pod that cold-starts until ``ready``; its serial."""
+        serial = len(self._all_pods)
+        pod = self.pod_factory(serial)
+        if pod.time > 0 or pod.has_work():
+            raise ValueError("pod_factory must return fresh engines")
+        self._all_pods.append(pod)
+        self._serials[id(pod)] = serial
+        self.routed_counts.append(0)
+        self._starting.append((ready, serial, pod))
+        return serial
+
     def _activate_ready(self, now: float) -> None:
         """Move cold-started pods whose ready time has passed into service."""
         activated = False
@@ -1488,10 +1470,13 @@ class FleetSimulator:
         if retired:
             self._reindex()
         if retired and self._release is not None:
-            self._release(len(retired), now, retired)
+            self._release(now, retired)
 
-    def _autoscale_tick(self, t: float) -> None:
-        """One decision boundary: observe, decide, resize."""
+    def autoscale_tick(self) -> None:
+        """Run the decision due at ``next_decision`` and schedule the next:
+        observe, decide, resize."""
+        t = self._next_decision
+        self._next_decision += self.autoscaler.config.decision_interval_s
         self._activate_ready(t)
         self._retire_drained(t)
         view = self._view(t)
@@ -1514,19 +1499,13 @@ class FleetSimulator:
                     to_pods = current + granted
             cold = self.autoscaler.config.cold_start_s
             for _ in range(granted):
-                serial = len(self._all_pods)
-                pod = self.pod_factory(serial)
-                if pod.time > 0 or pod.has_work():
-                    raise ValueError("pod_factory must return fresh engines")
-                self._all_pods.append(pod)
-                self._serials[id(pod)] = serial
-                self.routed_counts.append(0)
-                self._starting.append((t + cold, serial, pod))
+                self._provision(t + cold)
             # Appends are monotone in the fault-free world, but a zone
             # outage may have pushed an older entry's ready time past
             # these; _activate_ready pops from the front, so keep the
-            # list ready-ordered (a no-op sort when already sorted).
-            self._starting.sort(key=lambda e: (e[0], e[1]))
+            # list ready-ordered (a no-op sort when already sorted; the
+            # serials are unique, so it never compares two pods).
+            self._starting.sort()
         else:
             delta = current - desired
             # Cancel pods still cold-starting first (newest first) —
@@ -1540,7 +1519,7 @@ class FleetSimulator:
                 cancelled.append(serial)
                 delta -= 1
             if cancelled and self._release is not None:
-                self._release(len(cancelled), t, cancelled)
+                self._release(t, cancelled)
             # ...then drain serving pods, lightest committed load first,
             # newest first on ties; never drain the last routable pod.
             # (Draining pods keep their GPUs until they retire.)

@@ -163,9 +163,9 @@ class ClusterFrontier:
       frontier *earlier* — unlike a single pod's clock, a tenant
       frontier is not monotone, which is why :meth:`push` runs after
       every mutation of that tenant, so the heap always holds a fresh
-      entry at or below the true minimum). Validation goes through the
-      fleet's own ``frontier_pod()``, so a valid entry always yields the
-      tenant's *current* frontier pod, whichever pod that is;
+      entry at or below the true minimum). Validation peeks the fleet's
+      own ``frontier``, so a valid entry always yields the tenant's
+      *current* frontier pod, whichever pod that is;
     * the **control heap** holds the tenant's next control time
       (:meth:`~repro.simulation.fleet.FleetSimulator.next_control`),
       stale as soon as a tick moved it. Only the tenant's own control
@@ -186,10 +186,10 @@ class ClusterFrontier:
     inventory, which injection never touches, so the skipped calls were
     all no-ops and the order in which tenants inject is immaterial:
 
-    * a stepped tenant injects right after its step, up to its own
-      ``t_end``; the fleet's injection returns at once when nothing is
-      due at its new frontier. That is the same as injecting at the
-      next loop top, since nothing runs in between;
+    * a stepped tenant injects right after its step; the fleet's
+      injection returns at once when nothing is due at its new
+      frontier. That is the same as injecting at the next loop top,
+      since nothing runs in between;
     * a ticked tenant joins the *dirty* set, which :meth:`inject_due`
       injects at the top of the next iteration, *not* right after the
       tick: the reference loop's control drain observes the fleet
@@ -226,7 +226,7 @@ class ClusterFrontier:
         to discard lazily; duplicates of a still-valid entry are
         harmless.
         """
-        pod = self._fleets[index].frontier_pod()
+        pod = self._fleets[index].frontier.peek()
         if pod is not None:
             heapq.heappush(self._pod_heap, (pod._time, index))
 
@@ -235,11 +235,11 @@ class ClusterFrontier:
         if t != float("inf"):
             heapq.heappush(self._ctl_heap, (t, index))
 
-    def inject_due(self, cutoff: float) -> None:
+    def inject_due(self) -> None:
         """Inject the due arrivals of every tenant ticked since the last call."""
         fleets = self._fleets
         for index in sorted(self._dirty):
-            fleets[index].inject_due(cutoff)
+            fleets[index].inject_due()
             self.push(index)
         self._dirty.clear()
 
@@ -253,7 +253,7 @@ class ClusterFrontier:
         fleets = self._fleets
         while heap:
             recorded, index = heap[0]
-            pod = fleets[index].frontier_pod()
+            pod = fleets[index].frontier.peek()
             if pod is not None and pod._time == recorded:
                 self._pod_index = index
                 return pod
@@ -293,13 +293,13 @@ class ClusterFrontier:
         index = self._pod_index
         fleet = self._fleets[index]
         fleet.step_pod(pod, next_control)
-        fleet.inject_due(fleet._t_end)
+        fleet.inject_due()
         self.push(index)
 
 
 def run_event_loop(
     t_end: float,
-    inject_due: Callable[[float], None],
+    inject_due: Callable[[], None],
     peek_pod: Callable[[], "ContinuousBatchingEngine | None"],
     peek_control: Callable[[], float],
     control_tick: Callable[[], bool],
@@ -314,7 +314,10 @@ def run_event_loop(
     ``FleetSimulator.run`` passes its own bound operations and
     ``ClusterSimulator`` those of a :class:`ClusterFrontier`:
 
-    * ``inject_due(t_end)`` materializes the due arrivals;
+    * ``inject_due()`` materializes the arrivals due at the frontier
+      (a fleet never materializes a scheduled arrival at or past its
+      window end, which ``FleetSimulator.begin`` sets to this
+      loop's ``t_end``);
     * ``peek_pod()`` is the frontier pod, None when nothing is busy;
     * ``peek_control()`` is the time of the next control event, inf
       when none is pending;
@@ -332,7 +335,7 @@ def run_event_loop(
     """
     t_ctl = peek_control()
     while True:
-        inject_due(t_end)
+        inject_due()
         pod = peek_pod()
         if pod is None:
             break

@@ -166,7 +166,7 @@ class ReferenceFleetSimulator(FleetSimulator):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._frontier = _ScanFrontier(self)
+        self.frontier = _ScanFrontier(self)
 
     def _place_initial(self, requests) -> None:
         """Offer the t=0 population one arrival at a time."""
@@ -185,12 +185,12 @@ class ReferenceClusterSimulator(ClusterSimulator):
     def _run_loop(self, t_end: float) -> None:
         while True:
             for group in self.tenants:
-                group.fleet.inject_due(t_end)
+                group.fleet.inject_due()
             stepping: TenantGroup | None = None
             pod = None
             t_next = float("inf")
             for group in self.tenants:
-                candidate = group.fleet.frontier_pod()
+                candidate = group.fleet.frontier.peek()
                 if candidate is not None and candidate.time < t_next:
                     stepping, pod, t_next = group, candidate, candidate.time
             if stepping is None or t_next >= t_end:

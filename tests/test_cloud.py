@@ -250,7 +250,7 @@ class TestCloudLedger:
         ledger.rented.allocate(PROFILE.name, 1, tenant="other", reason="burst")
         fleet.mark_cloud([0])
         with pytest.raises(ValueError, match="'fleet' returns pods it never rented"):
-            fleet._release(1, 0.0, [0])
+            fleet._release(0.0, [0])
 
 
 class TestSpotPreemptionSpecs:
