@@ -54,6 +54,8 @@ __all__ = ["ArrivalLog", "RecordedTraffic", "ReplayTraffic"]
 #: Columns a CSV/JSONL arrival log may carry, in canonical order.
 _REQUIRED_COLUMNS = ("timestamp", "input_tokens", "output_tokens")
 _OPTIONAL_COLUMNS = ("batch_size", "tenant", "session")
+#: The largest token or batch count a log may hold: counts are int64.
+_MAX_COUNT = np.iinfo(np.int64).max
 
 
 @dataclass
@@ -340,6 +342,12 @@ class ArrivalLog:
                     raise ValueError(
                         f"arrival log {path!r}: invalid JSON: {exc}"
                     ) from exc
+            for i, record in enumerate(records):
+                if not isinstance(record, dict):
+                    raise ValueError(
+                        f"arrival log {path!r}: row {i}: expected an object "
+                        f"with column 'timestamp', got {record!r}"
+                    )
         elif path.endswith(".csv"):
             with open(path, newline="") as fh:
                 records = list(csv.DictReader(fh))
@@ -360,6 +368,15 @@ class ArrivalLog:
                 )
             return value
 
+        def count(name: str, row: int, raw) -> int:
+            value = number(name, row, raw)
+            if not 1 <= value <= _MAX_COUNT:
+                raise ValueError(
+                    f"arrival log {path!r}: column {name!r}, row {row}: "
+                    f"expected a count from 1 to 2**63 - 1, got {raw!r}"
+                )
+            return int(value)
+
         columns: dict[str, list] = {}
         for name in _REQUIRED_COLUMNS:
             missing = next(
@@ -370,7 +387,8 @@ class ArrivalLog:
                 raise ValueError(
                     f"arrival log {path!r} missing column {name!r} (row {missing})"
                 )
-            columns[name] = [number(name, i, r[name]) for i, r in enumerate(records)]
+            convert = number if name == "timestamp" else count
+            columns[name] = [convert(name, i, r[name]) for i, r in enumerate(records)]
         for name in _OPTIONAL_COLUMNS:
             if any(r.get(name) not in (None, "") for r in records):
                 default = 1 if name == "batch_size" else ""
@@ -380,8 +398,7 @@ class ArrivalLog:
                 ]
         if "batch_size" in columns:
             columns["batch_size"] = [
-                int(number("batch_size", i, b))
-                for i, b in enumerate(columns["batch_size"])
+                count("batch_size", i, b) for i, b in enumerate(columns["batch_size"])
             ]
         return cls.from_columns({k: np.asarray(v) for k, v in columns.items()})
 

@@ -1,5 +1,7 @@
 """Tests for the traces <-> simulation bridge: arrival logs and replay."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,27 +205,59 @@ class TestPersistence:
             ArrivalLog.load(str(bad))
 
 
+    @pytest.mark.parametrize(
+        "name, text, column, row",
+        [
+            pytest.param(
+                "nan-times.csv",
+                "timestamp,input_tokens,output_tokens\n"
+                "0.0,50,20\n1.0,60,20\nnan,70,20\n",
+                "timestamp", 2, id="nan-timestamp",
+            ),
+            pytest.param(
+                "not-an-object.jsonl",
+                '{"timestamp": 0.0, "input_tokens": 50, "output_tokens": 20}\n'
+                "5\n",
+                "timestamp", 1, id="row-not-an-object",
+            ),
+            pytest.param(
+                "zero-batch.csv",
+                "timestamp,input_tokens,output_tokens,batch_size\n"
+                "0.0,50,20,1\n1.0,60,20,0\n",
+                "batch_size", 1, id="zero-batch-size",
+            ),
+            pytest.param(
+                "negative-tokens.csv",
+                "timestamp,input_tokens,output_tokens\n0.0,50,20\n1.0,60,-5\n",
+                "output_tokens", 1, id="negative-tokens",
+            ),
+            pytest.param(
+                "huge-count.csv",
+                "timestamp,input_tokens,output_tokens\n0.0,50,20\n1.0,1e30,20\n",
+                "input_tokens", 1, id="count-past-int64",
+            ),
+        ],
+    )
     def test_nan_timestamp_exits_2_naming_file_column_and_row(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, name, text, column, row
     ):
         from repro.cli import main
 
-        path = tmp_path / "nan-times.csv"
-        path.write_text(
-            "timestamp,input_tokens,output_tokens\n"
-            "0.0,50,20\n1.0,60,20\nnan,70,20\n"
-        )
-        rc = main(
-            [
-                "simulate", "--traffic", "replay", "--arrivals", str(path),
-                "--requests", "3000", "--duration", "5",
-            ]
-        )
+        path = tmp_path / name
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(
+                [
+                    "simulate", "--traffic", "replay", "--arrivals", str(path),
+                    "--requests", "3000", "--duration", "5",
+                ]
+            )
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "nan-times.csv" in err
-        assert "'timestamp'" in err and "row 2" in err
+        assert name in err
+        assert f"'{column}'" in err and f"row {row}" in err
 
 
 class TestTraceBridge:
