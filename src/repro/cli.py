@@ -1140,9 +1140,19 @@ def _cmd_report(args) -> int:
                     f"{args.input} is not a simulation result payload"
                 )
             stem = os.path.splitext(os.path.basename(args.input))[0]
-            # render inside the handler: an unknown "kind" in a
-            # hand-edited file is user input, not a simulator bug.
-            html = render_report(payload, title=args.title)
+            # render inside the handler: an unknown "kind", a missing
+            # field or a field of the wrong type in a hand-edited file
+            # is user input, not a simulator bug.
+            try:
+                html = render_report(payload, title=args.title)
+            except KeyError as exc:
+                raise ValueError(
+                    f"{args.input}: result payload has no field {exc.args[0]!r}"
+                ) from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{args.input}: malformed result payload ({exc})"
+                ) from exc
         else:
             path = (
                 str(scenario_path(args.scenario_name))

@@ -275,15 +275,46 @@ class TestReportCommand:
         assert rc == 2
         assert "no-such-file.json" in capsys.readouterr().err
 
-    def test_malformed_json_error_names_the_file(self, tmp_path, capsys):
-        src = tmp_path / "truncated.json"
-        src.write_text('{"kind": "fleet", "arrivals": ')
+    @pytest.mark.parametrize(
+        "case, needle",
+        [
+            pytest.param("truncated", "invalid JSON", id="truncated"),
+            pytest.param("no-ttft", "'ttft'", id="missing-field"),
+            pytest.param(
+                "tenant-no-arrivals", "'arrivals'", id="tenant-missing-field"
+            ),
+            pytest.param("per-pod-string", None, id="per-pod-not-a-list"),
+            pytest.param("ttft-null", None, id="ttft-null"),
+        ],
+    )
+    def test_malformed_json_error_names_the_file(
+        self, tmp_path, capsys, fleet_fault_result, cluster_cloud_result,
+        case, needle,
+    ):
+        fleet = fleet_fault_result[1].to_dict()
+        cluster = cluster_cloud_result[1].to_dict()
+        if case == "truncated":
+            text = '{"kind": "fleet", "arrivals": '
+        else:
+            if case == "no-ttft":
+                del fleet["ttft"]
+            elif case == "tenant-no-arrivals":
+                del cluster["tenants"][0]["arrivals"]
+                fleet = cluster
+            elif case == "per-pod-string":
+                fleet["per_pod"] = "x"
+            else:
+                fleet["ttft"] = None
+            text = json.dumps(fleet)
+        src = tmp_path / f"{case}.json"
+        src.write_text(text)
         rc = main(["report", str(src)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "truncated.json" in err
-        assert "invalid JSON" in err
+        assert f"{case}.json" in err
+        if needle is not None:
+            assert needle in err
 
     def test_scenario_name_miss_lists_names(self, capsys):
         rc = main(["report", "--scenario-name", "nope"])
