@@ -358,9 +358,6 @@ class AdmissionController(Router):
         self.mode = mode
         self.retry_delay_s = float(retry_delay_s)
         self.max_defers = int(max_defers)
-        self.admitted = 0
-        self.shed = 0
-        self.deferred = 0
         self._defers: dict[int, int] = {}
         self._p95_cache = float("nan")
         self._p95_at = float("-inf")
@@ -372,9 +369,6 @@ class AdmissionController(Router):
     def reset(self) -> None:
         """Forget admission and inner-router state before a fresh run."""
         self.inner.reset()
-        self.admitted = 0
-        self.shed = 0
-        self.deferred = 0
         self._defers.clear()
         self._p95_cache = float("nan")
         self._p95_at = float("-inf")
@@ -407,17 +401,14 @@ class AdmissionController(Router):
         """``"admit"``, ``"shed"`` or ``"defer"`` for one arrival."""
         p95 = self.windowed_p95_ttft(arrival_time, pods)
         if math.isnan(p95) or p95 <= self.slo_p95_ttft_s:
-            self.admitted += 1
             self._defers.pop(request.request_id, None)
             return "admit"
         if self.mode == "defer":
             seen = self._defers.get(request.request_id, 0)
             if seen < self.max_defers:
                 self._defers[request.request_id] = seen + 1
-                self.deferred += 1
                 return "defer"
             self._defers.pop(request.request_id, None)
-        self.shed += 1
         return "shed"
 
     def route(self, request, arrival_time, pods) -> int:

@@ -279,13 +279,11 @@ class TestAdmissionController:
         ctl = self._controller()
         pods = self._pods_with_ttft([0.1] * 10, now=5.0)
         assert ctl.admit(self._request(), 5.0, pods) == "admit"
-        assert ctl.admitted == 1
 
     def test_sheds_above_slo(self):
         ctl = self._controller()
         pods = self._pods_with_ttft([5.0] * 10, now=5.0)
         assert ctl.admit(self._request(), 5.0, pods) == "shed"
-        assert ctl.shed == 1
 
     def test_admits_when_too_few_samples(self):
         ctl = self._controller()
@@ -329,8 +327,6 @@ class TestAdmissionController:
         assert ctl.admit(request, 5.0, pods) == "defer"
         assert ctl.admit(request, 6.0, pods) == "defer"
         assert ctl.admit(request, 7.0, pods) == "shed"
-        assert ctl.deferred == 2
-        assert ctl.shed == 1
 
     def test_routes_via_inner(self):
         ctl = self._controller()
@@ -360,8 +356,6 @@ class TestAdmissionController:
         assert res.shed > 0
         assert res.admitted + res.shed == res.arrivals
         assert res.admitted == sum(fleet.routed_counts)
-        # The controller's own tally agrees with the fleet's.
-        assert router.shed == res.shed
 
     def test_integration_defer_retries(self, generator):
         traffic = PoissonTraffic(8.0, rng=derive_rng(6, "defer"))
@@ -396,9 +390,6 @@ class TestAdmissionController:
         res.verify_conservation()
         assert res.deferrals > 0
         assert res.shed > 0
-        # The controller's tallies agree with the fleet's.
-        assert router.deferred == res.deferrals
-        assert router.shed == res.shed
         # Re-offers never inflate the arrival count.
         assert res.arrivals == res.admitted + res.shed
         assert res.admitted == sum(fleet.routed_counts)
