@@ -333,6 +333,8 @@ class ArrivalLog:
         ``output_tokens``; optional ``batch_size`` (missing/blank rows
         default to 1), ``tenant`` and ``session`` (missing/blank rows
         default to ``""``, and the column is kept if *any* row has it).
+        Token and batch counts lie between 1 and 2**63 - 1; a bad row
+        raises a :class:`ValueError` naming the file, column and row.
         """
         if _is_jsonl(path):
             with open(path) as fh:
