@@ -291,21 +291,19 @@ class TestReportCommand:
         self, tmp_path, capsys, fleet_fault_result, cluster_cloud_result,
         case, needle,
     ):
-        fleet = fleet_fault_result[1].to_dict()
-        cluster = cluster_cloud_result[1].to_dict()
+        payload = fleet_fault_result[1].to_dict()
+        if case == "no-ttft":
+            del payload["ttft"]
+        elif case == "tenant-no-arrivals":
+            payload = cluster_cloud_result[1].to_dict()
+            del payload["tenants"][0]["arrivals"]
+        elif case == "per-pod-string":
+            payload["per_pod"] = "x"
+        elif case == "ttft-null":
+            payload["ttft"] = None
+        text = json.dumps(payload)
         if case == "truncated":
             text = '{"kind": "fleet", "arrivals": '
-        else:
-            if case == "no-ttft":
-                del fleet["ttft"]
-            elif case == "tenant-no-arrivals":
-                del cluster["tenants"][0]["arrivals"]
-                fleet = cluster
-            elif case == "per-pod-string":
-                fleet["per_pod"] = "x"
-            else:
-                fleet["ttft"] = None
-            text = json.dumps(fleet)
         src = tmp_path / f"{case}.json"
         src.write_text(text)
         rc = main(["report", str(src)])
