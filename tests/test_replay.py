@@ -212,7 +212,7 @@ class TestPersistence:
                 "nan-times.csv",
                 "timestamp,input_tokens,output_tokens\n"
                 "0.0,50,20\n1.0,60,20\nnan,70,20\n",
-                "timestamp", 2, id="nan-timestamp",
+                "timestamp", 2, id="nan-time",
             ),
             pytest.param(
                 "not-an-object.jsonl",
